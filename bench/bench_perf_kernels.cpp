@@ -180,9 +180,10 @@ BENCHMARK(BM_GrapeObjectiveOpen)->Arg(16)->Arg(48)->Arg(128);
 // --- structured superoperator apply: dense matvec vs factored/CSR -----------
 //
 // Args are (d, path): Hilbert dimension and 0 = dense d^2 x d^2 matvec
-// (the legacy arithmetic), 1 = Kronecker-factored apply (O((2+n_c) d^3)),
-// 2 = StructuredSuperOp dispatch (CSR when sparse enough, SIMD dense gemv
-// otherwise).  d = 3 and d = 9 are the paper's transmon and pair sizes.
+// (StructuredSuperOp pinned to its dense kind), 1 = Kronecker-factored apply
+// (O((2+n_c) d^3)), 2 = StructuredSuperOp dispatch (CSR when sparse enough,
+// SIMD dense gemv otherwise).  d = 3 and d = 9 are the paper's transmon and
+// pair sizes.
 
 void BM_SuperopApply(benchmark::State& state) {
     const auto d = static_cast<std::size_t>(state.range(0));
@@ -191,6 +192,7 @@ void BM_SuperopApply(benchmark::State& state) {
                                             0.05 * quantum::number_op(d)};
     const linalg::Mat dense = quantum::liouvillian(h, c_ops);
     const quantum::KronSuperOp kron = quantum::KronSuperOp::liouvillian(h, c_ops);
+    const auto dense_only = quantum::StructuredSuperOp::from_dense(dense, 0.0);
     const auto structured = quantum::StructuredSuperOp::from_dense(dense);
 
     linalg::Mat rho(d, d);
@@ -203,7 +205,7 @@ void BM_SuperopApply(benchmark::State& state) {
     switch (state.range(1)) {
         case 0:
             for (auto _ : state) {
-                quantum::apply_superop_into(dense, v, out);
+                dense_only.apply_into(v, out);
                 benchmark::DoNotOptimize(out);
             }
             break;
@@ -438,8 +440,8 @@ BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1);
 
 // Same two-state shape for the lock-free latency histograms: Arg 0 bounds
 // the disabled path (one relaxed load + branch, ~1 ns), Arg 1 the enabled
-// log-bucketed record (owner-thread relaxed load+store on a bucket cell --
-// still mutex-free, unlike the named hist_observe it replaced on hot paths).
+// log-bucketed record (owner-thread relaxed load+store on a bucket cell,
+// mutex-free).
 // An LCG varies the value so bucket indexing isn't constant-folded.
 void BM_HistObserve(benchmark::State& state) {
     const bool externally_enabled =

@@ -47,32 +47,6 @@ fi
 
 cmake --build "$build_dir" -j --target bench_perf_kernels >/dev/null
 
-# Stale-binary guard: a baseline recorded from a binary that predates the
-# structured-superoperator kernels (or from a tree configured with the SIMD
-# kernels off) would silently compare apples to oranges.  Require both the
-# cache entry and the benchmark registration before recording anything.
-simd_val="$(sed -n 's/^QOC_SIMD_KERNELS:[^=]*=//p' "$build_dir/CMakeCache.txt")"
-if [[ -z "$simd_val" ]]; then
-    echo "error: $build_dir/CMakeCache.txt has no QOC_SIMD_KERNELS entry --" >&2
-    echo "the build tree predates the structured superop kernels; reconfigure" >&2
-    echo "from the current CMakeLists before recording a baseline." >&2
-    exit 1
-fi
-if ! "$build_dir/bench/bench_perf_kernels" --benchmark_list_tests \
-        | grep -q '^BM_SuperopApply'; then
-    echo "error: bench_perf_kernels does not register BM_SuperopApply --" >&2
-    echo "stale benchmark binary; rebuild from the current tree before" >&2
-    echo "recording a baseline." >&2
-    exit 1
-fi
-if ! "$build_dir/bench/bench_perf_kernels" --benchmark_list_tests \
-        | grep -q '^BM_CalibService'; then
-    echo "error: bench_perf_kernels does not register BM_CalibService --" >&2
-    echo "the binary predates the calibration-service cache benchmarks;" >&2
-    echo "rebuild from the current tree before recording a baseline." >&2
-    exit 1
-fi
-
 # Pin the qoc::runtime task-pool width so recorded numbers are reproducible
 # across machines: default 1 (the serial inline path, bitwise the reference
 # configuration); override with QOC_THREADS=N for scaling runs.

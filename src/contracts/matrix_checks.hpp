@@ -205,7 +205,7 @@ inline void check_completely_positive(const linalg::Mat& s, const char* what, do
 
 /// A vectorized density operator `vec_rho` (d^2 x 1 column) must unvec to a
 /// Hermitian matrix of unit trace within `tol` -- the state propagated by
-/// `apply_superop_into` chains in the RB engine.
+/// the RB seed-block engine.
 inline void check_density_vec(const linalg::Mat& vec_rho, const char* what, double tol = 1e-6) {
     if (!enabled()) return;
     QOC_CONTRACT(vec_rho.cols() == 1, std::string(what) + ": not a column vector");

@@ -4,9 +4,7 @@
 #include <stdexcept>
 
 #include "contracts/matrix_checks.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
-#include "quantum/superop_structured.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::control {
@@ -114,12 +112,6 @@ ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
     // shared-intermediate speedup; the spectral path stays available to
     // propagator builders, where no optimizer feeds back on the result.
     method_ = linalg::ExpmMethod::kPade;
-
-    // Open-system generators are dense Liouvillians (d^2 x d^2 for GRAPE on
-    // superoperators): the fma-contracted simd kernels cut the Pade gemm
-    // bill without touching any closed-system golden.  The QOC_DENSE_SUPEROP
-    // escape hatch pins the legacy arithmetic end to end.
-    simd_ = open_ && !quantum::dense_superop_forced();
 }
 
 ControlAmplitudes ControlProblem::unflatten(const std::vector<double>& x) const {
@@ -154,7 +146,6 @@ void ControlProblem::slot_propagator_and_derivs(const double* amps, Mat& prop,
                                                 Mat* dprops) const {
     auto lease = scratch_pool_.acquire();
     EvalScratch& sc = *lease;
-    sc.ws.use_simd_kernels = simd_;
     slot_exponent_into(amps, sc.gen);
     linalg::expm_frechet_multi(sc.gen, exp_dirs_.data(), n_ctrl_, prop, dprops, sc.ws, method_);
 }
@@ -163,15 +154,10 @@ Mat ControlProblem::evolution(const ControlAmplitudes& amps) const {
     auto lease = scratch_pool_.acquire();
     EvalScratch& sc = *lease;
     Mat total = Mat::identity(prob_.system.drift.rows());
-    sc.ws.use_simd_kernels = simd_;
     for (std::size_t k = 0; k < n_ts_; ++k) {
         slot_exponent_into(amps[k].data(), sc.gen);
         linalg::expm_into(sc.gen, sc.prop, sc.ws, method_);
-        if (simd_) {
-            linalg::simd::gemm_into(sc.prop, total, sc.tmp);
-        } else {
-            linalg::gemm_into(sc.prop, total, sc.tmp);
-        }
+        linalg::gemm_into(sc.prop, total, sc.tmp);
         std::swap(total, sc.tmp);
     }
     return total;
@@ -216,7 +202,6 @@ double ControlProblem::objective(const std::vector<double>& x,
     runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
         auto lease = scratch_pool_.acquire();
         EvalScratch& sc = *lease;
-        sc.ws.use_simd_kernels = simd_;
         slot_exponent_into(&x[k * n_ctrl_], sc.gen);
         linalg::expm_frechet_multi(sc.gen, exp_dirs_.data(), n_ctrl_, props_[k],
                                    &dprops_[k * n_ctrl_], sc.ws, method_);
@@ -226,20 +211,13 @@ double ControlProblem::objective(const std::vector<double>& x,
     // products bwd[k] = P_{N-1} ... P_{k+1}, into reused storage.
     fwd_.resize(n_ts_);
     bwd_.resize(n_ts_);
-    const auto chain_mul = [this](const Mat& a, const Mat& b, Mat& out) {
-        if (simd_) {
-            linalg::simd::gemm_into(a, b, out);
-        } else {
-            linalg::gemm_into(a, b, out);
-        }
-    };
     fwd_[0] = props_[0];
-    for (std::size_t k = 1; k < n_ts_; ++k) chain_mul(props_[k], fwd_[k - 1], fwd_[k]);
+    for (std::size_t k = 1; k < n_ts_; ++k) linalg::gemm_into(props_[k], fwd_[k - 1], fwd_[k]);
     const std::size_t dim = prob_.system.drift.rows();
     bwd_[n_ts_ - 1].resize(dim, dim);
     for (std::size_t i = 0; i < dim; ++i) bwd_[n_ts_ - 1](i, i) = cplx{1.0, 0.0};
     for (std::size_t k = n_ts_ - 1; k-- > 0;) {
-        chain_mul(bwd_[k + 1], props_[k + 1], bwd_[k]);
+        linalg::gemm_into(bwd_[k + 1], props_[k + 1], bwd_[k]);
     }
 
     const Mat& evo = fwd_.back();
@@ -265,18 +243,10 @@ double ControlProblem::objective(const std::vector<double>& x,
         auto lease = scratch_pool_.acquire();
         EvalScratch& sc = *lease;
         // R_k = fwd_{k-1} * C * bwd_k  (so Tr(C bwd dP fwd) = Tr(R dP)).
-        if (simd_) {
-            linalg::simd::gemm_into(c_adj_, bwd_[k], sc.tmp);
-        } else {
-            linalg::gemm_into(c_adj_, bwd_[k], sc.tmp);
-        }
+        linalg::gemm_into(c_adj_, bwd_[k], sc.tmp);
         const Mat* r = &sc.tmp;
         if (k > 0) {
-            if (simd_) {
-                linalg::simd::gemm_into(fwd_[k - 1], sc.tmp, sc.prop);
-            } else {
-                linalg::gemm_into(fwd_[k - 1], sc.tmp, sc.prop);
-            }
+            linalg::gemm_into(fwd_[k - 1], sc.tmp, sc.prop);
             r = &sc.prop;
         }
         for (std::size_t j = 0; j < n_ctrl_; ++j) {

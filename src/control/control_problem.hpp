@@ -110,13 +110,6 @@ private:
 
     GrapeProblem prob_;
     bool open_;
-    /// True when the evaluator routes its gemms, expm internals and LU
-    /// solves through the `linalg::simd` kernel family.  Set in the ctor
-    /// for OPEN systems only (unless `QOC_DENSE_SUPEROP` forces the legacy
-    /// path): open-system objective values agree with the legacy arithmetic
-    /// to the structured-path 1e-12 budget, while closed-system golden
-    /// trajectories keep the historical rounding.
-    bool simd_ = false;
     std::size_t n_ctrl_ = 0;
     std::size_t n_ts_ = 0;
     double dt_ = 0.0;

@@ -134,9 +134,8 @@ void print_metrics_summary() {
                 static_cast<unsigned long long>(cm_m), rate(cm_h, cm_m));
     std::printf("   superop applies: %llu\n",
                 static_cast<unsigned long long>(v(Cnt::kSuperopApplies)));
-    std::printf("   gemm / gemv / LU: %llu / %llu / %llu\n",
+    std::printf("   gemm / LU      : %llu / %llu\n",
                 static_cast<unsigned long long>(v(Cnt::kGemmCalls)),
-                static_cast<unsigned long long>(v(Cnt::kGemvCalls)),
                 static_cast<unsigned long long>(v(Cnt::kLuFactorizations)));
     std::printf("   expm pade order: 3:%llu 5:%llu 7:%llu 9:%llu 13:%llu spectral:%llu\n",
                 static_cast<unsigned long long>(v(Cnt::kExpmPade3)),

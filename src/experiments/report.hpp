@@ -37,7 +37,7 @@ void print_waveform(const std::string& label,
                     const std::vector<std::complex<double>>& samples, std::size_t width = 64);
 
 /// Prints the obs metrics registry: propagator-cache and Clifford-memo
-/// hit/miss rates, superop matvec totals, gemm/gemv/LU counts and the expm
+/// hit/miss rates, superop matvec totals, gemm/LU counts and the expm
 /// Pade-order histogram.  No-op unless metrics collection is enabled
 /// (QOC_METRICS or obs::enable_metrics).
 void print_metrics_summary();

@@ -9,7 +9,6 @@
 
 #include "linalg/eig_hermitian.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
@@ -133,31 +132,6 @@ void set_scaled(Mat& out, const Mat& x, double c) {
 /// `n_dirs == 0` this is a plain workspace expm.
 void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
                         Mat* frechet_out, ExpmWorkspace& ws) {
-    // Every gemm and triangular solve below goes through one of these three
-    // dispatchers; ws.use_simd_kernels swaps the whole Pade path onto the
-    // fma-contracted simd kernel family in one place (see expm.hpp).
-    const bool use_simd = ws.use_simd_kernels;
-    const auto mul_into = [use_simd](const Mat& x, const Mat& y, Mat& o) {
-        if (use_simd) {
-            simd::gemm_into(x, y, o);
-        } else {
-            gemm_into(x, y, o);
-        }
-    };
-    const auto mul_acc = [use_simd](const Mat& x, const Mat& y, Mat& o) {
-        if (use_simd) {
-            simd::gemm_acc(x, y, o);
-        } else {
-            gemm_acc(x, y, o);
-        }
-    };
-    const auto lu_solve = [use_simd](const Lu& f, const Mat& rhs, Mat& x) {
-        if (use_simd) {
-            f.solve_into_simd(rhs, x);
-        } else {
-            f.solve_into(rhs, x);
-        }
-    };
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -179,8 +153,8 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
     // the factored polynomials; orders 3..9 need A^2 .. A^{m-1} directly.
     const std::size_t kmax = (m == 13) ? 3 : static_cast<std::size_t>(m - 1) / 2;
     if (ws.pows.size() < kmax + 1) ws.pows.resize(kmax + 1);
-    mul_into(as, as, ws.pows[1]);
-    for (std::size_t k = 2; k <= kmax; ++k) mul_into(ws.pows[k - 1], ws.pows[1], ws.pows[k]);
+    gemm_into(as, as, ws.pows[1]);
+    for (std::size_t k = 2; k <= kmax; ++k) gemm_into(ws.pows[k - 1], ws.pows[1], ws.pows[k]);
 
     // Shared U = A * (odd poly), V = even poly.
     if (m == 13) {
@@ -191,17 +165,17 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         set_scaled(ws.w1, a6, b[13]);
         add_scaled(ws.w1, cplx{b[11]}, a4);
         add_scaled(ws.w1, cplx{b[9]}, a2);
-        mul_into(a6, ws.w1, ws.w);
+        gemm_into(a6, ws.w1, ws.w);
         add_scaled(ws.w, cplx{b[7]}, a6);
         add_scaled(ws.w, cplx{b[5]}, a4);
         add_scaled(ws.w, cplx{b[3]}, a2);
         add_diag(ws.w, b[1]);
-        mul_into(as, ws.w, ws.u);
+        gemm_into(as, ws.w, ws.u);
         // z1 = b12 A6 + b10 A4 + b8 A2 ; V = A6 z1 + b6 A6 + b4 A4 + b2 A2 + b0 I
         set_scaled(ws.z1, a6, b[12]);
         add_scaled(ws.z1, cplx{b[10]}, a4);
         add_scaled(ws.z1, cplx{b[8]}, a2);
-        mul_into(a6, ws.z1, ws.v);
+        gemm_into(a6, ws.z1, ws.v);
         add_scaled(ws.v, cplx{b[6]}, a6);
         add_scaled(ws.v, cplx{b[4]}, a4);
         add_scaled(ws.v, cplx{b[2]}, a2);
@@ -215,7 +189,7 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
             add_scaled(ws.usum, cplx{b[2 * k + 1]}, ws.pows[k]);
             add_scaled(ws.v, cplx{b[2 * k]}, ws.pows[k]);
         }
-        mul_into(as, ws.usum, ws.u);
+        gemm_into(as, ws.usum, ws.u);
     }
 
     // r = (V - U)^{-1} (V + U); one LU shared by every direction.
@@ -224,7 +198,7 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
     ws.t2 = ws.v;
     ws.t2 += ws.u;
     ws.fact.factor(ws.t1);
-    lu_solve(ws.fact, ws.t2, ws.r);
+    ws.fact.solve_into(ws.t2, ws.r);
 
     // Per-direction derivative polynomials against the shared intermediates.
     for (std::size_t d = 0; d < n_dirs; ++d) {
@@ -232,35 +206,35 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         if (s > 0) ws.es *= sf;
         const Mat& es = ws.es;
         // M2 = A E + E A (all in the scaled variables).
-        mul_into(as, es, ws.m2);
-        mul_acc(es, as, ws.m2);
+        gemm_into(as, es, ws.m2);
+        gemm_acc(es, as, ws.m2);
         if (m == 13) {
             const Mat& a2 = ws.pows[1];
             const Mat& a4 = ws.pows[2];
             const Mat& a6 = ws.pows[3];
             // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
-            mul_into(a2, ws.m2, ws.m4);
-            mul_acc(ws.m2, a2, ws.m4);
-            mul_into(ws.m4, a2, ws.m6);
-            mul_acc(a4, ws.m2, ws.m6);
+            gemm_into(a2, ws.m2, ws.m4);
+            gemm_acc(ws.m2, a2, ws.m4);
+            gemm_into(ws.m4, a2, ws.m6);
+            gemm_acc(a4, ws.m2, ws.m6);
             // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
             //         + b7 M6 + b5 M4 + b3 M2) + E*w
             set_scaled(ws.lw1, ws.m6, b[13]);
             add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
             add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
-            mul_into(ws.m6, ws.w1, ws.lw);
-            mul_acc(a6, ws.lw1, ws.lw);
+            gemm_into(ws.m6, ws.w1, ws.lw);
+            gemm_acc(a6, ws.lw1, ws.lw);
             add_scaled(ws.lw, cplx{b[7]}, ws.m6);
             add_scaled(ws.lw, cplx{b[5]}, ws.m4);
             add_scaled(ws.lw, cplx{b[3]}, ws.m2);
-            mul_into(as, ws.lw, ws.lu_m);
-            mul_acc(es, ws.w, ws.lu_m);
+            gemm_into(as, ws.lw, ws.lu_m);
+            gemm_acc(es, ws.w, ws.lu_m);
             // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
             set_scaled(ws.lw1, ws.m6, b[12]);
             add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
             add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
-            mul_into(ws.m6, ws.z1, ws.lv_m);
-            mul_acc(a6, ws.lw1, ws.lv_m);
+            gemm_into(ws.m6, ws.z1, ws.lv_m);
+            gemm_acc(a6, ws.lw1, ws.lv_m);
             add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
             add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
             add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
@@ -273,35 +247,35 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
                 if (k == 1) {
                     ws.mcur = ws.m2;
                 } else {
-                    mul_into(ws.mprev, ws.pows[1], ws.mcur);
-                    mul_acc(ws.pows[k - 1], ws.m2, ws.mcur);
+                    gemm_into(ws.mprev, ws.pows[1], ws.mcur);
+                    gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
                 }
                 add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
                 add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
                 std::swap(ws.mprev, ws.mcur);
             }
             // Lu = E * usum + A * lusum.
-            mul_into(es, ws.usum, ws.lu_m);
-            mul_acc(as, ws.lusum, ws.lu_m);
+            gemm_into(es, ws.usum, ws.lu_m);
+            gemm_acc(as, ws.lusum, ws.lu_m);
         }
         // (V - U) L = Lu + Lv - (Lv - Lu) r, reusing the shared LU.
         ws.t2 = ws.lv_m;
         ws.t2 -= ws.lu_m;
         ws.rhs = ws.lu_m;
         ws.rhs += ws.lv_m;
-        mul_into(ws.t2, ws.r, ws.t1);
+        gemm_into(ws.t2, ws.r, ws.t1);
         ws.rhs -= ws.t1;
-        lu_solve(ws.fact, ws.rhs, frechet_out[d]);
+        ws.fact.solve_into(ws.rhs, frechet_out[d]);
     }
 
     // Squaring phase: L <- rL + Lr for every direction, then r <- r^2.
     for (int step = 0; step < s; ++step) {
         for (std::size_t d = 0; d < n_dirs; ++d) {
-            mul_into(ws.r, frechet_out[d], ws.t1);
-            mul_acc(frechet_out[d], ws.r, ws.t1);
+            gemm_into(ws.r, frechet_out[d], ws.t1);
+            gemm_acc(frechet_out[d], ws.r, ws.t1);
             std::swap(frechet_out[d], ws.t1);
         }
-        mul_into(ws.r, ws.r, ws.t1);
+        gemm_into(ws.r, ws.r, ws.t1);
         std::swap(ws.r, ws.t1);
     }
     exp_out = ws.r;

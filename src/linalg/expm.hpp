@@ -54,14 +54,6 @@ class ExpmWorkspace {
 public:
     ExpmWorkspace() = default;
 
-    /// Routes the Pade path's gemms and triangular solves through the
-    /// `linalg::simd` kernel family (simd_kernels.hpp).  Default OFF: the
-    /// fma-contracted kernels round differently from the legacy `gemm_into`
-    /// arithmetic that pins every historical golden trajectory, so only the
-    /// open-system evaluator (whose structured path carries its own 1e-12
-    /// agreement budget) switches this on.  The spectral path ignores it.
-    bool use_simd_kernels = false;
-
     // shared Pade intermediates (one set per A, reused across directions)
     Mat as;                 ///< scaled generator A / 2^s
     std::vector<Mat> pows;  ///< pows[k] = (A/2^s)^{2k}, k >= 1

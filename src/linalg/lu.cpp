@@ -75,39 +75,8 @@ void Lu::solve_into(const Mat& b, Mat& x) const {
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < m; ++j) x(i, j) = b(piv_[i], j);
 
-    // Forward substitution (L has unit diagonal).
-    for (std::size_t i = 1; i < n; ++i)
-        for (std::size_t k = 0; k < i; ++k) {
-            const cplx lik = lu_(i, k);
-            if (lik == cplx{0.0, 0.0}) continue;
-            for (std::size_t j = 0; j < m; ++j) x(i, j) -= lik * x(k, j);
-        }
-
-    // Back substitution.
-    for (std::size_t ii = n; ii-- > 0;) {
-        for (std::size_t k = ii + 1; k < n; ++k) {
-            const cplx uik = lu_(ii, k);
-            if (uik == cplx{0.0, 0.0}) continue;
-            for (std::size_t j = 0; j < m; ++j) x(ii, j) -= uik * x(k, j);
-        }
-        const cplx d = lu_(ii, ii);
-        for (std::size_t j = 0; j < m; ++j) x(ii, j) /= d;
-    }
-}
-
-void Lu::solve_into_simd(const Mat& b, Mat& x) const {
-    if (singular_) throw std::runtime_error("Lu::solve: singular matrix");
-    const std::size_t n = lu_.rows();
-    if (b.rows() != n) throw std::invalid_argument("Lu::solve: rhs shape mismatch");
-    assert(&x != &b);
-    const std::size_t m = b.cols();
-
-    x.resize(n, m);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < m; ++j) x(i, j) = b(piv_[i], j);
-
-    // Same elimination order and zero-skip as solve_into; only the per-row
-    // axpy arithmetic runs through the simd kernel family.
+    // Forward substitution (L has unit diagonal); the row updates vectorize
+    // over the right-hand-side columns.
     for (std::size_t i = 1; i < n; ++i)
         for (std::size_t k = 0; k < i; ++k) {
             const cplx lik = lu_(i, k);
@@ -115,6 +84,7 @@ void Lu::solve_into_simd(const Mat& b, Mat& x) const {
             simd::row_sub_scaled(&x(i, 0), &x(k, 0), lik, m);
         }
 
+    // Back substitution.
     for (std::size_t ii = n; ii-- > 0;) {
         for (std::size_t k = ii + 1; k < n; ++k) {
             const cplx uik = lu_(ii, k);

@@ -41,16 +41,9 @@ public:
     Mat solve(const Mat& b) const;
 
     /// Solves `A x = b` into a caller-owned matrix (allocation-free on shape
-    /// reuse).  `x` must not alias `b`.
+    /// reuse).  `x` must not alias `b`.  The substitution row updates run
+    /// through `simd::row_sub_scaled`.
     void solve_into(const Mat& b, Mat& x) const;
-
-    /// Same solve through the `linalg::simd` kernel family: the row updates
-    /// of both substitutions vectorize over the right-hand-side columns.
-    /// Rounding differs from `solve_into` (fma-contracted products), so this
-    /// variant is only engaged behind the structured-kernel dispatch points
-    /// (the open-system expm path); the legacy solve stays the bitwise
-    /// reference everywhere else.
-    void solve_into_simd(const Mat& b, Mat& x) const;
 
     /// Inverse of the original matrix.
     Mat inverse() const;

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
@@ -215,20 +216,20 @@ Mat operator*(double scalar, Mat m) {
     return m;
 }
 
+namespace {
+/// The one dense complex product kernel: a counted `simd::gemm_raw` call on
+/// shape-checked operands.
+void gemm_counted(const Mat& a, const Mat& b, Mat& out, bool accumulate) {
+    obs::count(obs::Cnt::kGemmCalls);
+    simd::gemm_raw(a.data().data(), b.data().data(), out.data().data(), a.rows(), a.cols(),
+                   b.cols(), accumulate);
+}
+}  // namespace
+
 Mat operator*(const Mat& a, const Mat& b) {
     if (a.cols() != b.rows()) throw std::invalid_argument("Mat product: shape mismatch");
-    const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-    Mat out(n, m);
-    // i-k-j loop order keeps the inner loop contiguous over both b and out.
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t p = 0; p < k; ++p) {
-            const cplx aip = a(i, p);
-            if (aip == cplx{0.0, 0.0}) continue;
-            const cplx* brow = &b.data()[p * m];
-            cplx* orow = &out.data()[i * m];
-            for (std::size_t j = 0; j < m; ++j) orow[j] += aip * brow[j];
-        }
-    }
+    Mat out(a.rows(), b.cols());
+    gemm_counted(a, b, out, /*accumulate=*/false);
     return out;
 }
 
@@ -248,36 +249,11 @@ Mat adjoint_times(const Mat& a, const Mat& b) {
     return out;
 }
 
-namespace {
-/// Panel width of the k-dimension blocking in gemm_into/gemm_acc: 64 rows of
-/// b (64 * 162 entries * 16 B ~ 166 KB worst case, ~8 KB at GRAPE sizes)
-/// stay cache-resident while every row of `out` accumulates against them.
-constexpr std::size_t kGemmBlock = 64;
-
-void gemm_accumulate(const Mat& a, const Mat& b, Mat& out) {
-    obs::count(obs::Cnt::kGemmCalls);
-    const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-    for (std::size_t pp = 0; pp < k; pp += kGemmBlock) {
-        const std::size_t pend = std::min(pp + kGemmBlock, k);
-        for (std::size_t i = 0; i < n; ++i) {
-            const cplx* arow = &a.data()[i * k];
-            cplx* orow = &out.data()[i * m];
-            for (std::size_t p = pp; p < pend; ++p) {
-                const cplx aip = arow[p];
-                if (aip == cplx{0.0, 0.0}) continue;
-                const cplx* brow = &b.data()[p * m];
-                for (std::size_t j = 0; j < m; ++j) orow[j] += aip * brow[j];
-            }
-        }
-    }
-}
-}  // namespace
-
 void gemm_into(const Mat& a, const Mat& b, Mat& out) {
     if (a.cols() != b.rows()) throw std::invalid_argument("gemm_into: shape mismatch");
     assert(&out != &a && &out != &b);
     out.resize(a.rows(), b.cols());
-    gemm_accumulate(a, b, out);
+    gemm_counted(a, b, out, /*accumulate=*/false);
 }
 
 void gemm_acc(const Mat& a, const Mat& b, Mat& out) {
@@ -285,24 +261,7 @@ void gemm_acc(const Mat& a, const Mat& b, Mat& out) {
         throw std::invalid_argument("gemm_acc: shape mismatch");
     }
     assert(&out != &a && &out != &b);
-    gemm_accumulate(a, b, out);
-}
-
-void gemv_into(const Mat& a, const Mat& x, Mat& out) {
-    if (x.cols() != 1 || a.cols() != x.rows()) {
-        throw std::invalid_argument("gemv_into: shape mismatch");
-    }
-    assert(&out != &a && &out != &x);
-    obs::count(obs::Cnt::kGemvCalls);
-    const std::size_t n = a.rows(), k = a.cols();
-    out.resize(n, 1);
-    const cplx* xv = x.data().data();
-    for (std::size_t i = 0; i < n; ++i) {
-        const cplx* arow = &a.data()[i * k];
-        cplx acc{0.0, 0.0};
-        for (std::size_t j = 0; j < k; ++j) acc += arow[j] * xv[j];
-        out.data()[i] = acc;
-    }
+    gemm_counted(a, b, out, /*accumulate=*/true);
 }
 
 void adjoint_times_into(const Mat& a, const Mat& b, Mat& out) {

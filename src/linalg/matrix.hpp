@@ -148,7 +148,8 @@ Mat operator*(cplx scalar, Mat m);
 Mat operator*(Mat m, double scalar);
 Mat operator*(double scalar, Mat m);
 
-/// Matrix product; throws `std::invalid_argument` on shape mismatch.
+/// Matrix product through `simd::gemm_raw`; throws `std::invalid_argument`
+/// on shape mismatch.
 Mat operator*(const Mat& a, const Mat& b);
 
 /// `a^dagger * b` without forming the adjoint.
@@ -163,19 +164,13 @@ Mat adjoint_times(const Mat& a, const Mat& b);
 // the same scratch matrices are recycled across thousands of objective
 // evaluations.
 
-/// `out = a * b` with a cache-blocked inner loop.  `out` must not alias
-/// `a` or `b`; it is resized (allocation-free on shape reuse).
+/// `out = a * b` through the register-blocked `simd::gemm_raw` kernel (see
+/// simd_kernels.hpp for its rounding contract).  `out` must not alias `a` or
+/// `b`; it is resized (allocation-free on shape reuse).
 void gemm_into(const Mat& a, const Mat& b, Mat& out);
 
 /// `out += a * b`.  Shapes must already agree; `out` must not alias inputs.
 void gemm_acc(const Mat& a, const Mat& b, Mat& out);
-
-/// `out = a * x` for a column vector `x` (n x 1): the O(n^2) matrix-vector
-/// product.  This is the propagation kernel of the RB engine, where applying
-/// a superoperator to a vectorized state replaces the O(n^3) superoperator
-/// composition.  `out` must not alias `a` or `x`; it is resized
-/// (allocation-free on shape reuse).
-void gemv_into(const Mat& a, const Mat& x, Mat& out);
 
 /// `out = a^dagger * b` without forming the adjoint.  `out` must not alias
 /// `a` or `b`; it is resized (allocation-free on shape reuse).

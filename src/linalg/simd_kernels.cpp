@@ -1,9 +1,8 @@
 #include "linalg/simd_kernels.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
-#if defined(QOC_SIMD_KERNELS) && defined(__x86_64__) && defined(__GNUC__)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define QOC_HAVE_AVX2_PATH 1
 #include <immintrin.h>
 #endif
@@ -401,21 +400,6 @@ void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept {
     }
 #endif
     row_sub_scaled_scalar(xi, xk, l, n);
-}
-
-void gemm_into(const Mat& a, const Mat& b, Mat& out) {
-    if (a.cols() != b.rows()) throw std::invalid_argument("simd::gemm_into: shape mismatch");
-    out.resize(a.rows(), b.cols());
-    gemm_raw(a.data().data(), b.data().data(), out.data().data(), a.rows(), a.cols(),
-             b.cols(), /*accumulate=*/false);
-}
-
-void gemm_acc(const Mat& a, const Mat& b, Mat& out) {
-    if (a.cols() != b.rows() || out.rows() != a.rows() || out.cols() != b.cols()) {
-        throw std::invalid_argument("simd::gemm_acc: shape mismatch");
-    }
-    gemm_raw(a.data().data(), b.data().data(), out.data().data(), a.rows(), a.cols(),
-             b.cols(), /*accumulate=*/true);
 }
 
 }  // namespace qoc::linalg::simd

@@ -1,18 +1,13 @@
 /// \file simd_kernels.hpp
-/// \brief Runtime-dispatched SIMD complex kernels for the structured
-///        superoperator layer and the open-system GRAPE hot path.
+/// \brief Runtime-dispatched SIMD complex kernels.
 ///
-/// The legacy kernels in matrix.hpp (`gemm_into`, `gemv_into`, ...) are the
-/// bitwise reference arithmetic of every historical result in this repo:
-/// design goldens, RB curves and the determinism suites all pin their exact
-/// rounding.  They are therefore left untouched.  This header is a SECOND
-/// kernel family with its own (also fixed) rounding profile, engaged only
-/// behind explicit dispatch points: the structured superoperator applies,
-/// the batched RB seed propagation and the open-system expm/Frechet engine.
+/// This is the single kernel family behind every dense complex product:
+/// `linalg::gemm_into`/`gemm_acc`/`operator*`, `Lu::solve_into` (and so the
+/// expm/Frechet engine), the structured superoperator applies and the
+/// batched RB seed propagation all run through it.
 ///
-/// Determinism contract of this family: for every output element the
-/// accumulation runs over ascending inner index `p`, and each partial
-/// product is committed as
+/// Determinism contract: for every output element the accumulation runs
+/// over ascending inner index `p`, and each partial product is committed as
 ///
 ///     prod_re = fma(b_re, a_re, -(a_im * b_im))
 ///     prod_im = fma(b_im, a_re, +(a_im * b_re))
@@ -79,13 +74,5 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
 /// `xi[j] -= l * xk[j]` over `n` contiguous elements: the row update of the
 /// vectorized LU forward/backward substitution.
 void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept;
-
-// --- Mat wrappers ------------------------------------------------------------
-
-/// `out = a * b`; resizes `out` (allocation-free on shape reuse).
-void gemm_into(const Mat& a, const Mat& b, Mat& out);
-
-/// `out += a * b`; shapes must already agree.
-void gemm_acc(const Mat& a, const Mat& b, Mat& out);
 
 }  // namespace qoc::linalg::simd

@@ -38,7 +38,6 @@ struct Registry {
     std::mutex mu;  ///< guards slot registration and the cold maps below
     std::vector<std::unique_ptr<ThreadSlot>> slots;
     std::map<std::string, double> gauges;
-    std::map<std::string, std::map<std::int64_t, std::uint64_t>> hists;
     std::string trace_path;
 
     std::mutex io_mu;  ///< guards the JSONL stream
@@ -76,7 +75,6 @@ void print_double(std::FILE* f, double v) { std::fprintf(f, "%.17g", v); }
 
 constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "linalg.gemm.calls",
-    "linalg.gemv.calls",
     "linalg.lu.factorizations",
     "executor.prop_cache.hits",
     "executor.prop_cache.misses",
@@ -120,7 +118,7 @@ constexpr std::array<const char*, kNumHists> kHistNames = {
 };
 
 /// Writes the final metrics object (counters + Pade-order histogram +
-/// latency histograms + gauges + named histograms + span-ring accounting)
+/// latency histograms + gauges + span-ring accounting)
 /// as one JSONL line.  Caller holds io_mu.
 void write_metrics_line(std::FILE* f) {
     std::fprintf(f, "{\"type\":\"metrics\",\"counters\":{");
@@ -137,21 +135,6 @@ void write_metrics_line(std::FILE* f) {
                      static_cast<unsigned long long>(counter_value(pade[i].second)));
     }
     std::fprintf(f, "}");
-    Registry& r = reg();
-    {
-        std::lock_guard<std::mutex> lock(r.mu);
-        for (const auto& [name, buckets] : r.hists) {
-            std::fprintf(f, ",\"%s\":{", name.c_str());
-            bool first = true;
-            for (const auto& [value, n] : buckets) {
-                std::fprintf(f, "%s\"%lld\":%llu", first ? "" : ",",
-                             static_cast<long long>(value),
-                             static_cast<unsigned long long>(n));
-                first = false;
-            }
-            std::fprintf(f, "}");
-        }
-    }
     // Non-empty fixed latency histograms: sparse buckets (keyed by the
     // bucket's lower bound) plus merged quantile estimates.
     std::fprintf(f, "},\"latency_histograms\":{");
@@ -181,6 +164,7 @@ void write_metrics_line(std::FILE* f) {
         first_hist = false;
     }
     std::fprintf(f, "},\"gauges\":{");
+    Registry& r = reg();
     {
         std::lock_guard<std::mutex> lock(r.mu);
         bool first = true;
@@ -385,13 +369,6 @@ std::vector<std::pair<std::string, double>> gauges_snapshot() {
     return {r.gauges.begin(), r.gauges.end()};
 }
 
-void hist_observe(const char* name, std::int64_t value) {
-    if (!metrics_enabled()) return;
-    Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    ++r.hists[name][value];
-}
-
 void emit_optimizer_iteration(const char* optimizer, int iteration, double cost,
                               double grad_norm, double step, int n_fun_evals,
                               double wall_time_s) {
@@ -529,7 +506,6 @@ void reset_for_testing() {
     std::lock_guard<std::mutex> lock(r.mu);
     r.trace_path.clear();
     r.gauges.clear();
-    r.hists.clear();
     for (auto& s : r.slots) {
         for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
         for (auto& row : s->hist_buckets) {

@@ -8,13 +8,11 @@
 ///    allocation on the hot path; buffers are merged and time-sorted at
 ///    flush and written as a `{"traceEvents": [...]}` JSON file.
 ///  * A **metrics registry**: fixed-enum counters (`count`) on per-thread
-///    padded cells (summed at read), plus named gauges and integer-valued
-///    histograms for cold paths (mutex inside).
+///    padded cells (summed at read), plus named gauges for cold paths
+///    (mutex inside).
 ///  * Fixed-enum **latency histograms** (`hist_record`): lock-free
 ///    log-bucketed value distributions on the same per-thread cells as the
-///    counters, merged at read into p50/p90/p99/p999 quantile estimates --
-///    the service request path records into these, never into the
-///    mutex-guarded named histograms.
+///    counters, merged at read into p50/p90/p99/p999 quantile estimates.
 ///  * Structured **telemetry records** streamed as JSONL (one object per
 ///    line): per-iteration optimizer records, per-seed RB records,
 ///    per-request `service_request` records (joinable to trace spans by
@@ -75,7 +73,6 @@ inline bool telemetry_enabled() noexcept {
 /// lock-free; totals are summed over threads at read time.
 enum class Cnt : unsigned {
     kGemmCalls,         ///< dense complex matrix-matrix products
-    kGemvCalls,         ///< dense complex matrix-vector products
     kLuFactorizations,  ///< LU factorizations (expm denominators, solves)
     kPropCacheHits,     ///< executor amplitude->propagator cache hits
     kPropCacheMisses,   ///< executor amplitude->propagator cache misses
@@ -123,11 +120,6 @@ void set_gauge(const char* name, double value);
 
 /// Current gauge values, name-sorted (cold; takes the registry mutex).
 std::vector<std::pair<std::string, double>> gauges_snapshot();
-
-/// Adds one observation of an integer-valued named histogram (cold paths
-/// only: takes a mutex).  Stored exactly as value -> occurrence count.
-/// Hot paths use the fixed-enum `hist_record` below instead.
-void hist_observe(const char* name, std::int64_t value);
 
 // --- lock-free latency histograms -----------------------------------------
 //

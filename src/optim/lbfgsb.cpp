@@ -432,8 +432,7 @@ OptimResult LbfgsB::minimize(const Objective& objective, std::vector<double> x0,
             return res;
         }
         last_step = ls.alpha;
-        // Lock-free fixed-enum histogram: this sits on the optimizer hot
-        // loop, where the mutex-guarded hist_observe used to live.
+        // Lock-free fixed-enum histogram: this sits on the optimizer hot loop.
         obs::hist_record(obs::Hist::kLbfgsbLineSearchEvals,
                          static_cast<std::uint64_t>(res.evaluations - evals_before));
         bounds.clip(res.x);

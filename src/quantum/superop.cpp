@@ -64,14 +64,6 @@ Mat apply_superop(const Mat& superop, const Mat& rho) {
     return linalg::unvec(superop * linalg::vec(rho), n);
 }
 
-void apply_superop_into(const Mat& superop, const Mat& vec_rho, Mat& out) {
-    if (vec_rho.cols() != 1 || superop.cols() != vec_rho.rows()) {
-        throw std::invalid_argument("apply_superop_into: dimension mismatch");
-    }
-    obs::count(obs::Cnt::kSuperopApplies);
-    linalg::gemv_into(superop, vec_rho, out);
-}
-
 bool is_trace_preserving(const Mat& superop, double tol) {
     const std::size_t n2 = superop.rows();
     const auto n = static_cast<std::size_t>(std::lround(std::sqrt(static_cast<double>(n2))));

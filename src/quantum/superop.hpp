@@ -33,14 +33,10 @@ Mat apply_superop(const Mat& superop, const Mat& rho);
 
 /// Allocation-free superoperator action on an already-vectorized state:
 /// `out = superop * vec_rho` where `vec_rho` is a d^2 x 1 column vector.
-/// `out` must not alias either input; it is resized in place (no allocation
-/// once it has seen the shape).  This is the O(d^4) propagation step the RB
-/// engine uses in place of O(d^6) superoperator composition.
-void apply_superop_into(const Mat& superop, const Mat& vec_rho, Mat& out);
-
-/// Structured-dispatch overload: same contract, but the action runs through
-/// the CSR or dense SIMD kernel the wrapped operator selected at
-/// construction (`StructuredSuperOp::kind`).
+/// `out` must not alias `vec_rho`; it is resized in place (no allocation
+/// once it has seen the shape).  The action runs through the CSR or dense
+/// SIMD kernel the wrapped operator selected at construction
+/// (`StructuredSuperOp::kind`).
 void apply_superop_into(const StructuredSuperOp& superop, const Mat& vec_rho, Mat& out);
 
 /// Kronecker-factored overload: O(k d^3) two-sided updates on the reshaped

@@ -1,7 +1,5 @@
 #include "quantum/superop_structured.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "linalg/simd_kernels.hpp"
@@ -69,35 +67,6 @@ void StructuredSuperOp::apply_batch_into(const Mat& batch, Mat& out) const {
         linalg::simd::gemm_raw(dense_.data().data(), batch.data().data(), out.data().data(),
                                dim(), dim(), batch.cols(), /*accumulate=*/false);
     }
-}
-
-namespace {
-
-// -1: follow the environment; 0 / 1: programmatic override (tests).
-std::atomic<int> g_dense_override{-1};
-
-bool env_dense_forced() noexcept {
-    static const bool forced = [] {
-        const char* e = std::getenv("QOC_DENSE_SUPEROP");
-        return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-    }();
-    return forced;
-}
-
-}  // namespace
-
-bool dense_superop_forced() noexcept {
-    const int o = g_dense_override.load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    return env_dense_forced();
-}
-
-void force_dense_superop(bool forced) noexcept {
-    g_dense_override.store(forced ? 1 : 0, std::memory_order_relaxed);
-}
-
-void clear_dense_superop_override() noexcept {
-    g_dense_override.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace qoc::quantum

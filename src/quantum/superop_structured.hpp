@@ -1,8 +1,6 @@
 /// \file superop_structured.hpp
 /// \brief `StructuredSuperOp` -- the single dispatch point between dense and
-///        CSR superoperator application, plus the `QOC_DENSE_SUPEROP`
-///        escape hatch that forces every caller back onto the legacy dense
-///        path.
+///        CSR superoperator application.
 ///
 /// Construction keeps the dense d^2 x d^2 matrix (it is small: 256 x 256
 /// for two qubits with leakage) and additionally compresses to CSR when the
@@ -11,13 +9,6 @@
 /// drops only exact structural zeros, and the dense SIMD gemm skips exactly
 /// those entries, so the two kinds produce bitwise-identical results (see
 /// simd_kernels.hpp); dispatch is purely a speed decision.
-///
-/// Escape hatch: setting the environment variable `QOC_DENSE_SUPEROP` (to
-/// anything but "0") makes `dense_superop_forced()` return true.  Engines
-/// with a structured fast path (RB, leakage RB, the open-system GRAPE
-/// evaluator) consult it once per run and fall back to the legacy scalar
-/// code path, which is bitwise identical to the pre-structured binary.
-/// Tests override it programmatically via `force_dense_superop`.
 
 #pragma once
 
@@ -80,15 +71,5 @@ private:
     linalg::CsrMat csr_;
     Kind kind_ = Kind::kDense;
 };
-
-/// True when `QOC_DENSE_SUPEROP` is set (read once) or a test forced it.
-bool dense_superop_forced() noexcept;
-
-/// Programmatic override of the escape hatch (tests): true / false force
-/// the respective behavior regardless of the environment.
-void force_dense_superop(bool forced) noexcept;
-
-/// Drops the programmatic override, returning to the environment setting.
-void clear_dense_superop_override() noexcept;
 
 }  // namespace qoc::quantum

@@ -10,6 +10,7 @@
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
+#include "rb/seed_block.hpp"
 #include "runtime/ordered.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/workspace_pool.hpp"
@@ -18,78 +19,23 @@ namespace qoc::rb {
 
 namespace {
 
-/// Legacy per-seed loop (`QOC_DENSE_SUPEROP` escape hatch): dense matvec
-/// per Clifford through the historical `gemv_into` arithmetic.
-LeakageRbResult leakage_curve_dense(const PulseExecutor& exec, const GateSet1Q& gates,
-                                    const RbOptions& opts) {
-    const Clifford1Q& group = gates.group();
-    const std::size_t d = gates.dim();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-
-    struct Workspace {
-        Mat v, v_next;
-    };
-    runtime::WorkspacePool<Workspace> workspaces;
-
-    LeakageRbResult res;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        // Per-seed slots plus a serial ordered sum: a parallel reduction's
-        // addition order (and hence the rounded double) would depend on the
-        // pool size.
-        std::vector<double> leaks(opts.seeds_per_length);
-        runtime::TaskPool::global().parallel_for(0, opts.seeds_per_length, [&](std::size_t s) {
-            std::mt19937_64 rng(opts.rng_seed + 104729 * (li * 1000 + s));
-            std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
-            auto lease = workspaces.acquire();
-            Workspace& w = *lease;
-            w.v = vec_rho0;
-            std::size_t net = group.identity_index();
-            for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t c = dist(rng);
-                quantum::apply_superop_into(gates.clifford_superop(c), w.v, w.v_next);
-                std::swap(w.v, w.v_next);
-                net = group.multiply(c, net);
-            }
-            quantum::apply_superop_into(gates.clifford_superop(group.inverse(net)), w.v,
-                                        w.v_next);
-            std::swap(w.v, w.v_next);
-            // rho(lvl, lvl) sits at vec index lvl * (d + 1) (column stacking).
-            double leak = 0.0;
-            for (std::size_t lvl = 2; lvl < d; ++lvl) {
-                leak += w.v(lvl * (d + 1), 0).real();
-            }
-            leaks[s] = leak;
-            // Telemetry reports the computational-subspace survival 1 - leak.
-            obs::emit_rb_seed("leakage_rb", m, static_cast<std::int64_t>(s), 1.0 - leak);
-        });
-        res.lengths.push_back(m);
-        res.leakage_population.push_back(runtime::ordered_mean(leaks));
-    }
-    return res;
-}
-
-/// Batched SoA seed engine; mirrors rb.cpp's rb_curve_1q block loop (the
-/// per-seed RNG stream and the leakage readout are unchanged).
+/// Batched SoA seed engine: rb.cpp's rb_curve_1q block loop (seed_block.hpp)
+/// with its own per-seed RNG stream and a leakage readout.
 LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q& gates,
                                       const RbOptions& opts) {
     const Clifford1Q& group = gates.group();
     const std::size_t d = gates.dim();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
+    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
+        return gates.clifford_structured(i);
+    };
 
     struct Workspace {
         Mat x, x_next;
         std::vector<std::size_t> seq, rec;
     };
     runtime::WorkspacePool<Workspace> workspaces;
-    const std::size_t bw_max = [&] {
-        if (opts.seed_block > 0)
-            return std::min(opts.seed_block, std::max<std::size_t>(opts.seeds_per_length, 1));
-        const std::size_t threads = runtime::TaskPool::global().size();
-        const std::size_t even =
-            (opts.seeds_per_length + threads - 1) / std::max<std::size_t>(threads, 1);
-        return std::min<std::size_t>(std::max<std::size_t>(even, 1), 32);
-    }();
+    const std::size_t bw_max = detail::seed_block_width(opts.seeds_per_length, opts.seed_block);
     const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
 
     LeakageRbResult res;
@@ -117,32 +63,11 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
                 w.rec[j] = group.inverse(net);
             }
 
-            const std::size_t d2 = vec_rho0.rows();
-            w.x.resize(d2, bw);
-            for (std::size_t r = 0; r < d2; ++r) {
-                for (std::size_t j = 0; j < bw; ++j) w.x(r, j) = vec_rho0(r, 0);
+            detail::fill_block(vec_rho0, bw, w.x);
+            for (std::size_t k = 0; k < m; ++k) {
+                detail::apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
             }
-            const auto step = [&](const std::size_t* idx) {
-                bool same = true;
-                for (std::size_t j = 1; j < bw; ++j) {
-                    if (idx[j] != idx[0]) {
-                        same = false;
-                        break;
-                    }
-                }
-                if (same) {
-                    gates.clifford_structured(idx[0]).apply_batch_into(w.x, w.x_next);
-                } else {
-                    w.x_next.resize(d2, bw);
-                    for (std::size_t j = 0; j < bw; ++j) {
-                        gates.clifford_structured(idx[j]).apply_col(
-                            w.x.data().data() + j, w.x_next.data().data() + j, bw);
-                    }
-                }
-                std::swap(w.x, w.x_next);
-            };
-            for (std::size_t k = 0; k < m; ++k) step(&w.seq[k * bw]);
-            step(w.rec.data());
+            detail::apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
                 double leak = 0.0;
@@ -164,9 +89,7 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
 
 LeakageRbResult run_leakage_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates,
                                   const RbOptions& opts) {
-    LeakageRbResult res = quantum::dense_superop_forced()
-                              ? leakage_curve_dense(exec, gates, opts)
-                              : leakage_curve_batched(exec, gates, opts);
+    LeakageRbResult res = leakage_curve_batched(exec, gates, opts);
 
     // Fit p_comp(m) = A lambda^m + (1 - p_inf) where p_comp = 1 - leakage.
     std::vector<double> p_comp(res.lengths.size());

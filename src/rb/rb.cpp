@@ -13,6 +13,7 @@
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
+#include "rb/seed_block.hpp"
 #include "runtime/ordered.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/workspace_pool.hpp"
@@ -93,19 +94,14 @@ GateSet1Q::GateSet1Q(const PulseExecutor& exec, const pulse::InstructionSchedule
 
 namespace {
 
-/// Per-thread propagation state: the vectorized density matrix and a
-/// ping-pong buffer for `apply_superop_into` (no per-step allocation).
-struct SeqWorkspace {
-    Mat v;        ///< vec(rho) being propagated
-    Mat v_next;   ///< gemv output, swapped into `v`
-    Mat net;      ///< 2Q only: running phase-normalized ideal unitary
-    Mat net_next;
-};
+using detail::apply_block_step;
+using detail::fill_block;
+using detail::seed_block_width;
 
 /// Per-thread state of the batched (structure-of-arrays) seed engine: a
 /// d^2 x B block whose column j is seed s0+j's vec(rho), the pre-sampled
 /// step-major sequence table, and the per-seed RNG engines parked after
-/// their sequence draws so shot sampling continues the exact legacy stream.
+/// their sequence draws so shot sampling continues the same stream.
 struct BatchWorkspace {
     Mat x;       ///< d^2 x B seed block
     Mat x_next;  ///< apply output, swapped into `x`
@@ -116,132 +112,18 @@ struct BatchWorkspace {
     std::vector<std::mt19937_64> rngs;  ///< per-seed stream after sequence draws
 };
 
-/// Width of the SoA seed blocks.  Per-seed results are invariant under the
-/// partition (the simd kernel family computes each output element with the
-/// same accumulation order on the batched, strided and single-vector paths
-/// -- see simd_kernels.hpp), so the auto policy is free to spread seeds
-/// evenly over the task pool without breaking 1-vs-N-thread bitwise
-/// reproducibility.
-std::size_t seed_block_width(std::size_t seeds, std::size_t requested) {
-    if (seeds == 0) return 1;
-    if (requested > 0) return std::min(requested, seeds);
-    const std::size_t threads = runtime::TaskPool::global().size();
-    const std::size_t even = (seeds + threads - 1) / threads;
-    return std::min<std::size_t>(std::max<std::size_t>(even, 1), 32);
-}
-
-/// One Clifford step over a whole seed block.  When every seed drew the
-/// same element (always true for IRB interleave steps, often for short
-/// blocks) this is ONE batched d^2 x B apply; otherwise each column gets a
-/// strided single-column apply.  Both paths produce bitwise-identical
-/// columns, so the branch is purely a throughput decision.
-template <typename StructuredOf>
-void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
-                      std::size_t bw, Mat& x, Mat& x_next) {
-    bool same = true;
-    for (std::size_t j = 1; j < bw; ++j) {
-        if (idx[j] != idx[0]) {
-            same = false;
-            break;
-        }
-    }
-    if (same) {
-        structured_of(idx[0]).apply_batch_into(x, x_next);
-    } else {
-        x_next.resize(x.rows(), x.cols());
-        for (std::size_t j = 0; j < bw; ++j) {
-            structured_of(idx[j]).apply_col(x.data().data() + j, x_next.data().data() + j, bw);
-        }
-    }
-    std::swap(x, x_next);
-}
-
-/// Fills every column of the block with `vec_rho0`.
-void fill_block(const Mat& vec_rho0, std::size_t bw, Mat& x) {
-    const std::size_t d2 = vec_rho0.rows();
-    x.resize(d2, bw);
-    for (std::size_t r = 0; r < d2; ++r) {
-        for (std::size_t j = 0; j < bw; ++j) x(r, j) = vec_rho0(r, 0);
-    }
-}
-
 /// Copies column `j` of the block into the d^2 x 1 vector `v`.
 void extract_column(const Mat& x, std::size_t j, Mat& v) {
     v.resize(x.rows(), 1);
     for (std::size_t r = 0; r < x.rows(); ++r) v(r, 0) = x(r, j);
 }
 
-/// Legacy per-seed 1Q loop, kept verbatim as the `QOC_DENSE_SUPEROP` escape
-/// hatch: one dense O(d^4) matvec per Clifford through the historical
-/// `gemv_into` arithmetic (bitwise identical to the pre-structured binary).
-RbCurve rb_curve_1q_dense(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
-                          const RbOptions& opts, const Mat* interleave_super,
-                          std::size_t interleave_index) {
-    const Clifford1Q& group = gates.group();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-
-    runtime::WorkspacePool<SeqWorkspace> workspaces;
-
-    RbCurve curve;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        std::vector<double> survivals(opts.seeds_per_length);
-
-        runtime::TaskPool::global().parallel_for(0, opts.seeds_per_length, [&](std::size_t s) {
-            // The interleaved experiment reuses the same random Clifford
-            // sequences as the reference (standard IRB practice): paired
-            // sequences cancel most sampling noise in the alpha ratio.
-            std::mt19937_64 rng(opts.rng_seed + 7919 * (li * 1000 + s));
-            std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
-
-            obs::Span span("rb.seq_1q");
-            auto lease = workspaces.acquire();
-            SeqWorkspace& w = *lease;
-            w.v = vec_rho0;
-            std::size_t net = group.identity_index();
-            for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t c = dist(rng);
-                quantum::apply_superop_into(gates.clifford_superop(c), w.v, w.v_next);
-                std::swap(w.v, w.v_next);
-                net = group.multiply(c, net);
-                if (interleave_super) {
-                    quantum::apply_superop_into(*interleave_super, w.v, w.v_next);
-                    std::swap(w.v, w.v_next);
-                    net = group.multiply(interleave_index, net);
-                }
-            }
-            const std::size_t rec = group.inverse(net);
-            quantum::apply_superop_into(gates.clifford_superop(rec), w.v, w.v_next);
-            std::swap(w.v, w.v_next);
-
-            contracts::check_density_vec(w.v, "RB 1Q: state after recovery", 1e-6);
-            const double p0 = 1.0 - exec.p1_after_readout_vec(w.v, qubit);
-            contracts::check_probability(p0, "RB 1Q: survival probability", 1e-6);
-            // Shot sampling.
-            std::binomial_distribution<int> shots_dist(opts.shots, std::clamp(p0, 0.0, 1.0));
-            survivals[s] = static_cast<double>(shots_dist(rng)) / static_cast<double>(opts.shots);
-            obs::emit_rb_seed(interleave_super ? "irb1q" : "rb1q", m,
-                              static_cast<std::int64_t>(s), survivals[s]);
-        });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
-    }
-    fit_rb_curve(curve, 2.0);
-    return curve;
-}
-
-/// Batched 1Q RB: sequences are pre-sampled per seed (identical RNG stream
-/// to the legacy loop), then the whole seed block advances with one
-/// structured apply per Clifford step through `apply_block_step`.
+/// Batched 1Q RB: sequences are pre-sampled per seed from a per-(length,
+/// seed) RNG stream, then the whole seed block advances with one structured
+/// apply per Clifford step through `apply_block_step`.
 RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                     const RbOptions& opts, const Mat* interleave_super,
                     std::size_t interleave_index) {
-    if (quantum::dense_superop_forced()) {
-        return rb_curve_1q_dense(exec, gates, qubit, opts, interleave_super, interleave_index);
-    }
     const Clifford1Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
     quantum::StructuredSuperOp inter_struct;
@@ -268,10 +150,11 @@ RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size
             auto lease = workspaces.acquire();
             BatchWorkspace& w = *lease;
 
-            // Pre-sample the block's sequences.  Per seed the draws happen
-            // in the same order as the legacy loop (sequence indices during
-            // the steps, shot sampling afterwards from the same engine), so
-            // sequences and shot noise pair up with the reference run.
+            // Pre-sample the block's sequences.  Per seed the engine draws
+            // the sequence indices first and the shot sample afterwards, so
+            // an interleaved run reuses the reference run's sequences and
+            // shot noise (standard IRB practice: paired sequences cancel
+            // most sampling noise in the alpha ratio).
             w.seq.resize(m * bw);
             w.rec.resize(bw);
             w.rngs.clear();
@@ -425,82 +308,12 @@ void GateSet2Q::precompute_all() const {
 
 namespace {
 
-/// Legacy per-seed 2Q loop (`QOC_DENSE_SUPEROP` escape hatch); see
-/// rb_curve_1q_dense.
-RbCurve rb_curve_2q_dense(const PulseExecutor& exec, const GateSet2Q& gates,
-                          const RbOptions& opts, const Mat* interleave_super,
-                          std::size_t interleave_index) {
-    const Clifford2Q& group = gates.group();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_2q());
-    const Mat interleave_ideal =
-        interleave_super ? group.unitary(interleave_index) : Mat::identity(4);
-
-    // Long runs revisit most of the 11520-element group; filling the superop
-    // cache eagerly (in parallel) beats lazy misses inside the sequence loop.
-    std::size_t total_steps = 0;
-    for (std::size_t m : opts.lengths) total_steps += m * opts.seeds_per_length;
-    if (total_steps >= 2 * Clifford2Q::kSize) gates.precompute_all();
-
-    runtime::WorkspacePool<SeqWorkspace> workspaces;
-
-    RbCurve curve;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        std::vector<double> survivals(opts.seeds_per_length);
-
-        runtime::TaskPool::global().parallel_for(0, opts.seeds_per_length, [&](std::size_t s) {
-            // Paired sequences with the reference run (see rb_curve_1q).
-            std::mt19937_64 rng(opts.rng_seed + 6271 * (li * 1000 + s));
-
-            obs::Span span("rb.seq_2q");
-            auto lease = workspaces.acquire();
-            SeqWorkspace& w = *lease;
-            w.v = vec_rho0;
-            w.net = Mat::identity(4);
-            for (std::size_t k = 0; k < m; ++k) {
-                const std::size_t c = group.sample(rng);
-                quantum::apply_superop_into(gates.clifford_superop(c), w.v, w.v_next);
-                std::swap(w.v, w.v_next);
-                linalg::gemm_into(group.unitary(c), w.net, w.net_next);
-                phase_normalize_inplace(w.net_next);
-                std::swap(w.net, w.net_next);
-                if (interleave_super) {
-                    quantum::apply_superop_into(*interleave_super, w.v, w.v_next);
-                    std::swap(w.v, w.v_next);
-                    linalg::gemm_into(interleave_ideal, w.net, w.net_next);
-                    phase_normalize_inplace(w.net_next);
-                    std::swap(w.net, w.net_next);
-                }
-            }
-            const std::size_t rec = group.find(w.net.adjoint());
-            quantum::apply_superop_into(gates.clifford_superop(rec), w.v, w.v_next);
-            std::swap(w.v, w.v_next);
-
-            contracts::check_density_vec(w.v, "RB 2Q: state after recovery", 1e-6);
-            const device::Counts counts = exec.measure_2q_vec(w.v, opts.shots, rng());
-            survivals[s] = counts.probability("00");
-            obs::emit_rb_seed(interleave_super ? "irb2q" : "rb2q", m,
-                              static_cast<std::int64_t>(s), survivals[s]);
-        });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
-    }
-    fit_rb_curve(curve, 4.0);
-    return curve;
-}
-
 /// Batched 2Q RB; mirrors rb_curve_1q's block engine.  The ideal-unitary
-/// net tracking (and the `group.find` recovery lookup) happens during
-/// pre-sampling with the same legacy gemm arithmetic, so recovery indices
-/// are identical to the per-seed loop's.
+/// net tracking (and the `group.find` recovery lookup) happens per seed
+/// during pre-sampling, so recovery indices do not depend on the block
+/// partition.
 RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbOptions& opts,
                     const Mat* interleave_super, std::size_t interleave_index) {
-    if (quantum::dense_superop_forced()) {
-        return rb_curve_2q_dense(exec, gates, opts, interleave_super, interleave_index);
-    }
     const Clifford2Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_2q());
     const Mat interleave_ideal =

@@ -4,13 +4,13 @@
 
 enum class Cnt : unsigned {
     kGemmCalls,
-    kGemvCalls,
+    kLuFactorizations,
     kCount
 };
 
 constexpr std::array<const char*, 2> kCounterNames = {
     "linalg.gemm.calls",
-    "linalg.gemv.calls",
+    "linalg.lu.factorizations",
 };
 
 enum class Hist : unsigned {

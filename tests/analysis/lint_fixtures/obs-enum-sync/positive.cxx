@@ -5,14 +5,14 @@
 
 enum class Cnt : unsigned {
     kGemmCalls,
-    kGemvCalls,
     kLuFactorizations,
+    kPropCacheHits,
     kCount
 };
 
 constexpr std::array<const char*, 2> kCounterNames = {
     "linalg.gemm.calls",
-    "linalg.gemv.calls",
+    "linalg.lu.factorizations",
 };  // flagged: 3 enumerators vs 2 strings
 
 enum class Hist : unsigned {

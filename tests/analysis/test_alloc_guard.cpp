@@ -91,18 +91,9 @@ TEST_F(AllocGuardTest, GemmIntoIsAllocationFreeAfterWarmup) {
     EXPECT_EQ(m.delta(), 0u);
 }
 
-TEST_F(AllocGuardTest, GemvIntoIsAllocationFreeAfterWarmup) {
-    const Mat a = random_like(36, 36, 3);
-    const Mat x = random_like(36, 1, 4);
-    Mat out;
-    linalg::gemv_into(a, x, out);
-    AllocMeter m;
-    for (int i = 0; i < 16; ++i) linalg::gemv_into(a, x, out);
-    EXPECT_EQ(m.delta(), 0u);
-}
-
 TEST_F(AllocGuardTest, ApplySuperopIntoIsAllocationFreeAfterWarmup) {
-    const Mat s = quantum::unitary_superop(quantum::gates::h());
+    const auto s =
+        quantum::StructuredSuperOp::from_dense(quantum::unitary_superop(quantum::gates::h()));
     const Mat v = random_like(4, 1, 5);
     Mat out;
     quantum::apply_superop_into(s, v, out);
@@ -242,9 +233,9 @@ TEST_F(AllocGuardTest, CgDescentSteadyStateAllocationFree) {
 }
 
 TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
-    // The per-seed hot loop of the matvec RB engine: one superop matvec per
-    // Clifford.  After buffer warmup it must allocate NOTHING, whatever the
-    // sequence length.
+    // Single-seed propagation through the structured dispatch: one superop
+    // apply per Clifford.  After buffer warmup it must allocate NOTHING,
+    // whatever the sequence length.
     const device::PulseExecutor exec{device::ibmq_montreal()};
     const pulse::InstructionScheduleMap defaults = device::build_default_gates(exec);
     const rb::Clifford1Q group;
@@ -252,13 +243,13 @@ TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
 
     Mat v = linalg::vec(exec.ground_state_1q());
     Mat w = v;
-    quantum::apply_superop_into(gates.clifford_superop(0), v, w);
-    quantum::apply_superop_into(gates.clifford_superop(1), w, v);
+    quantum::apply_superop_into(gates.clifford_structured(0), v, w);
+    quantum::apply_superop_into(gates.clifford_structured(1), w, v);
 
     AllocMeter m;
     for (int rep = 0; rep < 8; ++rep) {
         for (std::size_t c = 0; c < rb::Clifford1Q::kSize; ++c) {
-            quantum::apply_superop_into(gates.clifford_superop(c), v, w);
+            quantum::apply_superop_into(gates.clifford_structured(c), v, w);
             std::swap(v, w);  // buffer ping-pong, allocation-free
         }
     }

@@ -12,7 +12,6 @@
 
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/simd_kernels.hpp"
 #include "linalg/sparse.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
@@ -114,11 +113,11 @@ TEST_F(SuperopAllocGuardTest, SimdGemmRawIsAllocationFree) {
     const Mat a = deterministic_hermitian(16, 13);
     const Mat b = deterministic_hermitian(16, 17);
     Mat out;
-    linalg::simd::gemm_into(a, b, out);  // warmup
+    linalg::gemm_into(a, b, out);  // warmup
     AllocMeter m;
     for (int i = 0; i < 16; ++i) {
-        linalg::simd::gemm_into(a, b, out);
-        linalg::simd::gemm_acc(a, b, out);
+        linalg::gemm_into(a, b, out);
+        linalg::gemm_acc(a, b, out);
     }
     EXPECT_EQ(m.delta(), 0u);
 }

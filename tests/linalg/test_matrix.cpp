@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <limits>
 #include <sstream>
+#include <vector>
+
+#include "linalg/simd_kernels.hpp"
 
 namespace qoc::linalg {
 namespace {
@@ -211,34 +216,135 @@ TEST(Matrix, StreamOutputContainsEntries) {
     EXPECT_NE(os.str().find("1"), std::string::npos);
 }
 
-TEST(Matrix, GemvIntoMatchesOperatorProduct) {
-    // Rectangular a (6x4) against a dense column vector; the matvec must be
-    // bitwise identical to the gemm path (same per-row accumulation order).
-    const std::size_t n = 6, k = 4;
-    Mat a(n, k), x(k, 1);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < k; ++j)
-            a(i, j) = cplx(std::sin(1.0 + static_cast<double>(i * k + j)),
-                           std::cos(2.0 + static_cast<double>(3 * i + j)));
-    for (std::size_t j = 0; j < k; ++j)
-        x(j, 0) = cplx(0.3 * static_cast<double>(j + 1), -0.7 + static_cast<double>(j));
-
-    const Mat ref = a * x;
-    Mat out;
-    gemv_into(a, x, out);
-    ASSERT_EQ(out.rows(), n);
-    ASSERT_EQ(out.cols(), 1u);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out(i, 0), ref(i, 0)) << "i=" << i;
-
-    // Reuse (dirty buffer of the right shape): result must not care.
-    gemv_into(a, x, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out(i, 0), ref(i, 0)) << "reuse i=" << i;
+/// Deterministic m x n fill with roughly one exact zero in seven entries, so
+/// the kernels' zero-skip branch is exercised alongside the dense path.
+Mat oracle_fill(std::size_t m, std::size_t n, double seed) {
+    Mat a(m, n);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const double t = seed + static_cast<double>(i * n + j);
+            if ((i * 5 + j * 3) % 7 == 6) continue;
+            a(i, j) = cplx(std::sin(1.3 * t), std::cos(0.7 * t + seed));
+        }
+    }
+    return a;
 }
 
-TEST(Matrix, GemvIntoRejectsBadShapes) {
-    Mat a(3, 2), x_bad_rows(3, 1), x_not_vector(2, 2), out;
-    EXPECT_THROW(gemv_into(a, x_bad_rows, out), std::invalid_argument);
-    EXPECT_THROW(gemv_into(a, x_not_vector, out), std::invalid_argument);
+/// Naive triple-loop reference in long double: `c0 + a * b` per element,
+/// plus the magnitude sum |c0| + sum_p |a_ip| |b_pj| that scales the
+/// componentwise rounding bound.
+struct NaiveRef {
+    std::vector<std::complex<long double>> c;
+    std::vector<long double> mag;
+};
+
+NaiveRef naive_gemm(const Mat& a, const Mat& b, const Mat* c0) {
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    NaiveRef r{std::vector<std::complex<long double>>(m * n), std::vector<long double>(m * n)};
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            std::complex<long double> acc{0.0L, 0.0L};
+            long double mag = 0.0L;
+            if (c0 != nullptr) {
+                acc = std::complex<long double>((*c0)(i, j).real(), (*c0)(i, j).imag());
+                mag = std::abs(acc);
+            }
+            for (std::size_t p = 0; p < k; ++p) {
+                const std::complex<long double> x(a(i, p).real(), a(i, p).imag());
+                const std::complex<long double> y(b(p, j).real(), b(p, j).imag());
+                acc += x * y;
+                mag += std::abs(x) * std::abs(y);
+            }
+            r.c[i * n + j] = acc;
+            r.mag[i * n + j] = mag;
+        }
+    }
+    return r;
+}
+
+void expect_within_gemm_bound(const Mat& got, const NaiveRef& ref, std::size_t k,
+                              const char* what) {
+    const long double eps = std::numeric_limits<double>::epsilon();
+    for (std::size_t e = 0; e < got.data().size(); ++e) {
+        const std::complex<long double> g(got.data()[e].real(), got.data()[e].imag());
+        const long double err = std::abs(g - ref.c[e]);
+        const long double bound = 8.0L * static_cast<long double>(k + 1) * eps * ref.mag[e];
+        ASSERT_LE(err, bound) << what << " element " << e;
+    }
+}
+
+constexpr std::size_t kOracleDims[] = {1, 2, 3, 4, 9, 16, 17, 33};
+
+TEST(Matrix, GemmKernelsMatchNaiveTripleLoop) {
+    // gemm_into / gemm_acc / operator* against a long-double triple loop on
+    // square and rectangular shapes: odd tails, the 16-column register-chunk
+    // edge (16, 17, 33) and single rows/columns.  Componentwise bound
+    // |C - C_ref| <= 8 (k + 1) eps (|C0| + |A| |B|).
+    for (const std::size_t m : kOracleDims) {
+        for (const std::size_t k : kOracleDims) {
+            for (const std::size_t n : kOracleDims) {
+                SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+                const Mat a = oracle_fill(m, k, 0.25);
+                const Mat b = oracle_fill(k, n, 1.75);
+                const Mat c0 = oracle_fill(m, n, 3.5);
+
+                const NaiveRef prod = naive_gemm(a, b, nullptr);
+                Mat out(m, n);
+                out(0, 0) = cplx(99.0, -99.0);  // dirty destination must not leak
+                gemm_into(a, b, out);
+                ASSERT_EQ(out.rows(), m);
+                ASSERT_EQ(out.cols(), n);
+                expect_within_gemm_bound(out, prod, k, "gemm_into");
+                expect_within_gemm_bound(a * b, prod, k, "operator*");
+
+                Mat acc = c0;
+                gemm_acc(a, b, acc);
+                expect_within_gemm_bound(acc, naive_gemm(a, b, &c0), k, "gemm_acc");
+            }
+        }
+    }
+}
+
+TEST(Matrix, GemmAvx2AndScalarReplayAgreeBitwise) {
+    // The AVX2 lanes and the scalar std::fma replay commit every partial
+    // product identically (simd_kernels.hpp), so all three entry points are
+    // bitwise independent of the dispatch.  Without AVX2 both runs take the
+    // scalar path and the comparison holds trivially.
+    for (const std::size_t m : kOracleDims) {
+        for (const std::size_t k : kOracleDims) {
+            for (const std::size_t n : kOracleDims) {
+                SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+                const Mat a = oracle_fill(m, k, 0.5);
+                const Mat b = oracle_fill(k, n, 2.5);
+                const Mat c0 = oracle_fill(m, n, 4.5);
+                Mat vec_into, vec_acc = c0;
+                gemm_into(a, b, vec_into);
+                gemm_acc(a, b, vec_acc);
+                const Mat vec_prod = a * b;
+
+                simd::force_scalar(true);
+                Mat sc_into, sc_acc = c0;
+                gemm_into(a, b, sc_into);
+                gemm_acc(a, b, sc_acc);
+                const Mat sc_prod = a * b;
+                simd::force_scalar(false);
+
+                ASSERT_EQ(vec_into.data(), sc_into.data());
+                ASSERT_EQ(vec_acc.data(), sc_acc.data());
+                ASSERT_EQ(vec_prod.data(), sc_prod.data());
+            }
+        }
+    }
+}
+
+TEST(Matrix, GemmRejectsBadShapes) {
+    const Mat a(3, 2), b_bad(3, 4), b(2, 4);
+    Mat out;
+    EXPECT_THROW(gemm_into(a, b_bad, out), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(a * b_bad), std::invalid_argument);
+    Mat acc_bad(3, 3);
+    EXPECT_THROW(gemm_acc(a, b, acc_bad), std::invalid_argument);
+    EXPECT_THROW(gemm_acc(a, b_bad, out), std::invalid_argument);
 }
 
 }  // namespace

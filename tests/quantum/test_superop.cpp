@@ -106,18 +106,19 @@ TEST(Superop, PhaseDampingKillsCoherenceOnly) {
 }
 
 TEST(Superop, ApplySuperopIntoMatchesApplySuperop) {
-    // The RB engine's matvec step against the vectorize/multiply/unvec
-    // oracle: identical values (both reduce to the same row-dot products).
+    // The structured apply against the vectorize/multiply/unvec oracle:
+    // identical values (both reduce to the same simd kernel row sums).
     const std::size_t d = 3;
     const Mat h = duffing_drift(d, 0.1, -2.0) + 0.3 * drive_x(d);
     const Mat l = liouvillian(h, {std::sqrt(0.01) * annihilation(d)});
     const Mat prop = linalg::expm(0.9 * l);
+    const StructuredSuperOp sprop = StructuredSuperOp::from_dense(prop);
     const Mat rho = ket_to_dm(std::sqrt(0.5) * (basis_ket(d, 0) + basis_ket(d, 1)));
 
     const Mat ref = apply_superop(prop, rho);
     const Mat v = linalg::vec(rho);
     Mat out;
-    apply_superop_into(prop, v, out);
+    apply_superop_into(sprop, v, out);
     ASSERT_EQ(out.rows(), d * d);
     ASSERT_EQ(out.cols(), 1u);
     for (std::size_t i = 0; i < d; ++i)
@@ -127,14 +128,14 @@ TEST(Superop, ApplySuperopIntoMatchesApplySuperop) {
     // Chained steps on reused buffers (the engine's ping-pong pattern).
     Mat v2 = v, next;
     for (int step = 0; step < 3; ++step) {
-        apply_superop_into(prop, v2, next);
+        apply_superop_into(sprop, v2, next);
         std::swap(v2, next);
     }
     const Mat ref3 = apply_superop(prop, apply_superop(prop, ref));
     EXPECT_TRUE(linalg::unvec(v2, d).approx_equal(ref3, 1e-12));
 
     Mat bad(d, 1);
-    EXPECT_THROW(apply_superop_into(prop, bad, out), std::invalid_argument);
+    EXPECT_THROW(apply_superop_into(sprop, bad, out), std::invalid_argument);
 }
 
 TEST(Superop, MatchesMasterEquationForDuffing) {

@@ -74,8 +74,8 @@ TEST(KronSuperOp, LiouvillianVecApplyMatchesDense) {
         ASSERT_EQ(kron.term_count(), 2 + c_ops.size());
 
         const Mat v = linalg::vec(random_density(d, 21 + static_cast<unsigned>(d)));
-        Mat want, got, scratch;
-        apply_superop_into(dense, v, want);
+        const Mat want = dense * v;
+        Mat got, scratch;
         kron.apply_vec_into(v, got, scratch);
         EXPECT_LT(max_abs_diff(want, got), 1e-13) << "d=" << d;
     }
@@ -106,8 +106,8 @@ TEST(KronSuperOp, HamiltonianApplyMatchesDense) {
         const Mat dense = liouvillian_hamiltonian(h);
         const KronSuperOp kron = KronSuperOp::hamiltonian(h);
         const Mat v = linalg::vec(random_density(d, 61 + static_cast<unsigned>(d)));
-        Mat want, got, scratch;
-        apply_superop_into(dense, v, want);
+        const Mat want = dense * v;
+        Mat got, scratch;
         kron.apply_vec_into(v, got, scratch);
         EXPECT_LT(max_abs_diff(want, got), 1e-13) << "d=" << d;
     }
@@ -174,7 +174,7 @@ TEST(CsrMat, SpmvMatchesDenseApplyBitwise) {
 
         const Mat x = linalg::vec(random_density(d, 111 + static_cast<unsigned>(d)));
         Mat want, got;
-        linalg::simd::gemm_into(dense, x, want);
+        linalg::gemm_into(dense, x, want);
         csr.spmv_into(x, got);
         for (std::size_t i = 0; i < want.rows(); ++i) {
             EXPECT_EQ(want(i, 0), got(i, 0)) << "d=" << d << " row " << i;
@@ -274,14 +274,6 @@ TEST(StructuredSuperop, ScalarAndVectorKernelsAgreeBitwise) {
         EXPECT_EQ(vec_out(i, 0), sc_out(i, 0)) << "structured row " << i;
         EXPECT_EQ(vec_kron(i, 0), sc_kron(i, 0)) << "kron row " << i;
     }
-}
-
-TEST(StructuredSuperop, DenseForcedOverrideControlsDispatchFlag) {
-    force_dense_superop(true);
-    EXPECT_TRUE(dense_superop_forced());
-    force_dense_superop(false);
-    EXPECT_FALSE(dense_superop_forced());
-    clear_dense_superop_override();
 }
 
 }  // namespace

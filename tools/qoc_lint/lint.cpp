@@ -303,9 +303,9 @@ void rule_hot_path(const FileCtx& ctx, std::vector<Finding>& out) {
 // --- rule: dense-superop-materialization ---------------------------------
 
 bool scope_dense(const std::string& rel) {
-    // The structured-kernel escape hatch: src/quantum/superop*.{hpp,cpp}
-    // (dense construction, Kronecker factorization and the CSR/dense
-    // dispatch) is the one place allowed to build d^2 x d^2 matrices.
+    // The structured superop layer: src/quantum/superop*.{hpp,cpp} (dense
+    // construction, Kronecker factorization and the CSR/dense dispatch) is
+    // the one place allowed to build d^2 x d^2 matrices.
     return starts_with(rel, "src/") && !starts_with(rel, "src/quantum/superop");
 }
 
@@ -338,8 +338,7 @@ void rule_dense_superop(const FileCtx& ctx, std::vector<Finding>& out) {
                         "kron with ." + ts[k].text +
                             "() builds a dense d^2 x d^2 superoperator outside the "
                             "structured kernels; use quantum::KronSuperOp / "
-                            "StructuredSuperOp (QOC_DENSE_SUPEROP is the runtime escape "
-                            "hatch)");
+                            "StructuredSuperOp");
                     break;
                 }
             }
