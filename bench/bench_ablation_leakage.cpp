@@ -53,7 +53,7 @@ int main() {
         gopts.n_harmonics = 3;
         gopts.n_fine = 160;
         gopts.amp_bound = 0.3;
-        const auto goat = control::goat_optimize(prob, gopts);
+        const auto goat = control::goat_optimize(prob, {}, gopts);
         std::printf("\nGOAT X design (smooth analytic, 160 dt): model err %.2e\n",
                     goat.final_fid_err);
 

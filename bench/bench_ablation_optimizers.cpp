@@ -2,7 +2,8 @@
 /// paper's Section 2.1 claims first-order GRAPE "converges very slowly" and
 /// CRAB's "direct search approach makes the convergence very slow"; the
 /// second-order GRAPE (L-BFGS-B) is the method of choice.  This bench
-/// quantifies all three on identical problems.
+/// quantifies those claims on identical problems, then runs every
+/// `OptimMethod` on one budget in a solver x gate x duration matrix.
 
 #include "bench_common.hpp"
 
@@ -49,8 +50,8 @@ int main() {
     run("gradient descent, 500 iters", control::OptimMethod::kGradientDescent, 500);
     run("CRAB (Fourier basis + Nelder-Mead)", control::OptimMethod::kCrab, 4000);
 
-    // Krotov is not a pulse_optim method (it has its own sequential-update
-    // driver); run it on the equivalent GrapeProblem.
+    // Krotov with a larger step than pulse_optim's default (lambda = 1): the
+    // step is a Krotov knob, so call the method directly on the same problem.
     {
         control::GrapeProblem prob;
         prob.system.drift = linalg::Mat(2, 2);
@@ -59,8 +60,8 @@ int main() {
         prob.n_timeslots = 32;
         prob.evo_time = 60.0;
         prob.initial_amps = control::build_initial_amps(make_spec(control::OptimMethod::kLbfgsB, 1));
-        const auto kr = control::krotov_unitary(prob, {.lambda = 0.5, .max_iterations = 500,
-                                                       .target_fid_err = 1e-10});
+        const auto kr = control::krotov_unitary(
+            prob, {.max_iterations = 500, .target_f = 1e-10}, {.lambda = 0.5});
         char err[32], iters[32], evals[32];
         std::snprintf(err, sizeof(err), "%.2e", kr.final_fid_err);
         std::snprintf(iters, sizeof(iters), "%d", kr.iterations);
@@ -105,11 +106,13 @@ int main() {
     };
     add_row("L-BFGS-B (2nd-order GRAPE)",
             control::grape_unitary(hard, {.max_iterations = 200, .target_f = 1e-10}));
-    add_row("gradient descent, 200 iters", control::grape_gradient_descent(hard, 0.1, 200));
-    add_row("gradient descent, 2000 iters", control::grape_gradient_descent(hard, 0.1, 2000));
+    add_row("gradient descent, 200 iters",
+            control::grape_gradient_descent(hard, {.max_iterations = 200, .step = 0.1}));
+    add_row("gradient descent, 2000 iters",
+            control::grape_gradient_descent(hard, {.max_iterations = 2000, .step = 0.1}));
     add_row("Krotov, 48 slots (too coarse)",
-            control::krotov_unitary(hard, {.lambda = 2.0, .max_iterations = 500,
-                                           .target_fid_err = 1e-10}));
+            control::krotov_unitary(hard, {.max_iterations = 500, .target_f = 1e-10},
+                                    {.lambda = 2.0}));
     // Krotov's sequential update needs dt*||H|| << 1 (the anharmonic phase
     // per 48-slot step is ~12 rad); with per-4dt slots it is monotone and fast.
     {
@@ -122,36 +125,30 @@ int main() {
             fine.initial_amps[k][0] = env[k] * std::numbers::pi / area;
         }
         add_row("Krotov, 608 slots",
-                control::krotov_unitary(fine, {.lambda = 2.0, .max_iterations = 500,
-                                               .target_fid_err = 1e-10}));
+                control::krotov_unitary(fine, {.max_iterations = 500, .target_f = 1e-10},
+                                        {.lambda = 2.0}));
     }
     print_table("optimizer comparison (stiff problem: 3-level Duffing Hadamard)",
                 {"method", "final fidelity error", "iterations", "evaluations", "stop"},
                 rows);
 
-    // Part 3: the registry solver matrix -- every gradient-capable Solver
-    // (plus iLQR) x paper gate x pulse duration, all through the same
-    // pulse_optim front end.  Wall time comes from the solvers' own
-    // telemetry records (SolverLoop timestamps), not a clock in this file.
+    // Part 3: the method matrix -- every OptimMethod x paper gate x pulse
+    // duration, all through the same pulse_optim front end with the same
+    // budget.  Wall time comes from the methods' own telemetry records
+    // (SolverLoop timestamps), not a clock in this file.
     rows.clear();
     struct GateCase {
         const char* name;
         linalg::Mat target;
     };
     const GateCase gates[] = {{"x", g::x()}, {"sx", g::sx()}, {"h", g::h()}};
-    const struct {
-        control::OptimMethod method;
-        const char* name;
-    } solvers[] = {
-        {control::OptimMethod::kLbfgsB, "lbfgsb"},
-        {control::OptimMethod::kCgDescent, "cg_descent"},
-        {control::OptimMethod::kIlqr, "ilqr"},
-        {control::OptimMethod::kGradientDescent, "gradient_descent"},
-    };
+    using M = control::OptimMethod;
+    const M methods[] = {M::kLbfgsB, M::kCgDescent, M::kIlqr, M::kGradientDescent,
+                         M::kKrotov, M::kCrab,      M::kGoat};
     for (const double evo : {30.0, 60.0}) {
         for (const GateCase& gate : gates) {
-            for (const auto& solver : solvers) {
-                auto spec = make_spec(solver.method, 300);
+            for (const M method : methods) {
+                auto spec = make_spec(method, 300);
                 spec.u_target = gate.target;
                 spec.evo_time = evo;
                 const auto res = control::pulse_optim(spec);
@@ -164,7 +161,7 @@ int main() {
                 std::snprintf(evals, sizeof(evals), "%d", res.evaluations);
                 std::snprintf(ms, sizeof(ms), "%.1f", wall * 1e3);
                 std::snprintf(dur, sizeof(dur), "%.0f", evo);
-                rows.push_back({solver.name, gate.name, dur, err, iters, evals, ms,
+                rows.push_back({control::method_name(method), gate.name, dur, err, iters, evals, ms,
                                 optim::to_string(res.reason)});
             }
         }

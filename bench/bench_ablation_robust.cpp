@@ -50,7 +50,7 @@ int main() {
 
     std::printf("nominal design: model err %.2e\n", nominal_design.final_fid_err);
     std::printf("robust design : mean model err %.2e (members:",
-                robust_design.combined.final_fid_err);
+                robust_design.final_fid_err);
     for (double e : robust_design.member_errors) std::printf(" %.1e", e);
     std::printf(")\n\n");
 
@@ -58,7 +58,7 @@ int main() {
         return amps_to_schedule(d.final_amps, 0, 1, 480, pulse::drive_channel(0), name);
     };
     const auto nom_sched = to_schedule(nominal_design, "x_nominal");
-    const auto rob_sched = to_schedule(robust_design.combined, "x_robust");
+    const auto rob_sched = to_schedule(robust_design, "x_robust");
 
     // Error vs detuning sweep: the nominal pulse degrades quadratically away
     // from its design point; the ensemble-trained pulse stays flat.

@@ -34,9 +34,10 @@ int main() {
     print_pulse("u_y (sigma_y control)", column(res.final_amps, 1));
 
     std::printf("\nConvergence (fidelity error per iteration):\n");
-    for (std::size_t i = 0; i < res.fid_err_history.size();
-         i += std::max<std::size_t>(1, res.fid_err_history.size() / 12)) {
-        std::printf("   iter %3zu: %.3e\n", i, res.fid_err_history[i]);
+    const auto& records = res.iteration_records;
+    for (std::size_t i = 0; i < records.size();
+         i += std::max<std::size_t>(1, records.size() / 12)) {
+        std::printf("   iter %3zu: %.3e\n", i, records[i].cost);
     }
     std::printf("\ninitial fidelity error: %.3e\n", res.initial_fid_err);
     std::printf("final fidelity error  : %.3e\n", res.final_fid_err);

@@ -143,7 +143,8 @@ void BM_GrapeObjectiveClosed(benchmark::State& state) {
     prob.initial_amps.assign(prob.n_timeslots, {0.05, 0.01});
     for (auto _ : state) {
         // One full gradient-descent step = one objective + gradient eval.
-        benchmark::DoNotOptimize(control::grape_gradient_descent(prob, 0.0, 1));
+        benchmark::DoNotOptimize(
+            control::grape_gradient_descent(prob, {.max_iterations = 1, .step = 0.0}));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -171,7 +172,8 @@ void BM_GrapeObjectiveOpen(benchmark::State& state) {
     prob.evo_time = 100.0;
     prob.initial_amps.assign(prob.n_timeslots, {0.05, 0.01});
     for (auto _ : state) {
-        benchmark::DoNotOptimize(control::grape_gradient_descent(prob, 0.0, 1));
+        benchmark::DoNotOptimize(
+            control::grape_gradient_descent(prob, {.max_iterations = 1, .step = 0.0}));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

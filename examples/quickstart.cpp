@@ -26,7 +26,7 @@ int main() {
     spec.initial_pulse = control::InitialPulseType::kDrag;
     spec.initial_scale = 0.1;
 
-    const control::PulseOptimResult result = control::pulse_optim(spec);
+    const control::GrapeResult result = control::pulse_optim(spec);
 
     std::printf("qoc quickstart: X-gate pulse synthesis\n");
     std::printf("  initial infidelity : %.3e\n", result.initial_fid_err);

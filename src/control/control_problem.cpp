@@ -32,6 +32,19 @@ ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
             throw std::invalid_argument("GRAPE: initial_amps control count mismatch");
         }
     }
+    bounds_ = optim::Bounds::uniform(n_params(), prob_.amp_lower, prob_.amp_upper);
+    if (!prob_.amp_lower_per_ctrl.empty() || !prob_.amp_upper_per_ctrl.empty()) {
+        if (prob_.amp_lower_per_ctrl.size() != n_ctrl_ ||
+            prob_.amp_upper_per_ctrl.size() != n_ctrl_) {
+            throw std::invalid_argument("GRAPE: per-control bounds size mismatch");
+        }
+        for (std::size_t k = 0; k < n_ts_; ++k) {
+            for (std::size_t j = 0; j < n_ctrl_; ++j) {
+                bounds_.lower[k * n_ctrl_ + j] = prob_.amp_lower_per_ctrl[j];
+                bounds_.upper[k * n_ctrl_ + j] = prob_.amp_upper_per_ctrl[j];
+            }
+        }
+    }
     if (open_ && prob_.fidelity != FidelityType::kTraceDiff) {
         throw std::invalid_argument("GRAPE (open): fidelity must be kTraceDiff");
     }

@@ -34,7 +34,8 @@ namespace qoc::control {
 class ControlProblem {
 public:
     /// Validates the problem (throws `std::invalid_argument` on a malformed
-    /// spec) and precomputes the overlap target / exponent directions.
+    /// spec, including per-control bounds whose size is not the control
+    /// count) and precomputes the box, overlap target and exponent directions.
     ControlProblem(const GrapeProblem& problem, bool open_system);
 
     /// Convenience: infers open vs closed from the fidelity type.
@@ -57,6 +58,11 @@ public:
     std::size_t n_ctrl() const { return n_ctrl_; }
     std::size_t n_ts() const { return n_ts_; }
     double dt() const { return dt_; }
+
+    /// Amplitude box over the flattened parameters (slot-major,
+    /// control-minor): the per-control bounds when given, else the scalar
+    /// pair.  Every method clamps or projects against this one box.
+    const optim::Bounds& bounds() const { return bounds_; }
 
     /// Comparison matrix M of the trace overlap Tr(M^dag U): the plain
     /// target, the isometry-sandwiched target, or |psi_t><psi_0| for state
@@ -114,6 +120,7 @@ private:
     std::size_t n_ts_ = 0;
     double dt_ = 0.0;
     double norm_dim_ = 1.0;
+    optim::Bounds bounds_;
     Mat overlap_target_;
     std::vector<Mat> exp_dirs_;
     linalg::ExpmMethod method_ = linalg::ExpmMethod::kAuto;

@@ -10,16 +10,18 @@
 
 namespace qoc::control {
 
-CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
+GrapeResult crab_optimize(const ControlProblem& cp, const optim::SolverOptions& opts,
+                          const CrabOptions& knobs) {
     const GrapeProblem& problem = cp.problem();
+    const optim::Bounds& box = cp.bounds();
     const std::size_t n_ts = cp.n_ts();
     const std::size_t n_ctrl = cp.n_ctrl();
-    const std::size_t n_basis = opts.n_basis;
+    const std::size_t n_basis = knobs.n_basis;
     const std::size_t n_params = n_ctrl * 2 * n_basis;
 
     // Randomly detuned harmonics w_n = 2 pi (n + jitter) / T (per control).
-    std::mt19937_64 rng(opts.seed);
-    std::uniform_real_distribution<double> jitter(-opts.freq_jitter, opts.freq_jitter);
+    std::mt19937_64 rng(knobs.seed);
+    std::uniform_real_distribution<double> jitter(-knobs.freq_jitter, knobs.freq_jitter);
     std::vector<std::vector<double>> freqs(n_ctrl, std::vector<double>(n_basis));
     for (auto& row : freqs) {
         for (std::size_t n = 0; n < n_basis; ++n) {
@@ -30,7 +32,7 @@ CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
 
     const double dt = cp.dt();
 
-    // Coefficients -> amplitude table, clipped to the hardware bounds.
+    // Coefficients -> amplitude table, clipped to the amplitude box.
     auto build_amps = [&](const std::vector<double>& coeffs) {
         ControlAmplitudes amps(n_ts, std::vector<double>(n_ctrl));
         for (std::size_t k = 0; k < n_ts; ++k) {
@@ -42,8 +44,9 @@ CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
                     const double b = coeffs[(j * n_basis + n) * 2 + 1];
                     mod += a * std::sin(freqs[j][n] * t) + b * std::cos(freqs[j][n] * t);
                 }
-                amps[k][j] = std::clamp(problem.initial_amps[k][j] * mod, problem.amp_lower,
-                                        problem.amp_upper);
+                const std::size_t i = k * n_ctrl + j;
+                amps[k][j] =
+                    std::clamp(problem.initial_amps[k][j] * mod, box.lower[i], box.upper[i]);
             }
         }
         return amps;
@@ -56,34 +59,34 @@ CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& opts) {
         return cp.fid_err(build_amps(coeffs));
     };
 
-    optim::SolverOptions nm;
-    nm.max_evaluations = opts.max_evaluations;
-    nm.max_iterations = opts.max_iterations;
-    nm.step = 0.1;  // initial simplex edge
-    nm.telemetry_label = "crab";
+    GrapeResult result;
+    result.initial_amps = problem.initial_amps;
+    result.initial_fid_err = cp.fid_err(problem.initial_amps);
 
-    CrabResult result;
-    nm.iter_callback = [&](const optim::IterationRecord& rec) {
-        result.fid_err_history.push_back(rec.cost);
-        result.iteration_records.push_back(rec);
-    };
+    optim::SolverOptions nm = record_iterations(result, opts);
+    if (!nm.max_evaluations) nm.max_evaluations = 20000;
+    if (!nm.max_iterations) nm.max_iterations = 5000;
+    nm.step = 0.1;  // initial simplex edge
+    if (!nm.telemetry_label) nm.telemetry_label = "crab";
 
     const auto opt = optim::find_solver("nelder_mead")
                          .solve(sp, std::vector<double>(n_params, 0.0),
-                                optim::Bounds::uniform(n_params, -opts.coeff_bound,
-                                                       opts.coeff_bound),
+                                optim::Bounds::uniform(n_params, -knobs.coeff_bound,
+                                                       knobs.coeff_bound),
                                 nm);
 
-    result.initial_fid_err = cp.fid_err(problem.initial_amps);
     result.final_amps = build_amps(opt.x);
-    result.final_fid_err = opt.f;
+    result.final_evolution = cp.evolution(result.final_amps);
+    result.final_fid_err = cp.fid_err_of(result.final_evolution);
+    result.iterations = opt.iterations;
     result.evaluations = opt.evaluations;
     result.reason = opt.reason;
     return result;
 }
 
-CrabResult crab_optimize(const GrapeProblem& problem, const CrabOptions& opts) {
-    return crab_optimize(ControlProblem(problem), opts);
+GrapeResult crab_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts,
+                          const CrabOptions& knobs) {
+    return crab_optimize(ControlProblem(problem), opts, knobs);
 }
 
 }  // namespace qoc::control

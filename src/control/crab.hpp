@@ -15,32 +15,25 @@
 
 namespace qoc::control {
 
+/// CRAB's algorithm knobs; the budget comes from `optim::SolverOptions`.
 struct CrabOptions {
     std::size_t n_basis = 4;       ///< Fourier components per control
     std::uint64_t seed = 12345;    ///< randomizes the basis frequencies
     double freq_jitter = 0.2;      ///< relative detuning of harmonics
-    int max_evaluations = 20000;
-    int max_iterations = 5000;
     double coeff_bound = 1.0;      ///< box on the basis coefficients
-};
-
-struct CrabResult {
-    ControlAmplitudes final_amps;
-    double initial_fid_err = 1.0;
-    double final_fid_err = 1.0;
-    int evaluations = 0;
-    optim::StopReason reason = optim::StopReason::kMaxIterations;
-    std::vector<double> fid_err_history;  ///< best simplex value per iteration
-    std::vector<optim::IterationRecord> iteration_records;
 };
 
 /// Runs CRAB on the same problem definition GRAPE uses.  The seed envelopes
 /// are the problem's `initial_amps`; CRAB multiplies them by
 /// `1 + sum_n a_n sin(w_n t) + b_n cos(w_n t)` and clips to the amplitude
-/// bounds.
-CrabResult crab_optimize(const GrapeProblem& problem, const CrabOptions& options = {});
+/// box (per-control bounds included).  Nelder-Mead budget from `opts`;
+/// unset fields mean 20000 evaluations, 5000 iterations, no target and the
+/// telemetry label "crab".
+GrapeResult crab_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts = {},
+                          const CrabOptions& knobs = {});
 
 /// Same, over an already-constructed shared evaluator.
-CrabResult crab_optimize(const ControlProblem& cp, const CrabOptions& options = {});
+GrapeResult crab_optimize(const ControlProblem& cp, const optim::SolverOptions& opts = {},
+                          const CrabOptions& knobs = {});
 
 }  // namespace qoc::control

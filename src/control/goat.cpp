@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "control/control_problem.hpp"
+#include "optim/solver.hpp"
 
 namespace qoc::control {
 
@@ -56,31 +57,30 @@ ControlAmplitudes goat_controls(const std::vector<double>& params, std::size_t n
     return amps;
 }
 
-GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& opts) {
+GoatResult goat_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts,
+                         const GoatOptions& knobs) {
     const std::size_t n_ctrl = problem.system.ctrls.size();
     if (n_ctrl == 0) throw std::invalid_argument("goat_optimize: no controls");
-    if (opts.n_harmonics == 0 || opts.n_fine == 0) {
+    if (knobs.n_harmonics == 0 || knobs.n_fine == 0) {
         throw std::invalid_argument("goat_optimize: empty parameterization");
     }
-    const std::size_t per_ctrl = 2 * opts.n_harmonics;
+    const std::size_t per_ctrl = 2 * knobs.n_harmonics;
     const std::size_t n_params = n_ctrl * per_ctrl;
     const double evo_time = problem.evo_time;
-    const double dt = evo_time / static_cast<double>(opts.n_fine);
+    const double dt = evo_time / static_cast<double>(knobs.n_fine);
 
-    // Fine-grid problem used for error/gradient evaluation; amplitude
-    // bounds on the inner problem must not clip (the squash handles them).
+    // Fine-grid problem used for error/gradient evaluation (the evaluator
+    // never clips; the squash is what bounds the amplitudes).
     GrapeProblem fine = problem;
-    fine.n_timeslots = opts.n_fine;
-    fine.amp_lower = -1e30;
-    fine.amp_upper = 1e30;
+    fine.n_timeslots = knobs.n_fine;
     fine.energy_penalty = 0.0;
     // The evaluator validates initial_amps against the fine grid; the seed
     // table is never read by objective()/fid_err(), so a zero table of the
     // right shape stands in for the coarse one inherited from `problem`.
-    fine.initial_amps.assign(opts.n_fine, std::vector<double>(n_ctrl, 0.0));
+    fine.initial_amps.assign(knobs.n_fine, std::vector<double>(n_ctrl, 0.0));
     const ControlProblem cp(fine);
 
-    std::vector<double> theta0 = opts.initial_params;
+    std::vector<double> theta0 = knobs.initial_params;
     if (theta0.empty()) {
         theta0.assign(n_params, 0.0);
         // Seed the cos coefficient of the first harmonic: with the
@@ -93,17 +93,19 @@ GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& opts) {
     }
 
     // Precompute basis rows per fine slot.
-    std::vector<BasisEval> basis(opts.n_fine);
-    for (std::size_t k = 0; k < opts.n_fine; ++k) {
-        basis[k] = eval_basis((static_cast<double>(k) + 0.5) * dt, evo_time, opts);
+    std::vector<BasisEval> basis(knobs.n_fine);
+    for (std::size_t k = 0; k < knobs.n_fine; ++k) {
+        basis[k] = eval_basis((static_cast<double>(k) + 0.5) * dt, evo_time, knobs);
     }
 
     GoatResult result;
-    optim::Objective obj = [&](const std::vector<double>& theta, std::vector<double>& grad) {
+    result.initial_amps = goat_controls(theta0, n_ctrl, evo_time, knobs);
+    optim::SolverProblem sp;
+    sp.objective = [&](const std::vector<double>& theta, std::vector<double>& grad) {
         // Sample controls and keep the raw values for the squash Jacobian.
-        ControlAmplitudes amps(opts.n_fine, std::vector<double>(n_ctrl, 0.0));
-        std::vector<std::vector<double>> raw(opts.n_fine, std::vector<double>(n_ctrl, 0.0));
-        for (std::size_t k = 0; k < opts.n_fine; ++k) {
+        ControlAmplitudes amps(knobs.n_fine, std::vector<double>(n_ctrl, 0.0));
+        std::vector<std::vector<double>> raw(knobs.n_fine, std::vector<double>(n_ctrl, 0.0));
+        for (std::size_t k = 0; k < knobs.n_fine; ++k) {
             for (std::size_t j = 0; j < n_ctrl; ++j) {
                 double r = 0.0;
                 for (std::size_t m = 0; m < per_ctrl; ++m) {
@@ -111,8 +113,8 @@ GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& opts) {
                 }
                 r *= basis[k].envelope;
                 raw[k][j] = r;
-                amps[k][j] = (opts.amp_bound > 0.0)
-                                 ? opts.amp_bound * std::tanh(r / opts.amp_bound)
+                amps[k][j] = (knobs.amp_bound > 0.0)
+                                 ? knobs.amp_bound * std::tanh(r / knobs.amp_bound)
                                  : r;
             }
         }
@@ -122,11 +124,11 @@ GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& opts) {
 
         // Chain rule: d err / d theta = sum_k d err / d u_k * d u_k / d theta.
         grad.assign(n_params, 0.0);
-        for (std::size_t k = 0; k < opts.n_fine; ++k) {
+        for (std::size_t k = 0; k < knobs.n_fine; ++k) {
             for (std::size_t j = 0; j < n_ctrl; ++j) {
                 double du = amp_grad[k * n_ctrl + j] * basis[k].envelope;
-                if (opts.amp_bound > 0.0) {
-                    const double c = std::cosh(raw[k][j] / opts.amp_bound);
+                if (knobs.amp_bound > 0.0) {
+                    const double c = std::cosh(raw[k][j] / knobs.amp_bound);
                     du /= c * c;  // d/dr [B tanh(r/B)] = sech^2(r/B)
                 }
                 for (std::size_t m = 0; m < per_ctrl; ++m) {
@@ -137,21 +139,23 @@ GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& opts) {
         return err;
     };
 
-    optim::LbfgsBOptions lopts;
-    lopts.max_iterations = opts.max_iterations;
-    lopts.target_f = opts.target_fid_err;
+    optim::SolverOptions lopts = record_iterations(result, opts);
+    if (!lopts.max_iterations) lopts.max_iterations = 300;
+    if (!lopts.target_f) lopts.target_f = 1e-10;
+    if (!lopts.telemetry_label) lopts.telemetry_label = "goat";
     const optim::Bounds bounds =
-        optim::Bounds::uniform(n_params, -opts.param_bound, opts.param_bound);
+        optim::Bounds::uniform(n_params, -knobs.param_bound, knobs.param_bound);
 
     {
         std::vector<double> g;
-        result.initial_fid_err = obj(theta0, g);
+        result.initial_fid_err = sp.objective(theta0, g);
     }
-    const optim::OptimResult opt = optim::lbfgsb_minimize(obj, theta0, bounds, lopts);
+    const optim::OptimResult opt = optim::find_solver("lbfgsb").solve(sp, theta0, bounds, lopts);
 
     result.params = opt.x;
-    result.final_amps = goat_controls(opt.x, n_ctrl, evo_time, opts);
-    result.final_fid_err = cp.fid_err(result.final_amps);
+    result.final_amps = goat_controls(opt.x, n_ctrl, evo_time, knobs);
+    result.final_evolution = cp.evolution(result.final_amps);
+    result.final_fid_err = cp.fid_err_of(result.final_evolution);
     result.iterations = opt.iterations;
     result.evaluations = opt.evaluations;
     result.reason = opt.reason;

@@ -19,35 +19,33 @@
 #pragma once
 
 #include "control/grape.hpp"
-#include "optim/lbfgsb.hpp"
 
 namespace qoc::control {
 
+/// GOAT's parameterization knobs; the budget comes from
+/// `optim::SolverOptions`.
 struct GoatOptions {
     std::size_t n_harmonics = 4;    ///< Fourier components per control
     std::size_t n_fine = 128;       ///< fine PWC slots for propagation
     double amp_bound = 0.0;         ///< tanh squash bound; <= 0 disables
     bool use_envelope = true;       ///< multiply by sin(pi t / T) (zero ends)
     double param_bound = 2.0;       ///< box on the Fourier coefficients
-    int max_iterations = 300;
-    double target_fid_err = 1e-10;
     std::vector<double> initial_params;  ///< optional warm start (size 2*H*n_ctrl)
 };
 
-struct GoatResult {
-    std::vector<double> params;       ///< optimized Fourier coefficients
-    ControlAmplitudes final_amps;     ///< fine-grid samples of the controls
-    double initial_fid_err = 1.0;
-    double final_fid_err = 1.0;
-    int iterations = 0;
-    int evaluations = 0;
-    optim::StopReason reason = optim::StopReason::kMaxIterations;
+/// A GOAT run: the shared result (amplitudes on the fine grid) plus the
+/// optimized Fourier coefficients.
+struct GoatResult : GrapeResult {
+    std::vector<double> params;  ///< optimized Fourier coefficients
 };
 
 /// Optimizes the analytic controls for a (closed- or open-system)
-/// GrapeProblem; the problem's n_timeslots/initial_amps are ignored in favor
-/// of the fine grid and Fourier parameterization.
-GoatResult goat_optimize(const GrapeProblem& problem, const GoatOptions& options = {});
+/// GrapeProblem; the problem's n_timeslots/initial_amps/amplitude box are
+/// ignored in favor of the fine grid, the Fourier parameterization and the
+/// `amp_bound` squash.  L-BFGS-B budget from `opts`; unset fields mean 300
+/// iterations, target error 1e-10 and the telemetry label "goat".
+GoatResult goat_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts = {},
+                         const GoatOptions& knobs = {});
 
 /// Samples the parameterized controls on `n_fine` slots (exposed for
 /// plotting and testing).

@@ -3,35 +3,30 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "contracts/matrix_checks.hpp"
 #include "control/control_problem.hpp"
 
 namespace qoc::control {
 
+optim::SolverOptions record_iterations(GrapeResult& result, optim::SolverOptions opts) {
+    optim::IterationCallback user = std::move(opts.iter_callback);
+    opts.iter_callback = [&result, user = std::move(user)](const optim::IterationRecord& rec) {
+        result.iteration_records.push_back(rec);
+        if (user) user(rec);
+    };
+    return opts;
+}
+
 GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
-                        const optim::SolverOptions& opts_in) {
+                        const optim::SolverOptions& opts) {
     const GrapeProblem& problem = cp.problem();
+    const optim::Bounds& bounds = cp.bounds();
 
     GrapeResult result;
     result.initial_amps = problem.initial_amps;
     result.initial_fid_err = cp.fid_err(problem.initial_amps);
-
-    optim::Bounds bounds =
-        optim::Bounds::uniform(cp.n_params(), problem.amp_lower, problem.amp_upper);
-    if (!problem.amp_lower_per_ctrl.empty() || !problem.amp_upper_per_ctrl.empty()) {
-        const std::size_t n_ctrl = problem.system.ctrls.size();
-        if (problem.amp_lower_per_ctrl.size() != n_ctrl ||
-            problem.amp_upper_per_ctrl.size() != n_ctrl) {
-            throw std::invalid_argument("GRAPE: per-control bounds size mismatch");
-        }
-        for (std::size_t k = 0; k < cp.n_ts(); ++k) {
-            for (std::size_t j = 0; j < n_ctrl; ++j) {
-                bounds.lower[k * n_ctrl + j] = problem.amp_lower_per_ctrl[j];
-                bounds.upper[k * n_ctrl + j] = problem.amp_upper_per_ctrl[j];
-            }
-        }
-    }
 
     optim::SolverProblem sp;
     sp.objective = [&](const std::vector<double>& x, std::vector<double>& g) {
@@ -46,16 +41,8 @@ GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
         return cp.objective(x, g);
     };
 
-    optim::SolverOptions opts = opts_in;
-    auto user_iter_cb = opts.iter_callback;
-    opts.iter_callback = [&](const optim::IterationRecord& rec) {
-        result.fid_err_history.push_back(rec.cost);
-        result.iteration_records.push_back(rec);
-        if (user_iter_cb) user_iter_cb(rec);
-    };
-
-    const optim::OptimResult opt =
-        optim::find_solver(solver).solve(sp, cp.flatten(problem.initial_amps), bounds, opts);
+    const optim::OptimResult opt = optim::find_solver(solver).solve(
+        sp, cp.flatten(problem.initial_amps), bounds, record_iterations(result, opts));
 
     result.final_amps = cp.unflatten(opt.x);
     result.final_evolution = cp.evolution(result.final_amps);
@@ -66,86 +53,23 @@ GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
     return result;
 }
 
-GrapeResult grape_optimize(const ControlProblem& cp, const optim::LbfgsBOptions& opts_in) {
-    optim::SolverOptions opts;
-    opts.memory = opts_in.memory;
-    opts.max_iterations = opts_in.max_iterations;
-    opts.max_evaluations = opts_in.max_evaluations;
-    opts.tol = opts_in.pg_tol;
-    opts.f_tol = opts_in.f_tol;
-    opts.target_f = opts_in.target_f;
-    opts.iter_callback = opts_in.iter_callback;
-    opts.telemetry_label = opts_in.telemetry_label;
-    return grape_solve(cp, "lbfgsb", opts);
+GrapeResult grape_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts) {
+    return grape_solve(ControlProblem(problem, /*open_system=*/false), "lbfgsb", opts);
 }
 
-GrapeResult grape_unitary(const GrapeProblem& problem, const optim::LbfgsBOptions& opts) {
-    return grape_optimize(ControlProblem(problem, /*open_system=*/false), opts);
+GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::SolverOptions& opts) {
+    return grape_solve(ControlProblem(problem, /*open_system=*/true), "lbfgsb", opts);
 }
 
-GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::LbfgsBOptions& opts) {
-    return grape_optimize(ControlProblem(problem, /*open_system=*/true), opts);
-}
-
-GrapeResult grape_gradient_descent(const ControlProblem& cp, double learning_rate,
-                                   int iterations) {
-    const GrapeProblem& problem = cp.problem();
-
-    GrapeResult result;
-    result.initial_amps = problem.initial_amps;
-
-    if (iterations <= 0) {
-        result.initial_fid_err = cp.fid_err(problem.initial_amps);
-        result.iterations = iterations;
-        result.final_amps = problem.initial_amps;
-        result.final_evolution = cp.evolution(result.final_amps);
-        result.final_fid_err = cp.fid_err_of(result.final_evolution);
-        result.reason = optim::StopReason::kMaxIterations;
-        return result;
-    }
-
-    optim::SolverProblem sp;
-    sp.objective = [&](const std::vector<double>& x, std::vector<double>& g) {
-        return cp.objective(x, g);
-    };
-    optim::SolverOptions opts;
-    opts.step = learning_rate;
-    opts.max_iterations = iterations;
-    opts.telemetry_label = "grape_gd";
-    opts.iter_callback = [&](const optim::IterationRecord& rec) {
-        result.fid_err_history.push_back(rec.cost);
-        result.iteration_records.push_back(rec);
-    };
-
-    const optim::OptimResult opt = optim::find_solver("gradient_descent")
-                                       .solve(sp, cp.flatten(problem.initial_amps),
-                                              optim::Bounds::uniform(cp.n_params(),
-                                                                     problem.amp_lower,
-                                                                     problem.amp_upper),
-                                              opts);
-
-    // The first objective call evaluates the unmodified amplitudes, so its
-    // value *is* the initial fidelity error; a separate evolution() pass
-    // would redo all n_ts propagators.
-    result.initial_fid_err = result.fid_err_history.front();
-    result.iterations = opt.iterations;
-    result.evaluations = opt.evaluations;
-    result.final_amps = cp.unflatten(opt.x);
-    result.final_evolution = cp.evolution(result.final_amps);
-    result.final_fid_err = cp.fid_err_of(result.final_evolution);
-    result.reason = opt.reason;
-    return result;
-}
-
-GrapeResult grape_gradient_descent(const GrapeProblem& problem, double learning_rate,
-                                   int iterations) {
-    return grape_gradient_descent(ControlProblem(problem), learning_rate, iterations);
+GrapeResult grape_gradient_descent(const GrapeProblem& problem,
+                                   const optim::SolverOptions& opts) {
+    return grape_solve(ControlProblem(problem), "gradient_descent", opts);
 }
 
 RobustGrapeResult grape_robust(const GrapeProblem& problem,
                                const std::vector<Mat>& ensemble_drifts,
                                const std::vector<double>& weights,
-                               const optim::LbfgsBOptions& opts_in) {
+                               const optim::SolverOptions& opts) {
     if (ensemble_drifts.empty() || ensemble_drifts.size() != weights.size()) {
         throw std::invalid_argument("grape_robust: ensemble/weights mismatch");
     }
@@ -166,9 +90,10 @@ RobustGrapeResult grape_robust(const GrapeProblem& problem,
     }
 
     RobustGrapeResult result;
-    result.combined.initial_amps = problem.initial_amps;
+    result.initial_amps = problem.initial_amps;
 
-    optim::Objective obj = [&](const std::vector<double>& x, std::vector<double>& grad) {
+    optim::SolverProblem sp;
+    sp.objective = [&](const std::vector<double>& x, std::vector<double>& grad) {
         grad.assign(x.size(), 0.0);
         std::vector<double> g(x.size());
         double err = 0.0;
@@ -187,30 +112,24 @@ RobustGrapeResult grape_robust(const GrapeProblem& problem,
         return err;
     };
 
-    optim::LbfgsBOptions opts = opts_in;
-    opts.iter_callback = [&](const optim::IterationRecord& rec) {
-        result.combined.fid_err_history.push_back(rec.cost);
-        result.combined.iteration_records.push_back(rec);
-    };
-    const optim::Bounds bounds = optim::Bounds::uniform(
-        evals[0]->n_params(), problem.amp_lower, problem.amp_upper);
-    const optim::OptimResult opt =
-        optim::lbfgsb_minimize(obj, evals[0]->flatten(problem.initial_amps), bounds, opts);
+    const optim::OptimResult opt = optim::find_solver("lbfgsb").solve(
+        sp, evals[0]->flatten(problem.initial_amps), evals[0]->bounds(),
+        record_iterations(result, opts));
 
-    result.combined.final_amps = evals[0]->unflatten(opt.x);
-    result.combined.iterations = opt.iterations;
-    result.combined.evaluations = opt.evaluations;
-    result.combined.reason = opt.reason;
+    result.final_amps = evals[0]->unflatten(opt.x);
+    result.iterations = opt.iterations;
+    result.evaluations = opt.evaluations;
+    result.reason = opt.reason;
     double werr = 0.0, ierr = 0.0;
     for (std::size_t i = 0; i < evals.size(); ++i) {
-        const double e = evals[i]->fid_err(result.combined.final_amps);
+        const double e = evals[i]->fid_err(result.final_amps);
         result.member_errors.push_back(e);
         werr += weights[i] / wsum * e;
         ierr += weights[i] / wsum * evals[i]->fid_err(problem.initial_amps);
     }
-    result.combined.initial_fid_err = ierr;
-    result.combined.final_fid_err = werr;
-    result.combined.final_evolution = evals[0]->evolution(result.combined.final_amps);
+    result.initial_fid_err = ierr;
+    result.final_fid_err = werr;
+    result.final_evolution = evals[0]->evolution(result.final_amps);
     return result;
 }
 

@@ -9,7 +9,7 @@
 ///   L(t) = L_0 + sum_j u_j(t) L_j   (open, Liouvillian form),
 /// minimizing the gate infidelity against a target unitary (closed) or
 /// target superoperator (open).  Gradients are exact: each slot propagator's
-/// directional derivative comes from the Van Loan augmented exponential.
+/// control derivatives come from one shared-intermediate Frechet call.
 
 #pragma once
 
@@ -17,7 +17,6 @@
 #include <string_view>
 
 #include "dynamics/propagator.hpp"
-#include "optim/lbfgsb.hpp"
 #include "optim/problem.hpp"
 #include "optim/solver.hpp"
 
@@ -74,6 +73,8 @@ struct GrapeProblem {
     ControlAmplitudes initial_amps;
 };
 
+/// The one result every pulse-optimization method returns (GRAPE through
+/// any registered solver, Krotov, CRAB, GOAT, iLQR, robust GRAPE).
 struct GrapeResult {
     ControlAmplitudes initial_amps;
     ControlAmplitudes final_amps;
@@ -83,50 +84,43 @@ struct GrapeResult {
     int iterations = 0;
     int evaluations = 0;
     optim::StopReason reason = optim::StopReason::kMaxIterations;
-    std::vector<double> fid_err_history;  ///< per accepted iteration
-    /// Full per-iteration optimizer telemetry (cost, grad norm, step,
-    /// cumulative evaluations, wall time); parallels fid_err_history.
+    /// Per-iteration optimizer telemetry (cost, grad norm, step, cumulative
+    /// evaluations, wall time), one record per `optim::SolverLoop::emit`.
     std::vector<optim::IterationRecord> iteration_records;
 };
 
 class ControlProblem;  // the shared PWC evaluator (control_problem.hpp)
 
-/// GRAPE through ANY registered gradient-based solver: builds the bounds and
-/// the exact-gradient objective once, then dispatches via the
-/// `optim::Solver` registry (`"lbfgsb"`, `"cg_descent"`, ...).  History and
-/// iteration records are captured through the shared callback plumbing, so
-/// every solver reports through the same `GrapeResult` shape.
+/// Every method's budget, callback and telemetry label arrive as one
+/// `optim::SolverOptions`; unset fields keep the method's own default.
+/// This returns `opts` with its callback wrapped so that each record is
+/// appended to `result.iteration_records` before the caller's callback runs.
+optim::SolverOptions record_iterations(GrapeResult& result, optim::SolverOptions opts);
+
+/// GRAPE through ANY registered gradient-based solver: builds the exact-
+/// gradient objective over `cp.bounds()` once, then dispatches via the
+/// `optim::Solver` registry (`"lbfgsb"`, `"cg_descent"`,
+/// `"gradient_descent"`, ...).
 GrapeResult grape_solve(const ControlProblem& cp, std::string_view solver,
                         const optim::SolverOptions& opts = {});
 
-/// L-BFGS-B GRAPE over an already-constructed evaluator (a `grape_solve`
-/// wrapper keeping the historical typed-options signature).  The
-/// GrapeProblem entry points below are thin wrappers over this; front ends
-/// that reuse an evaluator (pulse_optim, the design pipeline) call it
-/// directly.
-GrapeResult grape_optimize(const ControlProblem& cp, const optim::LbfgsBOptions& opts = {});
-
 /// Closed-system GRAPE with L-BFGS-B (the paper's method).
-GrapeResult grape_unitary(const GrapeProblem& problem, const optim::LbfgsBOptions& opts = {});
+GrapeResult grape_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts = {});
 
 /// Open-system (Lindblad) GRAPE: `system` holds Liouvillian generators and
 /// `target` the target superoperator; fidelity must be kTraceDiff.
-GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::LbfgsBOptions& opts = {});
+GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::SolverOptions& opts = {});
 
-/// First-order GRAPE baseline: plain projected gradient descent with a fixed
-/// learning rate (for the convergence-comparison ablation; the paper notes
-/// plain GRAPE "converges very slowly").
-GrapeResult grape_gradient_descent(const GrapeProblem& problem, double learning_rate,
-                                   int iterations);
+/// First-order GRAPE baseline: projected gradient descent (learning rate =
+/// `opts.step`, default 0.1) for the convergence-comparison ablation; the
+/// paper notes plain GRAPE "converges very slowly".  Open or closed, by the
+/// problem's fidelity type.
+GrapeResult grape_gradient_descent(const GrapeProblem& problem,
+                                   const optim::SolverOptions& opts = {});
 
-/// Gradient-descent GRAPE over an already-constructed evaluator.
-GrapeResult grape_gradient_descent(const ControlProblem& cp, double learning_rate,
-                                   int iterations);
-
-/// Result of a robust (ensemble) optimization: the shared pulse plus its
-/// per-member fidelity errors.
-struct RobustGrapeResult {
-    GrapeResult combined;               ///< pulse + weighted-average error
+/// Result of a robust (ensemble) optimization: the shared pulse, its
+/// weighted-average error, plus the per-member fidelity errors.
+struct RobustGrapeResult : GrapeResult {
     std::vector<double> member_errors;  ///< final error per ensemble member
 };
 
@@ -136,11 +130,11 @@ struct RobustGrapeResult {
 /// cost is the weighted average of the members' fidelity errors.  This is
 /// the standard ensemble-robust recipe the paper's Discussion asks for
 /// ("this drifting of qubit properties can lead to fluctuations").
-/// Closed-system only.
+/// Closed-system only; L-BFGS-B.
 RobustGrapeResult grape_robust(const GrapeProblem& problem,
                                const std::vector<Mat>& ensemble_drifts,
                                const std::vector<double>& weights,
-                               const optim::LbfgsBOptions& opts = {});
+                               const optim::SolverOptions& opts = {});
 
 /// Evaluates the fidelity error (no gradient) of a given amplitude table for
 /// the problem -- used by CRAB and by diagnostics.

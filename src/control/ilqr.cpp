@@ -140,7 +140,8 @@ void chol_solve(const std::vector<double>& l, std::size_t n, double* rhs) {
 
 }  // namespace
 
-GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
+GrapeResult ilqr_optimize(const ControlProblem& cp, const optim::SolverOptions& opts,
+                          const IlqrOptions& knobs) {
     if (cp.open_system()) {
         throw std::invalid_argument(
             "ilqr_optimize: closed-system only (kPsu/kSu fidelity; open systems need the "
@@ -160,17 +161,12 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
                           ? problem.energy_penalty / static_cast<double>(cp.n_params())
                           : 0.0;
 
-    // Per-control box bounds (per-control overrides win over the scalars).
-    std::vector<double> lo(nu, problem.amp_lower), hi(nu, problem.amp_upper);
-    if (!problem.amp_lower_per_ctrl.empty() || !problem.amp_upper_per_ctrl.empty()) {
-        if (problem.amp_lower_per_ctrl.size() != nu || problem.amp_upper_per_ctrl.size() != nu) {
-            throw std::invalid_argument("ilqr_optimize: per-control bounds size mismatch");
-        }
-        for (std::size_t j = 0; j < nu; ++j) {
-            lo[j] = problem.amp_lower_per_ctrl[j];
-            hi[j] = problem.amp_upper_per_ctrl[j];
-        }
-    }
+    const int max_iterations = opts.max_iterations.value_or(200);
+    const int max_evaluations = opts.max_evaluations.value_or(10000);
+    const double f_tol = opts.f_tol.value_or(1e-12);
+    // The amplitude box over the flattened controls (slot-major).
+    const double* lo = cp.bounds().lower.data();
+    const double* hi = cp.bounds().upper.data();
 
     // Terminal-cost linearization directions: with t = Tr(M^dag U),
     // a = Re t = a_vec . x and b = Im t = b_vec . x.
@@ -196,11 +192,7 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
     std::vector<Mat> xs_c(n_ts + 1), props_c(n_ts), dprops_c(n_ts * nu);
     std::vector<double> u = cp.flatten(problem.initial_amps);
     std::vector<double> u_c(n_ts * nu);
-    for (std::size_t k = 0; k < n_ts; ++k) {
-        for (std::size_t j = 0; j < nu; ++j) {
-            u[k * nu + j] = std::clamp(u[k * nu + j], lo[j], hi[j]);
-        }
-    }
+    cp.bounds().clip(u);
 
     // Terminal cost: the fidelity error as a function of the final state.
     auto terminal = [&](const Mat& uf) -> double {
@@ -230,17 +222,16 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
     int evals = 1;
 
     // Iteration records land in pre-sized arrays (hot-path file: no growth).
-    const std::size_t max_rec = static_cast<std::size_t>(std::max(opts.max_iterations, 0));
-    result.fid_err_history.resize(max_rec);
+    const std::size_t max_rec = static_cast<std::size_t>(std::max(max_iterations, 0));
     result.iteration_records.resize(max_rec);
     std::size_t n_rec = 0;
     const optim::IterationCallback record_cb = [&](const optim::IterationRecord& rec) {
-        result.fid_err_history[n_rec] = rec.cost;
         result.iteration_records[n_rec] = rec;
         ++n_rec;
         if (opts.iter_callback) opts.iter_callback(rec);
     };
-    const optim::SolverLoop loop(opts.telemetry_label, record_cb);
+    const optim::SolverLoop loop(opts.telemetry_label ? opts.telemetry_label : "ilqr",
+                                 record_cb);
 
     // Backward-pass workspace, sized once.
     std::vector<double> rbuf(s * s), v_x(nx), q_x(nx), dx(nx);
@@ -343,11 +334,11 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
             for (std::size_t j = 0; j < nu; ++j) {
                 const double trial = uk[j] + kffk[j];
                 clamped[j] = 0;
-                if (trial < lo[j]) {
-                    kffk[j] = lo[j] - uk[j];
+                if (trial < lo[k * nu + j]) {
+                    kffk[j] = lo[k * nu + j] - uk[j];
                     clamped[j] = 1;
-                } else if (trial > hi[j]) {
-                    kffk[j] = hi[j] - uk[j];
+                } else if (trial > hi[k * nu + j]) {
+                    kffk[j] = hi[k * nu + j] - uk[j];
                     clamped[j] = 1;
                 }
                 if (clamped[j]) {
@@ -423,7 +414,7 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
                 double du = alpha * kff[k * nu + j];
                 const double* krow = kg + j * nx;
                 for (std::size_t x = 0; x < nx; ++x) du += krow[x] * dx[x];
-                uc[j] = std::clamp(uk[j] + du, lo[j], hi[j]);
+                uc[j] = std::clamp(uk[j] + du, lo[k * nu + j], hi[k * nu + j]);
                 run += pw * uc[j] * uc[j];
             }
             cp.slot_propagator_and_derivs(uc, props_c[k], dprops_c.data() + k * nu);
@@ -432,15 +423,15 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
         return run + terminal(xs_c[n_ts]);
     };
 
-    double mu = opts.mu_init;
+    double mu = knobs.mu_init;
     optim::StopReason reason = optim::StopReason::kMaxIterations;
     bool gave_up = false;
-    while (!gave_up && result.iterations < opts.max_iterations) {
+    while (!gave_up && result.iterations < max_iterations) {
         double qu_norm = 0.0;
         while (!backward(mu, qu_norm)) {
-            mu *= opts.mu_factor;
+            mu *= knobs.mu_factor;
             obs::count(obs::Cnt::kSolverIlqrRegBumps);
-            if (mu > opts.mu_max) {
+            if (mu > knobs.mu_max) {
                 reason = optim::StopReason::kLineSearchFailed;
                 gave_up = true;
                 break;
@@ -452,7 +443,7 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
         double j_trial = j_cur;
         bool accepted = false;
         int passes = 0;
-        for (int a = 0; a < opts.n_alpha; ++a) {
+        for (int a = 0; a < knobs.n_alpha; ++a) {
             j_trial = forward(alpha);
             ++evals;
             ++passes;
@@ -460,19 +451,19 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
                 accepted = true;
                 break;
             }
-            if (evals >= opts.max_evaluations) break;
+            if (evals >= max_evaluations) break;
             alpha *= 0.5;
         }
         obs::hist_record(obs::Hist::kIlqrForwardPasses, static_cast<std::uint64_t>(passes));
 
         if (!accepted) {
-            if (evals >= opts.max_evaluations) {
+            if (evals >= max_evaluations) {
                 reason = optim::StopReason::kMaxEvaluations;
                 break;
             }
-            mu *= opts.mu_factor;
+            mu *= knobs.mu_factor;
             obs::count(obs::Cnt::kSolverIlqrRegBumps);
-            if (mu > opts.mu_max) {
+            if (mu > knobs.mu_max) {
                 reason = optim::StopReason::kLineSearchFailed;
                 break;
             }
@@ -487,14 +478,13 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
         dprops.swap(dprops_c);
         ++result.iterations;
         loop.emit(result.iterations, j_cur, qu_norm, alpha, evals);
-        mu = std::max(mu / opts.mu_factor, opts.mu_min);
+        mu = std::max(mu / knobs.mu_factor, knobs.mu_min);
 
-        if (const auto stop = loop.budget_stop(opts.target_f, j_cur, evals,
-                                               opts.max_evaluations)) {
+        if (const auto stop = loop.budget_stop(opts.target_f, j_cur, evals, max_evaluations)) {
             reason = *stop;
             break;
         }
-        if (decrease <= opts.f_tol * (1.0 + std::abs(j_cur))) {
+        if (decrease <= f_tol * (1.0 + std::abs(j_cur))) {
             reason = optim::StopReason::kFtolReached;
             break;
         }
@@ -502,7 +492,6 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
 
     result.evaluations = evals;
     result.reason = reason;
-    result.fid_err_history.resize(n_rec);
     result.iteration_records.resize(n_rec);
     result.final_amps = cp.unflatten(u);
     result.final_evolution = xs[n_ts];
@@ -510,8 +499,9 @@ GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts) {
     return result;
 }
 
-GrapeResult ilqr_unitary(const GrapeProblem& problem, const IlqrOptions& opts) {
-    return ilqr_optimize(ControlProblem(problem, /*open_system=*/false), opts);
+GrapeResult ilqr_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts,
+                         const IlqrOptions& knobs) {
+    return ilqr_optimize(ControlProblem(problem, /*open_system=*/false), opts, knobs);
 }
 
 }  // namespace qoc::control

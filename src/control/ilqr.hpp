@@ -22,34 +22,30 @@
 
 #pragma once
 
-#include <optional>
-
 #include "control/grape.hpp"
-#include "optim/problem.hpp"
 
 namespace qoc::control {
 
+/// iLQR's algorithm knobs; the budget comes from `optim::SolverOptions`.
 struct IlqrOptions {
-    int max_iterations = 200;    ///< accepted outer iterations
-    int max_evaluations = 10000; ///< forward rollouts (each = n_ts Frechet calls)
-    /// Stop as soon as the total objective (fidelity error + energy penalty)
-    /// falls to or below this -- same semantics as L-BFGS-B's `target_f`.
-    std::optional<double> target_f;
-    double f_tol = 1e-12;    ///< relative-decrease convergence threshold
     double mu_init = 1e-6;   ///< initial Levenberg regularizer on Q_uu
     double mu_factor = 8.0;  ///< regularizer growth/shrink factor
     double mu_max = 1e10;    ///< give up (line-search failure) past this
     double mu_min = 1e-8;    ///< regularizer floor after accepted steps
     int n_alpha = 8;         ///< forward-pass step halvings (alpha = 1 .. 2^-(n-1))
-    optim::IterationCallback iter_callback;  ///< invoked per accepted iteration
-    const char* telemetry_label = "ilqr";    ///< obs `optimizer.iteration` label
 };
 
-/// iLQR over an already-constructed evaluator.  Throws
-/// `std::invalid_argument` for open-system problems.
-GrapeResult ilqr_optimize(const ControlProblem& cp, const IlqrOptions& opts = {});
+/// iLQR over an already-constructed evaluator.  Budget from `opts`; unset
+/// fields mean 200 accepted iterations, 10000 forward rollouts (each n_ts
+/// Frechet calls), no target (`target_f` bounds the total objective, fidelity
+/// error + energy penalty), relative-decrease `f_tol` 1e-12 and the
+/// telemetry label "ilqr".  Throws `std::invalid_argument` for open-system
+/// problems.
+GrapeResult ilqr_optimize(const ControlProblem& cp, const optim::SolverOptions& opts = {},
+                          const IlqrOptions& knobs = {});
 
 /// Convenience entry point over a `GrapeProblem` (closed-system only).
-GrapeResult ilqr_unitary(const GrapeProblem& problem, const IlqrOptions& opts = {});
+GrapeResult ilqr_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts = {},
+                         const IlqrOptions& knobs = {});
 
 }  // namespace qoc::control

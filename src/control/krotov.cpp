@@ -1,14 +1,13 @@
 #include "control/krotov.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
-#include "contracts/matrix_checks.hpp"
 #include "control/control_problem.hpp"
 #include "linalg/expm.hpp"
-#include "obs/obs.hpp"
+#include "optim/solver_loop.hpp"
 
 namespace qoc::control {
 
@@ -18,15 +17,18 @@ using linalg::Mat;
 constexpr cplx kI{0.0, 1.0};
 }  // namespace
 
-GrapeResult krotov_unitary(const ControlProblem& cp, const KrotovOptions& opts) {
+GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions& opts,
+                           const KrotovOptions& knobs) {
     const GrapeProblem& problem = cp.problem();
-    if (cp.open_system() || problem.fidelity == FidelityType::kTraceDiff) {
-        throw std::invalid_argument("krotov_unitary: closed-system only");
-    }
+    if (cp.open_system()) throw std::invalid_argument("krotov_unitary: closed-system only");
     if (problem.state_transfer) {
         throw std::invalid_argument("krotov_unitary: use the gate functional");
     }
-    if (opts.lambda <= 0.0) throw std::invalid_argument("krotov_unitary: lambda must be > 0");
+    if (knobs.lambda <= 0.0) throw std::invalid_argument("krotov_unitary: lambda must be > 0");
+    const int max_iterations = opts.max_iterations.value_or(200);
+    const int max_evaluations = opts.max_evaluations.value_or(std::numeric_limits<int>::max());
+    const double target_f = opts.target_f.value_or(1e-10);
+    const optim::Bounds& box = cp.bounds();
     const std::size_t n_ts = cp.n_ts();
     const std::size_t n_ctrl = cp.n_ctrl();
     const double dt = cp.dt();
@@ -65,22 +67,17 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const KrotovOptions& opts) 
         }
         return u;
     };
-    auto fid_err = [&](const Mat& u_final) {
-        const cplx tau = linalg::hs_inner(overlap, u_final);
-        if (problem.fidelity == FidelityType::kSu) return 1.0 - tau.real() / norm_dim;
-        return 1.0 - std::norm(tau) / (norm_dim * norm_dim);
-    };
 
     GrapeResult result;
     result.initial_amps = problem.initial_amps;
     dynamics::ControlAmplitudes amps = problem.initial_amps;
-    result.initial_fid_err = fid_err(evolution(amps));
+    result.initial_fid_err = cp.fid_err_of(evolution(amps));
     double err = result.initial_fid_err;
-    result.fid_err_history.push_back(err);
 
-    // qoc-lint-allow(determinism-wall-clock): wall-time telemetry only; never feeds the numerics
-    const auto t_start = std::chrono::steady_clock::now();
-    for (int iter = 0; iter < opts.max_iterations; ++iter) {
+    const optim::SolverOptions recorded = record_iterations(result, opts);
+    const optim::SolverLoop loop(opts.telemetry_label ? opts.telemetry_label : "krotov",
+                                 recorded.iter_callback);
+    for (int iter = 0; iter < max_iterations; ++iter) {
         // Forward propagators with the current (old) controls.
         std::vector<Mat> props(n_ts);
         for (std::size_t k = 0; k < n_ts; ++k) slot_propagator_into(amps[k], props[k]);
@@ -111,87 +108,44 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const KrotovOptions& opts) 
                 // under the already-updated earlier slots.
                 linalg::gemm_into(problem.system.ctrls[j], u, tmp);
                 const cplx val = linalg::hs_inner(chi[k], tmp);
-                const double update = val.imag() / opts.lambda;
-                new_amps[k][j] = std::clamp(amps[k][j] + update, problem.amp_lower,
-                                            problem.amp_upper);
+                const double update = val.imag() / knobs.lambda;
+                const std::size_t i = k * n_ctrl + j;
+                new_amps[k][j] = std::clamp(amps[k][j] + update, box.lower[i], box.upper[i]);
             }
             slot_propagator_into(new_amps[k], prop_buf);
             linalg::gemm_into(prop_buf, u, tmp);
             std::swap(u, tmp);
         }
 
-        const double new_err = fid_err(u);
-        result.fid_err_history.push_back(new_err);
+        const double new_err = cp.fid_err_of(u);
         const double delta = err - new_err;
         amps = std::move(new_amps);
         err = new_err;
         ++result.iterations;
         ++result.evaluations;
-        {
-            // Krotov is monotone and derivative-free at this level: report
-            // the error decrease as the step and no gradient norm.
-            optim::IterationRecord rec;
-            rec.iteration = iter;
-            rec.cost = new_err;
-            rec.step = delta;
-            rec.n_fun_evals = result.evaluations;
-            rec.wall_time_s = std::chrono::duration<double>(
-                                  // qoc-lint-allow(determinism-wall-clock): wall-time telemetry
-                                  std::chrono::steady_clock::now() - t_start)
-                                  .count();
-            result.iteration_records.push_back(rec);
-            obs::emit_optimizer_iteration("krotov", rec.iteration, rec.cost, rec.grad_norm,
-                                          rec.step, rec.n_fun_evals, rec.wall_time_s);
-        }
-        if (err <= opts.target_fid_err) {
-            result.reason = optim::StopReason::kTargetReached;
+        // Krotov is monotone and derivative-free at this level: report the
+        // error decrease as the step and no gradient norm.
+        loop.emit(iter, err, 0.0, delta, result.evaluations);
+        if (const auto stop = loop.budget_stop(target_f, err, result.evaluations,
+                                               max_evaluations)) {
+            result.reason = *stop;
             break;
         }
-        if (delta >= 0.0 && delta < opts.delta_tol) {
+        if (delta >= 0.0 && delta < knobs.delta_tol) {
             result.reason = optim::StopReason::kFtolReached;
             break;
         }
     }
-    if (result.iterations == opts.max_iterations) {
-        result.reason = optim::StopReason::kMaxIterations;
-    }
 
     result.final_amps = amps;
     result.final_evolution = evolution(amps);
-    result.final_fid_err = fid_err(result.final_evolution);
+    result.final_fid_err = cp.fid_err_of(result.final_evolution);
     return result;
 }
 
-GrapeResult krotov_unitary(const GrapeProblem& problem, const KrotovOptions& opts) {
-    // Historical error messages for specs the shared evaluator would reject
-    // with its GRAPE-flavored wording.
-    if (problem.fidelity == FidelityType::kTraceDiff) {
-        throw std::invalid_argument("krotov_unitary: closed-system only");
-    }
-    if (problem.state_transfer) {
-        throw std::invalid_argument("krotov_unitary: use the gate functional");
-    }
-    if (opts.lambda <= 0.0) throw std::invalid_argument("krotov_unitary: lambda must be > 0");
-    const std::size_t n_ts = problem.n_timeslots;
-    const std::size_t n_ctrl = problem.system.ctrls.size();
-    if (n_ts == 0 || n_ctrl == 0 || problem.evo_time <= 0.0) {
-        throw std::invalid_argument("krotov_unitary: malformed problem");
-    }
-    if (problem.initial_amps.size() != n_ts) {
-        throw std::invalid_argument("krotov_unitary: initial_amps slot count mismatch");
-    }
-
-    // Same model invariants as the GRAPE evaluator (closed system), with
-    // Krotov-labeled diagnostics.
-    if (contracts::enabled()) {
-        contracts::check_hermitian(problem.system.drift, "Krotov: drift H_0");
-        for (const Mat& c : problem.system.ctrls) {
-            contracts::check_hermitian(c, "Krotov: control H_j");
-        }
-        contracts::check_unitary(problem.target, "Krotov: target gate");
-    }
-
-    return krotov_unitary(ControlProblem(problem, /*open_system=*/false), opts);
+GrapeResult krotov_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts,
+                           const KrotovOptions& knobs) {
+    return krotov_unitary(ControlProblem(problem, /*open_system=*/false), opts, knobs);
 }
 
 }  // namespace qoc::control

@@ -20,21 +20,24 @@
 
 namespace qoc::control {
 
+/// Krotov's algorithm knobs; the budget comes from `optim::SolverOptions`.
 struct KrotovOptions {
-    double lambda = 1.0;        ///< inverse step size (> 0); larger = smaller steps
-    int max_iterations = 200;
-    double target_fid_err = 1e-10;
+    double lambda = 1.0;  ///< inverse step size (> 0); larger = smaller steps
     /// Stop when the per-iteration improvement drops below this.
     double delta_tol = 1e-14;
 };
 
 /// Runs Krotov's method on a closed-system GrapeProblem (kPsu or kSu;
-/// subspace isometry supported; amplitude bounds enforced by clipping each
-/// sequential update).  Returns the same result type as GRAPE so the two
-/// plug into the same comparisons.
-GrapeResult krotov_unitary(const GrapeProblem& problem, const KrotovOptions& options = {});
+/// subspace isometry supported; amplitude bounds, per-control ones
+/// included, enforced by clipping each sequential update).  Budget from
+/// `opts`; unset fields mean 200 iterations, target error 1e-10 and no
+/// evaluation cap (one evaluation per sweep).  Records are labelled
+/// "krotov" unless `opts.telemetry_label` says otherwise.
+GrapeResult krotov_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts = {},
+                           const KrotovOptions& knobs = {});
 
 /// Same, over an already-constructed shared evaluator (closed-system only).
-GrapeResult krotov_unitary(const ControlProblem& cp, const KrotovOptions& options = {});
+GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions& opts = {},
+                           const KrotovOptions& knobs = {});
 
 }  // namespace qoc::control

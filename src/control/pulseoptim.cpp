@@ -3,14 +3,28 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include <string>
-
 #include "control/control_problem.hpp"
-#include "control/method_registry.hpp"
+#include "control/crab.hpp"
+#include "control/goat.hpp"
+#include "control/ilqr.hpp"
+#include "control/krotov.hpp"
 #include "control/pulse_shapes.hpp"
 #include "quantum/superop.hpp"
 
 namespace qoc::control {
+
+const char* method_name(OptimMethod method) {
+    switch (method) {
+        case OptimMethod::kLbfgsB: return "lbfgsb";
+        case OptimMethod::kGradientDescent: return "gradient_descent";
+        case OptimMethod::kCrab: return "crab";
+        case OptimMethod::kKrotov: return "krotov";
+        case OptimMethod::kGoat: return "goat";
+        case OptimMethod::kCgDescent: return "cg_descent";
+        case OptimMethod::kIlqr: return "ilqr";
+    }
+    throw std::invalid_argument("method_name: unknown OptimMethod");
+}
 
 ControlAmplitudes build_initial_amps(const PulseOptimSpec& spec) {
     const std::size_t n_ts = spec.n_timeslots;
@@ -74,7 +88,7 @@ ControlAmplitudes build_initial_amps(const PulseOptimSpec& spec) {
     return amps;
 }
 
-PulseOptimResult pulse_optim(const PulseOptimSpec& spec) {
+GrapeResult pulse_optim(const PulseOptimSpec& spec) {
     if (!spec.u_target.is_square()) {
         throw std::invalid_argument("pulse_optim: target must be square");
     }
@@ -120,22 +134,38 @@ PulseOptimResult pulse_optim(const PulseOptimSpec& spec) {
         prob.subspace_isometry = spec.subspace_isometry;
     }
 
-    PulseOptimResult result;
-    result.dt = spec.evo_time / static_cast<double>(spec.n_timeslots);
-    result.open_system = open_system;
-    result.initial_amps = prob.initial_amps;
-
-    // ONE evaluator; every registered method dispatches through it.
+    // ONE evaluator and ONE budget; every method runs on both.
     const ControlProblem cp(prob, open_system);
+    optim::SolverOptions opts;
+    opts.max_iterations = spec.max_iterations;
+    opts.max_evaluations = spec.max_evaluations;
+    opts.target_f = spec.target_fid_err;
 
-    const MethodInfo& info = find_method(spec.method);
-    if (info.closed_only && open_system) {
-        throw std::invalid_argument(std::string("pulse_optim: ") + info.display_name +
-                                    " is closed-system only");
+    switch (spec.method) {
+        case OptimMethod::kLbfgsB: return grape_solve(cp, "lbfgsb", opts);
+        case OptimMethod::kGradientDescent: return grape_solve(cp, "gradient_descent", opts);
+        case OptimMethod::kCgDescent: return grape_solve(cp, "cg_descent", opts);
+        case OptimMethod::kCrab: return crab_optimize(cp, opts, {.seed = spec.random_seed});
+        case OptimMethod::kKrotov: return krotov_unitary(cp, opts);
+        case OptimMethod::kIlqr: return ilqr_optimize(cp, opts);
+        case OptimMethod::kGoat: {
+            if (open_system) throw std::invalid_argument("pulse_optim: GOAT is closed-system only");
+            if (!spec.amp_lower_per_ctrl.empty() || !spec.amp_upper_per_ctrl.empty()) {
+                throw std::invalid_argument(
+                    "pulse_optim: GOAT squashes into one symmetric box; per-control bounds "
+                    "are not supported");
+            }
+            // The spec's box becomes the tanh squash, on the spec's PWC grid.
+            GoatOptions knobs;
+            knobs.n_fine = spec.n_timeslots;
+            knobs.amp_bound = std::min(-spec.amp_lower, spec.amp_upper);
+            if (knobs.amp_bound <= 0.0) {
+                throw std::invalid_argument("pulse_optim: GOAT needs an amplitude box around 0");
+            }
+            return goat_optimize(prob, opts, knobs);
+        }
     }
-    const MethodContext ctx{spec, prob, cp, open_system};
-    info.driver(ctx, result);
-    return result;
+    throw std::invalid_argument("pulse_optim: unknown OptimMethod");
 }
 
 }  // namespace qoc::control

@@ -30,9 +30,9 @@ enum class InitialPulseType {
     kZero,           ///< all zeros
 };
 
-/// Which numerical optimizer drives the pulse search.  All methods
-/// dispatch through the same `control::ControlProblem` evaluator, via the
-/// method registry in method_registry.hpp.
+/// Which numerical optimizer drives the pulse search.  All methods run on
+/// the same `control::ControlProblem` evaluator with the same budget and
+/// return the same `GrapeResult`.
 enum class OptimMethod {
     kLbfgsB,           ///< second-order GRAPE (the paper's choice)
     kGradientDescent,  ///< first-order GRAPE baseline
@@ -42,6 +42,11 @@ enum class OptimMethod {
     kCgDescent,        ///< Hager-Zhang CG-descent GRAPE (first-order memory-light)
     kIlqr,             ///< iLQR trajectory optimization (closed only)
 };
+
+/// Stable key of a method ("lbfgsb", "gradient_descent", "crab", "krotov",
+/// "goat", "cg_descent", "ilqr").  `CalibrationService::key_for` hashes it
+/// into `PulseStore` keys, so these strings must never change.
+const char* method_name(OptimMethod method);
 
 struct PulseOptimSpec {
     Mat h_drift;                ///< drift Hamiltonian
@@ -67,7 +72,9 @@ struct PulseOptimSpec {
 
     double amp_lower = -1.0;
     double amp_upper = 1.0;
-    /// Optional per-control bounds (see GrapeProblem); L-BFGS-B method only.
+    /// Optional per-control bounds (see GrapeProblem); every method except
+    /// GOAT honors them, GOAT rejects them (its tanh squash is one symmetric
+    /// bound, `min(-amp_lower, amp_upper)`).
     std::vector<double> amp_lower_per_ctrl;
     std::vector<double> amp_upper_per_ctrl;
     double energy_penalty = 0.0;  ///< see GrapeProblem::energy_penalty
@@ -75,25 +82,10 @@ struct PulseOptimSpec {
     OptimMethod method = OptimMethod::kLbfgsB;
     FidelityType closed_fidelity = FidelityType::kPsu;
 
+    /// The budget every method gets (as one `optim::SolverOptions`).
     double target_fid_err = 1e-10;  ///< stop once the error is this small
     int max_iterations = 500;
     int max_evaluations = 10000;
-};
-
-struct PulseOptimResult {
-    ControlAmplitudes initial_amps;
-    ControlAmplitudes final_amps;
-    double initial_fid_err = 1.0;
-    double final_fid_err = 1.0;
-    Mat final_evolution;        ///< achieved unitary (closed) or superop (open)
-    int iterations = 0;
-    int evaluations = 0;
-    optim::StopReason reason = optim::StopReason::kMaxIterations;
-    std::vector<double> fid_err_history;
-    /// Per-iteration optimizer telemetry (see optim::IterationRecord).
-    std::vector<optim::IterationRecord> iteration_records;
-    double dt = 0.0;            ///< slot duration = evo_time / n_timeslots
-    bool open_system = false;
 };
 
 /// Builds the seed amplitude table for a spec (exposed for plotting the
@@ -101,7 +93,10 @@ struct PulseOptimResult {
 ControlAmplitudes build_initial_amps(const PulseOptimSpec& spec);
 
 /// Runs the full pipeline.  Throws `std::invalid_argument` on malformed
-/// specs (dimension mismatches, empty controls, non-unitary target).
-PulseOptimResult pulse_optim(const PulseOptimSpec& spec);
+/// specs (dimension mismatches, empty controls, non-unitary target), and
+/// when Krotov, GOAT or iLQR get collapse operators (closed-system only).
+/// `final_evolution` is the achieved unitary (closed) or superoperator
+/// (open, i.e. when `collapse_ops` is non-empty).
+GrapeResult pulse_optim(const PulseOptimSpec& spec);
 
 }  // namespace qoc::control

@@ -54,15 +54,15 @@ struct GateDesignSpec {
     std::uint64_t random_seed = 99;
     int max_iterations = 400;
     double target_fid_err = 1e-9;
-    /// Which optimizer drives the design (any registered method; iLQR is
-    /// closed-system only, so pair it with a *Closed design model).
+    /// Which optimizer drives the design (any OptimMethod; Krotov, GOAT and
+    /// iLQR are closed-system only, so pair them with a *Closed design model).
     control::OptimMethod method = control::OptimMethod::kLbfgsB;
 };
 
 struct DesignedGate {
     std::string gate_name;
     pulse::Schedule schedule;          ///< custom calibration (drive channel)
-    control::PulseOptimResult optim;   ///< full optimizer output
+    control::GrapeResult optim;        ///< full optimizer output
     double model_fid_err = 1.0;        ///< final infidelity on the design model
     std::size_t duration_dt = 0;
 };
@@ -83,6 +83,9 @@ struct CxDesignSpec {
     int max_iterations = 600;
     double target_fid_err = 1e-8;
     /// Which optimizer drives the design (see GateDesignSpec::method).
+    /// The channel-faithful controls carry per-control bounds, which GOAT
+    /// cannot honor: kGoat throws std::invalid_argument unless
+    /// `idealized_controls` is set.
     control::OptimMethod method = control::OptimMethod::kLbfgsB;
     /// When true, optimize the paper's idealized three-term control set
     /// (XI, IX, ZX as independent knobs); otherwise the channel-faithful set
@@ -92,7 +95,7 @@ struct CxDesignSpec {
 
 struct DesignedCx {
     pulse::Schedule schedule;          ///< D0 + D1 + U0 calibration
-    control::PulseOptimResult optim;
+    control::GrapeResult optim;
     double model_fid_err = 1.0;
     std::size_t duration_dt = 0;
 };

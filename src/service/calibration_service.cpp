@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "control/method_registry.hpp"
+#include "control/pulseoptim.hpp"
 #include "device/calibration.hpp"
 #include "device/executor.hpp"
 #include "experiments/design_pipeline.hpp"

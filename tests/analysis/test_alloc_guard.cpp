@@ -165,9 +165,9 @@ control::GrapeProblem small_transmon_problem() {
 
 TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
     const control::GrapeProblem p = small_transmon_problem();
-    optim::LbfgsBOptions opts;
+    optim::SolverOptions opts;
     opts.max_iterations = 12;
-    opts.pg_tol = 0.0;  // run all iterations
+    opts.tol = 0.0;  // run all iterations
     opts.f_tol = 0.0;
 
     std::vector<std::uint64_t> marks;

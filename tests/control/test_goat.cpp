@@ -23,7 +23,7 @@ GrapeProblem x_problem() {
 }
 
 TEST(Goat, ConvergesToXGate) {
-    const auto res = goat_optimize(x_problem(), {.n_harmonics = 3, .n_fine = 96});
+    const auto res = goat_optimize(x_problem(), {}, {.n_harmonics = 3, .n_fine = 96});
     EXPECT_LT(res.final_fid_err, 1e-8);
     EXPECT_LT(res.final_fid_err, res.initial_fid_err);
     EXPECT_EQ(res.params.size(), 2u * 2u * 3u);
@@ -33,7 +33,7 @@ TEST(Goat, ControlsAreSmoothAndZeroEnded) {
     GoatOptions opts;
     opts.n_harmonics = 3;
     opts.n_fine = 200;
-    const auto res = goat_optimize(x_problem(), opts);
+    const auto res = goat_optimize(x_problem(), {}, opts);
     const auto& amps = res.final_amps;
     ASSERT_EQ(amps.size(), 200u);
     // Envelope forces the ends toward zero.
@@ -56,7 +56,7 @@ TEST(Goat, SquashRespectsAmplitudeBound) {
     // The bound caps the rotation rate; give the pulse enough time for pi.
     GrapeProblem p = x_problem();
     p.evo_time = 120.0;
-    const auto res = goat_optimize(p, opts);
+    const auto res = goat_optimize(p, {}, opts);
     for (const auto& slot : res.final_amps) {
         for (double a : slot) EXPECT_LE(std::abs(a), 0.08 + 1e-12);
     }
@@ -66,7 +66,7 @@ TEST(Goat, SquashRespectsAmplitudeBound) {
 TEST(Goat, HadamardTarget) {
     GrapeProblem p = x_problem();
     p.target = g::h();
-    const auto res = goat_optimize(p, {.n_harmonics = 4, .n_fine = 96});
+    const auto res = goat_optimize(p, {}, {.n_harmonics = 4, .n_fine = 96});
     EXPECT_LT(res.final_fid_err, 1e-7);
     EXPECT_NEAR(quantum::fidelity_psu(g::h(), evaluate_evolution(
                                                   [&] {
@@ -84,9 +84,9 @@ TEST(Goat, WarmStartReproducible) {
     GoatOptions opts;
     opts.n_harmonics = 2;
     opts.n_fine = 64;
-    const auto first = goat_optimize(x_problem(), opts);
+    const auto first = goat_optimize(x_problem(), {}, opts);
     opts.initial_params = first.params;
-    const auto second = goat_optimize(x_problem(), opts);
+    const auto second = goat_optimize(x_problem(), {}, opts);
     EXPECT_LE(second.final_fid_err, first.final_fid_err + 1e-12);
     EXPECT_LE(second.iterations, 3);
 }
@@ -95,7 +95,7 @@ TEST(Goat, GoatControlsMatchesOptimizeOutput) {
     GoatOptions opts;
     opts.n_harmonics = 2;
     opts.n_fine = 64;
-    const auto res = goat_optimize(x_problem(), opts);
+    const auto res = goat_optimize(x_problem(), {}, opts);
     const auto resampled = goat_controls(res.params, 2, 40.0, opts);
     for (std::size_t k = 0; k < resampled.size(); ++k) {
         EXPECT_NEAR(resampled[k][0], res.final_amps[k][0], 1e-12);
@@ -105,10 +105,10 @@ TEST(Goat, GoatControlsMatchesOptimizeOutput) {
 
 TEST(Goat, Validation) {
     GrapeProblem p = x_problem();
-    EXPECT_THROW(goat_optimize(p, {.n_harmonics = 0}), std::invalid_argument);
+    EXPECT_THROW(goat_optimize(p, {}, {.n_harmonics = 0}), std::invalid_argument);
     GoatOptions opts;
     opts.initial_params = {1.0};
-    EXPECT_THROW(goat_optimize(p, opts), std::invalid_argument);
+    EXPECT_THROW(goat_optimize(p, {}, opts), std::invalid_argument);
     EXPECT_THROW(goat_controls({1.0}, 2, 40.0, GoatOptions{}), std::invalid_argument);
 }
 

@@ -104,9 +104,9 @@ TEST(GrapeClosed, GradientMatchesFiniteDifference) {
     // finite-difference probe on a descent direction: one gradient step from
     // the seed must reduce the error for a small learning rate.
     GrapeProblem p = x_gate_problem(8);
-    const auto gd = grape_gradient_descent(p, 0.05, 2);
-    ASSERT_GE(gd.fid_err_history.size(), 2u);
-    EXPECT_LT(gd.fid_err_history[1], gd.fid_err_history[0]);
+    const auto gd = grape_gradient_descent(p, {.max_iterations = 2, .step = 0.05});
+    ASSERT_GE(gd.iteration_records.size(), 2u);
+    EXPECT_LT(gd.iteration_records[1].cost, gd.iteration_records[0].cost);
 }
 
 TEST(GrapeClosed, GradientAgainstNumericDerivative) {
@@ -123,7 +123,7 @@ TEST(GrapeClosed, GradientAgainstNumericDerivative) {
     // Analytic gradient extracted from a single tiny GD step:
     // u1 = u0 - lr * g  =>  g = (u0 - u1) / lr (no clipping active here).
     const double lr = 1e-7;
-    const auto gd = grape_gradient_descent(p, lr, 1);
+    const auto gd = grape_gradient_descent(p, {.max_iterations = 1, .step = lr});
     std::vector<double> analytic(n);
     for (std::size_t k = 0; k < p.n_timeslots; ++k)
         for (std::size_t j = 0; j < 2; ++j)
@@ -186,8 +186,8 @@ TEST(GrapeOpen, GradientDescentProbeDecreases) {
     p.n_timeslots = 8;
     p.evo_time = 3.0;
     p.initial_amps.assign(8, {0.3});
-    const auto gd = grape_gradient_descent(p, 0.2, 5);
-    EXPECT_LT(gd.fid_err_history.back(), gd.fid_err_history.front());
+    const auto gd = grape_gradient_descent(p, {.max_iterations = 5, .step = 0.2});
+    EXPECT_LT(gd.iteration_records.back().cost, gd.iteration_records.front().cost);
 }
 
 TEST(GrapeValidation, RejectsBadSpecs) {
@@ -225,8 +225,9 @@ TEST(GrapeClosed, SuFidelityAlsoConverges) {
 
 TEST(GrapeClosed, HistoryMonotoneForLbfgsb) {
     const auto res = grape_unitary(x_gate_problem(), {.max_iterations = 100});
-    for (std::size_t i = 1; i < res.fid_err_history.size(); ++i) {
-        EXPECT_LE(res.fid_err_history[i], res.fid_err_history[i - 1] + 1e-12);
+    const auto& recs = res.iteration_records;
+    for (std::size_t i = 1; i < recs.size(); ++i) {
+        EXPECT_LE(recs[i].cost, recs[i - 1].cost + 1e-12);
     }
 }
 

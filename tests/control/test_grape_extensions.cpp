@@ -80,7 +80,7 @@ TEST(RobustGrape, SingleMemberMatchesPlain) {
     GrapeProblem p = base_problem();
     const auto plain = grape_unitary(p, {.max_iterations = 150});
     const auto robust = grape_robust(p, {linalg::Mat(2, 2)}, {1.0}, {.max_iterations = 150});
-    EXPECT_NEAR(robust.combined.final_fid_err, plain.final_fid_err, 1e-8);
+    EXPECT_NEAR(robust.final_fid_err, plain.final_fid_err, 1e-8);
     ASSERT_EQ(robust.member_errors.size(), 1u);
 }
 
@@ -107,8 +107,8 @@ TEST(RobustGrape, RobustPulseBeatsNominalUnderDetuning) {
     };
     const double nominal_off = 0.5 * (eval_on(nominal.final_amps, ensemble[0]) +
                                       eval_on(nominal.final_amps, ensemble[2]));
-    const double robust_off = 0.5 * (eval_on(robust.combined.final_amps, ensemble[0]) +
-                                     eval_on(robust.combined.final_amps, ensemble[2]));
+    const double robust_off = 0.5 * (eval_on(robust.final_amps, ensemble[0]) +
+                                     eval_on(robust.final_amps, ensemble[2]));
     EXPECT_LT(robust_off, nominal_off);
     EXPECT_LT(robust_off, 1e-3);
 }
@@ -119,7 +119,7 @@ TEST(RobustGrape, MemberErrorsReported) {
     const auto res = grape_robust(p, ensemble, {1.0, 1.0}, {.max_iterations = 200});
     ASSERT_EQ(res.member_errors.size(), 2u);
     const double mean = 0.5 * (res.member_errors[0] + res.member_errors[1]);
-    EXPECT_NEAR(res.combined.final_fid_err, mean, 1e-10);
+    EXPECT_NEAR(res.final_fid_err, mean, 1e-10);
 }
 
 TEST(RobustGrape, Validation) {

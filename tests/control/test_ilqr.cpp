@@ -56,13 +56,8 @@ TEST(Ilqr, MatchesLbfgsbOnPaperGates) {
         const GrapeProblem p = gate_problem(c.target);
         const ControlProblem cp(p, /*open_system=*/false);
 
-        optim::LbfgsBOptions lopts;
-        lopts.max_iterations = 300;
-        const GrapeResult ref = grape_optimize(cp, lopts);
-
-        IlqrOptions iopts;
-        iopts.max_iterations = 100;
-        const GrapeResult got = ilqr_optimize(cp, iopts);
+        const GrapeResult ref = grape_solve(cp, "lbfgsb", {.max_iterations = 300});
+        const GrapeResult got = ilqr_optimize(cp, {.max_iterations = 100});
 
         EXPECT_LT(ref.final_fid_err, 1e-8) << c.name;
         EXPECT_NEAR(got.final_fid_err, ref.final_fid_err, 1e-6) << c.name;
@@ -77,9 +72,7 @@ TEST(Ilqr, RespectsAmplitudeBox) {
     p.amp_lower = -0.25;
     p.amp_upper = 0.25;  // tight enough that the solution rides the bound
     const ControlProblem cp(p, false);
-    IlqrOptions opts;
-    opts.max_iterations = 60;
-    const GrapeResult r = ilqr_optimize(cp, opts);
+    const GrapeResult r = ilqr_optimize(cp, {.max_iterations = 60});
     for (const auto& slot : r.final_amps) {
         for (double a : slot) {
             EXPECT_GE(a, p.amp_lower - 1e-12);
@@ -97,9 +90,7 @@ TEST(Ilqr, SuFidelityConverges) {
     GrapeProblem p = gate_problem(quantum::gates::rx(3.141592653589793));
     p.fidelity = FidelityType::kSu;
     const ControlProblem cp(p, false);
-    IlqrOptions opts;
-    opts.max_iterations = 150;
-    const GrapeResult r = ilqr_optimize(cp, opts);
+    const GrapeResult r = ilqr_optimize(cp, {.max_iterations = 150});
     EXPECT_LT(r.final_fid_err, 1e-6);
 }
 
@@ -129,7 +120,6 @@ PulseOptimSpec method_spec(OptimMethod method) {
 
 TEST(Ilqr, PulseOptimDispatch) {
     const auto res = pulse_optim(method_spec(OptimMethod::kIlqr));
-    EXPECT_FALSE(res.open_system);
     EXPECT_LT(res.final_fid_err, 1e-8);
     EXPECT_EQ(res.final_amps.size(), 16u);
 
@@ -148,7 +138,7 @@ TEST(Ilqr, CgDescentPulseOptimDispatch) {
     open.collapse_ops = {std::sqrt(1e-4) * sigma_minus()};
     open.max_iterations = 60;
     const auto open_res = pulse_optim(open);
-    EXPECT_TRUE(open_res.open_system);
+    EXPECT_EQ(open_res.final_evolution.rows(), 4u);  // a qubit superoperator
     EXPECT_LT(open_res.final_fid_err, 1e-3);
 }
 

@@ -27,23 +27,25 @@ GrapeProblem x_problem(std::size_t n_ts = 16) {
 }
 
 TEST(Krotov, ConvergesToXGate) {
-    const auto res = krotov_unitary(x_problem(), {.lambda = 0.5, .max_iterations = 400});
+    const auto res = krotov_unitary(x_problem(), {.max_iterations = 400}, {.lambda = 0.5});
     EXPECT_LT(res.final_fid_err, 1e-6);
     EXPECT_NEAR(quantum::fidelity_psu(g::x(), res.final_evolution), 1.0, 1e-5);
 }
 
 TEST(Krotov, MonotonicConvergence) {
     // Krotov's defining property: the functional improves every iteration.
-    const auto res = krotov_unitary(x_problem(), {.lambda = 1.0, .max_iterations = 100});
-    ASSERT_GT(res.fid_err_history.size(), 3u);
-    for (std::size_t i = 1; i < res.fid_err_history.size(); ++i) {
-        EXPECT_LE(res.fid_err_history[i], res.fid_err_history[i - 1] + 1e-12) << "iter " << i;
+    const auto res = krotov_unitary(x_problem(), {.max_iterations = 100}, {.lambda = 1.0});
+    const auto& recs = res.iteration_records;
+    ASSERT_GT(recs.size(), 3u);
+    EXPECT_LE(recs[0].cost, res.initial_fid_err + 1e-12);
+    for (std::size_t i = 1; i < recs.size(); ++i) {
+        EXPECT_LE(recs[i].cost, recs[i - 1].cost + 1e-12) << "iter " << i;
     }
 }
 
 TEST(Krotov, LargerLambdaSmallerSteps) {
-    const auto fast = krotov_unitary(x_problem(), {.lambda = 0.5, .max_iterations = 40});
-    const auto slow = krotov_unitary(x_problem(), {.lambda = 20.0, .max_iterations = 40});
+    const auto fast = krotov_unitary(x_problem(), {.max_iterations = 40}, {.lambda = 0.5});
+    const auto slow = krotov_unitary(x_problem(), {.max_iterations = 40}, {.lambda = 20.0});
     EXPECT_LT(fast.final_fid_err, slow.final_fid_err);
 }
 
@@ -53,7 +55,7 @@ TEST(Krotov, RespectsAmplitudeBounds) {
     p.amp_lower = -0.4;
     p.amp_upper = 0.4;
     p.initial_amps.assign(p.n_timeslots, {0.25, 0.0});
-    const auto res = krotov_unitary(p, {.lambda = 0.5, .max_iterations = 300});
+    const auto res = krotov_unitary(p, {.max_iterations = 300}, {.lambda = 0.5});
     for (const auto& slot : res.final_amps) {
         for (double a : slot) {
             EXPECT_GE(a, -0.4 - 1e-12);
@@ -67,7 +69,7 @@ TEST(Krotov, HadamardTarget) {
     GrapeProblem p = x_problem(24);
     p.target = g::h();
     p.initial_amps.assign(24, {0.25, 0.1});
-    const auto res = krotov_unitary(p, {.lambda = 0.5, .max_iterations = 500});
+    const auto res = krotov_unitary(p, {.max_iterations = 500}, {.lambda = 0.5});
     EXPECT_LT(res.final_fid_err, 1e-5);
 }
 
@@ -80,23 +82,20 @@ TEST(Krotov, SubspaceThreeLevel) {
     p.n_timeslots = 24;
     p.evo_time = 20.0;
     p.initial_amps.assign(24, {0.15, 0.0});
-    const auto res = krotov_unitary(p, {.lambda = 0.8, .max_iterations = 500});
+    const auto res = krotov_unitary(p, {.max_iterations = 500}, {.lambda = 0.8});
     EXPECT_LT(res.final_fid_err, 1e-4);
 }
 
 TEST(Krotov, TargetStopsEarly) {
-    KrotovOptions opts;
-    opts.lambda = 0.5;
-    opts.max_iterations = 1000;
-    opts.target_fid_err = 1e-3;
-    const auto res = krotov_unitary(x_problem(), opts);
+    const auto res =
+        krotov_unitary(x_problem(), {.max_iterations = 1000, .target_f = 1e-3}, {.lambda = 0.5});
     EXPECT_EQ(res.reason, optim::StopReason::kTargetReached);
     EXPECT_LE(res.final_fid_err, 1e-3);
 }
 
 TEST(Krotov, Validation) {
     GrapeProblem p = x_problem();
-    EXPECT_THROW(krotov_unitary(p, {.lambda = 0.0}), std::invalid_argument);
+    EXPECT_THROW(krotov_unitary(p, {}, {.lambda = 0.0}), std::invalid_argument);
     p.fidelity = FidelityType::kTraceDiff;
     EXPECT_THROW(krotov_unitary(p), std::invalid_argument);
     p = x_problem();
@@ -107,7 +106,7 @@ TEST(Krotov, Validation) {
 TEST(Krotov, ComparableToGrapeOnSameProblem) {
     // Both methods should reach high fidelity on this easy problem; GRAPE
     // (2nd order) typically in fewer iterations.
-    const auto kr = krotov_unitary(x_problem(), {.lambda = 0.5, .max_iterations = 500});
+    const auto kr = krotov_unitary(x_problem(), {.max_iterations = 500}, {.lambda = 0.5});
     const auto gr = grape_unitary(x_problem(), {.max_iterations = 200});
     EXPECT_LT(kr.final_fid_err, 1e-6);
     EXPECT_LT(gr.final_fid_err, 1e-8);

@@ -29,17 +29,15 @@ PulseOptimSpec x_spec() {
 
 TEST(PulseOptim, ClosedSystemXGate) {
     const auto res = pulse_optim(x_spec());
-    EXPECT_FALSE(res.open_system);
     EXPECT_LT(res.final_fid_err, 1e-8);
     EXPECT_EQ(res.final_amps.size(), 16u);
-    EXPECT_NEAR(res.dt, 5.0 / 16.0, 1e-14);
+    EXPECT_EQ(res.final_evolution.rows(), 2u);  // the achieved unitary
 }
 
 TEST(PulseOptim, OpenSystemWithCollapseOps) {
     PulseOptimSpec s = x_spec();
     s.collapse_ops = {std::sqrt(1e-4) * sigma_minus()};
     const auto res = pulse_optim(s);
-    EXPECT_TRUE(res.open_system);
     EXPECT_LT(res.final_fid_err, 1e-3);
     // Final evolution is a superoperator (4x4 for a qubit).
     EXPECT_EQ(res.final_evolution.rows(), 4u);
@@ -139,9 +137,7 @@ TEST(Crab, DirectCallOnGrapeProblem) {
     p.n_timeslots = 16;
     p.evo_time = 3.0;
     p.initial_amps.assign(16, {0.4});
-    CrabOptions opts;
-    opts.max_evaluations = 3000;
-    const auto res = crab_optimize(p, opts);
+    const auto res = crab_optimize(p, {.max_evaluations = 3000});
     EXPECT_LE(res.final_fid_err, res.initial_fid_err);
     EXPECT_EQ(res.final_amps.size(), 16u);
 }

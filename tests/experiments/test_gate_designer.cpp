@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "device/calibration.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
@@ -106,6 +108,14 @@ TEST_F(DesignerTest, CxChannelFaithful) {
     const double f = quantum::average_gate_fidelity_superop(g::cx(), sup);
     // Drive-amplitude noise (unknown to the design model) costs ~1e-2.
     EXPECT_GT(f, 0.94);
+}
+
+TEST_F(DesignerTest, CxChannelFaithfulRejectsGoat) {
+    // The channel-faithful CX caps D1 tighter than U0; GOAT's single
+    // symmetric squash cannot hold per-control bounds, so it refuses.
+    CxDesignSpec spec;
+    spec.method = control::OptimMethod::kGoat;
+    EXPECT_THROW(design_cx_gate(nominal(), spec), std::invalid_argument);
 }
 
 TEST_F(DesignerTest, CxIdealizedControlsConvergeBetterOnModel) {

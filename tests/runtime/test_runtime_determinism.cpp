@@ -8,8 +8,9 @@
 ///     every task, so trace parent links survive task boundaries (including
 ///     nested submits and parallel_for bodies).
 ///  3. Full solver runs through the optim registry (many chained pooled
-///     evaluations, line searches, iLQR rollouts) stay bitwise identical at
-///     pool size 1 vs N -- the end-to-end version of contract 1.
+///     evaluations, line searches, iLQR rollouts) and every `pulse_optim`
+///     method stay bitwise identical at pool size 1 vs N -- the end-to-end
+///     version of contract 1.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "control/ilqr.hpp"
+#include "control/pulseoptim.hpp"
 #include "obs/obs.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -103,26 +105,10 @@ std::vector<double> flat_amps(const control::GrapeResult& r) {
     return out;
 }
 
-TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
-    // Every registered gradient solver plus iLQR, end to end: the final
-    // iterate, objective and budget bookkeeping must not depend on the
-    // pool size by a single ULP.
-    const control::GrapeProblem p = solver_problem();
-    const control::ControlProblem cp(p, /*open_system=*/false);
-
-    auto run_all = [&cp] {
-        std::vector<std::vector<double>> outs;
-        for (const char* name : {"lbfgsb", "cg_descent", "gradient_descent"}) {
-            optim::SolverOptions opts;
-            opts.max_iterations = 10;
-            outs.push_back(flat_amps(control::grape_solve(cp, name, opts)));
-        }
-        control::IlqrOptions iopts;
-        iopts.max_iterations = 8;
-        outs.push_back(flat_amps(control::ilqr_optimize(cp, iopts)));
-        return outs;
-    };
-
+/// Runs `run_all` (one output vector per solver) at pool size 1, then 2 and
+/// 4, and requires every output to match the serial run bit for bit.
+template <class RunAll>
+void expect_bitwise_across_pool_sizes(const RunAll& run_all) {
     ScopedPoolSize serial(1);
     const auto ref = run_all();
     for (std::size_t n : {std::size_t{2}, std::size_t{4}}) {
@@ -136,6 +122,49 @@ TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
             }
         }
     }
+}
+
+TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
+    // Every registered gradient solver plus iLQR, end to end: the final
+    // iterate, objective and budget bookkeeping must not depend on the
+    // pool size by a single ULP.
+    const control::GrapeProblem p = solver_problem();
+    const control::ControlProblem cp(p, /*open_system=*/false);
+
+    expect_bitwise_across_pool_sizes([&cp] {
+        std::vector<std::vector<double>> outs;
+        for (const char* name : {"lbfgsb", "cg_descent", "gradient_descent"}) {
+            optim::SolverOptions opts;
+            opts.max_iterations = 10;
+            outs.push_back(flat_amps(control::grape_solve(cp, name, opts)));
+        }
+        outs.push_back(flat_amps(control::ilqr_optimize(cp, {.max_iterations = 8})));
+        return outs;
+    });
+}
+
+TEST(RuntimeDeterminism, PulseOptimEveryMethodBitwiseAcrossPoolSizes) {
+    // Every OptimMethod through the pulse_optim front end, including CRAB's
+    // direct search and GOAT's chained Fourier gradient, which both fan out
+    // over the pool through the shared evaluator.
+    using M = control::OptimMethod;
+    expect_bitwise_across_pool_sizes([] {
+        std::vector<std::vector<double>> outs;
+        for (const M method : {M::kLbfgsB, M::kGradientDescent, M::kCrab, M::kKrotov, M::kGoat,
+                               M::kCgDescent, M::kIlqr}) {
+            control::PulseOptimSpec spec;
+            spec.h_drift = linalg::Mat(2, 2);
+            spec.h_ctrls = {0.5 * quantum::sigma_x(), 0.5 * quantum::sigma_y()};
+            spec.u_target = quantum::gates::x();
+            spec.n_timeslots = 12;
+            spec.evo_time = 4.0;
+            spec.method = method;
+            spec.max_iterations = 8;
+            spec.max_evaluations = 200;
+            outs.push_back(flat_amps(control::pulse_optim(spec)));
+        }
+        return outs;
+    });
 }
 
 TEST(RuntimeDeterminism, SpanParentPropagatesAcrossTaskBoundaries) {
