@@ -5,9 +5,11 @@
 #include <stdexcept>
 
 #include "control/pulse_shapes.hpp"
+#include "obs/obs.hpp"
 #include "optim/levmar.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
+#include "runtime/task_pool.hpp"
 
 namespace qoc::device {
 
@@ -39,8 +41,11 @@ RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
     result.sweep_amps.resize(opts.n_points);
     result.sweep_p1.resize(opts.n_points);
 
+    obs::Span span("executor.rabi_calibrate");
     const Mat rho0 = device.ground_state_1q();
-    for (std::size_t i = 0; i < opts.n_points; ++i) {
+    // Sweep points are independent (each has its own shot seed), so they fan
+    // out over the task pool; every body writes only its own slot.
+    runtime::TaskPool::global().parallel_for(0, opts.n_points, [&](std::size_t i) {
         const double amp =
             opts.max_amplitude * static_cast<double>(i + 1) / static_cast<double>(opts.n_points);
         const auto wf = pulse::drag_waveform(opts.pulse_duration_dt, {amp, 0.0}, beta);
@@ -49,7 +54,7 @@ RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
         const Counts c = device.measure_1q(rho, qubit, opts.shots, opts.seed + i);
         result.sweep_amps[i] = amp;
         result.sweep_p1[i] = c.probability("1");
-    }
+    });
 
     // Expected oscillation frequency from the nominal model: rotation angle
     // theta(amp) = amp * Omega_max * gaussian_area, P1 = (1 - cos theta)/2.
@@ -66,11 +71,11 @@ RabiResult rabi_calibrate(const PulseExecutor& device, std::size_t qubit,
     result.fit_frequency = fit.params[1];
     // First maximum of P1: cos(2 pi f a + phi) = -1 -> a = (pi - phi)/(2 pi f).
     result.pi_amplitude = (std::numbers::pi - fit.params[2]) / (kTwoPi * fit.params[1]);
-    // Propagate frequency + phase uncertainty to the amplitude.
+    // Propagate frequency + phase uncertainty to the amplitude (independent
+    // errors add in quadrature).
     const double df = fit.stderrs[1], dphi = fit.stderrs[2];
-    result.fit_stderr = std::abs(result.pi_amplitude) *
-                            std::sqrt(std::pow(df / fit.params[1], 2)) +
-                        dphi / (kTwoPi * fit.params[1]);
+    result.fit_stderr = std::hypot(result.pi_amplitude * df / fit.params[1],
+                                   dphi / (kTwoPi * fit.params[1]));
     if (!(result.pi_amplitude > 0.0) || result.pi_amplitude > 1.0) {
         throw std::runtime_error("rabi_calibrate: calibration failed (pi amplitude " +
                                  std::to_string(result.pi_amplitude) + ")");
@@ -168,16 +173,16 @@ pulse::InstructionScheduleMap build_default_gates(const PulseExecutor& device,
         };
 
         // Calibrate u so the conditional-rotation difference is pi (ZX90).
-        double theta0 = 0.0, theta1 = 0.0;
-        for (int iter = 0; iter < 4; ++iter) {
-            const Mat sup = device.schedule_superop_2q(build_echo(u_amp));
-            theta0 = conditional_angle(sup, 0);
-            theta1 = conditional_angle(sup, 1);
-            double diff = theta0 - theta1;
-            // Unwrap into (0, 2 pi) -- the physical angle grows with u.
-            if (diff < 0.0) diff += 2.0 * std::numbers::pi;
-            if (std::abs(diff) < 1e-12) break;
-            u_amp = std::min(u_amp * std::numbers::pi / diff, 0.95);
+        {
+            obs::Span span("executor.calibrate_cx");
+            for (int iter = 0; iter < 4; ++iter) {
+                const Mat sup = device.schedule_superop_2q(build_echo(u_amp));
+                double diff = conditional_angle(sup, 0) - conditional_angle(sup, 1);
+                // Unwrap into (0, 2 pi) -- the physical angle grows with u.
+                if (diff < 0.0) diff += 2.0 * std::numbers::pi;
+                if (std::abs(diff) < 1e-12) break;
+                u_amp = std::min(u_amp * std::numbers::pi / diff, 0.95);
+            }
         }
 
         pulse::Schedule cx("cx_default_echo_cr");

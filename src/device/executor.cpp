@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <map>
 #include <numbers>
 #include <random>
 #include <stdexcept>
@@ -14,7 +15,8 @@
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
-#include "util/fnv1a.hpp"
+#include "runtime/task_pool.hpp"
+#include "runtime/workspace_pool.hpp"
 
 namespace qoc::device {
 
@@ -29,22 +31,50 @@ double dephasing_rate(double t1, double t2) {
     return std::max(0.0, 1.0 / t2 - 0.5 / t1);
 }
 
-/// Tag distinguishing two-qubit keys from per-qubit 1q keys in the shared
-/// propagator cache (1q keys use the qubit index itself).
-constexpr std::uint64_t kKey2q = ~std::uint64_t{0};
-
-/// Entry cap for the propagator cache.  Real schedules carry at most a few
-/// hundred distinct amplitudes; the cap only guards pathological waveforms
-/// (past it, propagators are computed but not published, so references
-/// already handed out stay valid).
-constexpr std::size_t kPropCacheMax = 8192;
-
 std::uint64_t sample_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-}  // namespace
 
-std::size_t PulseExecutor::PropKeyHash::operator()(const PropKey& k) const {
-    return static_cast<std::size_t>(util::fnv1a_words(k.w.data(), k.w.size()));
+/// Superoperator of a stream of `n` steps of K simultaneous drive samples
+/// (`at(k)` returns step k's samples).  Each distinct sample tuple -- keyed
+/// on its exact bit patterns, so repeats anywhere in the stream, such as the
+/// two X pulses of a CR echo, count once -- gets its propagator from
+/// `propagator(tuple, out, ws)`; the distinct tuples fan out over the task
+/// pool with leased workspaces.  The propagators are then multiplied
+/// serially in stream order.  Neither the expm inputs nor the product order
+/// depend on the pool size, so the result is bitwise identical at any size.
+template <std::size_t K, class At, class Propagator>
+Mat compose_sample_stream(std::size_t n, std::size_t dim, At&& at, Propagator&& propagator) {
+    using Tuple = std::array<cplx, K>;
+    std::map<std::array<std::uint64_t, 2 * K>, std::size_t> slot_of;
+    std::vector<Tuple> distinct;
+    std::vector<std::size_t> slot(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const Tuple s = at(k);
+        std::array<std::uint64_t, 2 * K> key{};
+        for (std::size_t c = 0; c < K; ++c) {
+            key[2 * c] = sample_bits(s[c].real());
+            key[2 * c + 1] = sample_bits(s[c].imag());
+        }
+        const auto [it, fresh] = slot_of.try_emplace(key, distinct.size());
+        if (fresh) distinct.push_back(s);
+        slot[k] = it->second;
+    }
+
+    std::vector<Mat> props(distinct.size());
+    runtime::WorkspacePool<linalg::ExpmWorkspace> workspaces;
+    runtime::TaskPool::global().parallel_for(0, distinct.size(), [&](std::size_t i) {
+        const auto ws = workspaces.acquire();
+        propagator(distinct[i], props[i], *ws);
+    });
+
+    Mat total = Mat::identity(dim);
+    Mat tmp;
+    for (const std::size_t s : slot) {
+        linalg::gemm_into(props[s], total, tmp);
+        std::swap(total, tmp);
+    }
+    return total;
 }
+}  // namespace
 
 double Counts::probability(const std::string& bitstring) const {
     const auto it = histogram.find(bitstring);
@@ -109,48 +139,21 @@ Mat PulseExecutor::lindblad_generator_1q(std::complex<double> sample, std::size_
     return quantum::liouvillian(h, collapse);
 }
 
-const Mat& PulseExecutor::sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                               Mat& scratch, linalg::ExpmWorkspace& ws) const {
-    const PropKey key{{static_cast<std::uint64_t>(qubit), sample_bits(sample.real()),
-                       sample_bits(sample.imag()), 0, 0, 0, 0}};
-    {
-        std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-        const auto it = prop_cache_.find(key);
-        if (it != prop_cache_.end()) {
-            obs::count(obs::Cnt::kPropCacheHits);
-            return it->second;
-        }
-    }
-    obs::count(obs::Cnt::kPropCacheMisses);
-    // Liouvillian: non-Hermitian, pin Pade.  Computed outside the lock; two
-    // threads racing on the same key produce bitwise-identical matrices, so
-    // whichever insert wins is indistinguishable.
-    linalg::expm_into(config_.dt * lindblad_generator_1q(sample, qubit), scratch, ws,
+void PulseExecutor::sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
+                                         Mat& out, linalg::ExpmWorkspace& ws) const {
+    // Liouvillian: non-Hermitian, pin Pade.
+    linalg::expm_into(config_.dt * lindblad_generator_1q(sample, qubit), out, ws,
                       linalg::ExpmMethod::kPade);
-    std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-    if (prop_cache_.size() >= kPropCacheMax) return scratch;
-    const Mat& inserted = prop_cache_.try_emplace(key, scratch).first->second;
-    obs::set_gauge("executor.prop_cache.entries", static_cast<double>(prop_cache_.size()));
-    return inserted;
 }
 
 Mat PulseExecutor::waveform_superop_1q(const std::vector<std::complex<double>>& samples,
                                        std::size_t qubit) const {
-    const std::size_t d2 = config_.levels * config_.levels;
-    Mat total = Mat::identity(d2);
-    Mat scratch, tmp;
-    linalg::ExpmWorkspace ws;
-    const Mat* prop = nullptr;
-    std::complex<double> cached_sample{1e300, 1e300};  // sentinel: no cache yet
-    for (const auto& s : samples) {
-        if (prop == nullptr || s != cached_sample) {
-            prop = &sample_propagator_1q(s, qubit, scratch, ws);
-            cached_sample = s;
-        }
-        linalg::gemm_into(*prop, total, tmp);
-        std::swap(total, tmp);
-    }
-    return total;
+    return compose_sample_stream<1>(
+        samples.size(), config_.levels * config_.levels,
+        [&](std::size_t k) { return std::array<cplx, 1>{samples[k]}; },
+        [&](const std::array<cplx, 1>& s, Mat& out, linalg::ExpmWorkspace& ws) {
+            sample_propagator_1q(s[0], qubit, out, ws);
+        });
 }
 
 namespace {
@@ -236,52 +239,27 @@ Mat PulseExecutor::lindblad_generator_2q(std::complex<double> d0, std::complex<d
     return quantum::liouvillian(h, collapse);
 }
 
-const Mat& PulseExecutor::sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                                               std::complex<double> u0, Mat& scratch,
-                                               linalg::ExpmWorkspace& ws) const {
-    const PropKey key{{kKey2q, sample_bits(d0.real()), sample_bits(d0.imag()),
-                       sample_bits(d1.real()), sample_bits(d1.imag()), sample_bits(u0.real()),
-                       sample_bits(u0.imag())}};
-    {
-        std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-        const auto it = prop_cache_.find(key);
-        if (it != prop_cache_.end()) {
-            obs::count(obs::Cnt::kPropCacheHits);
-            return it->second;
-        }
-    }
-    obs::count(obs::Cnt::kPropCacheMisses);
-    linalg::expm_into(config_.dt * lindblad_generator_2q(d0, d1, u0), scratch, ws,
+void PulseExecutor::sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
+                                         std::complex<double> u0, Mat& out,
+                                         linalg::ExpmWorkspace& ws) const {
+    linalg::expm_into(config_.dt * lindblad_generator_2q(d0, d1, u0), out, ws,
                       linalg::ExpmMethod::kPade);
-    std::lock_guard<std::mutex> lock(prop_cache_mutex_);
-    if (prop_cache_.size() >= kPropCacheMax) return scratch;
-    const Mat& inserted = prop_cache_.try_emplace(key, scratch).first->second;
-    obs::set_gauge("executor.prop_cache.entries", static_cast<double>(prop_cache_.size()));
-    return inserted;
 }
 
 Mat PulseExecutor::layer_superop_2q(const std::vector<std::complex<double>>& d0,
                                     const std::vector<std::complex<double>>& d1,
                                     const std::vector<std::complex<double>>& u0) const {
-    const std::size_t n = std::max({d0.size(), d1.size(), u0.size()});
-    Mat total = Mat::identity(16);
-    Mat scratch, tmp;
-    linalg::ExpmWorkspace ws;
-    const Mat* prop = nullptr;
-    std::array<std::complex<double>, 3> cached_key{{{1e300, 0}, {0, 0}, {0, 0}}};
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::complex<double> s0 = k < d0.size() ? d0[k] : std::complex<double>{};
-        const std::complex<double> s1 = k < d1.size() ? d1[k] : std::complex<double>{};
-        const std::complex<double> su = k < u0.size() ? u0[k] : std::complex<double>{};
-        const std::array<std::complex<double>, 3> key{{s0, s1, su}};
-        if (prop == nullptr || key != cached_key) {
-            prop = &sample_propagator_2q(s0, s1, su, scratch, ws);
-            cached_key = key;
-        }
-        linalg::gemm_into(*prop, total, tmp);
-        std::swap(total, tmp);
-    }
-    return total;
+    const auto padded = [](const std::vector<cplx>& v, std::size_t k) {
+        return k < v.size() ? v[k] : cplx{};
+    };
+    return compose_sample_stream<3>(
+        std::max({d0.size(), d1.size(), u0.size()}), 16,
+        [&](std::size_t k) {
+            return std::array<cplx, 3>{padded(d0, k), padded(d1, k), padded(u0, k)};
+        },
+        [&](const std::array<cplx, 3>& s, Mat& out, linalg::ExpmWorkspace& ws) {
+            sample_propagator_2q(s[0], s[1], s[2], out, ws);
+        });
 }
 
 Mat PulseExecutor::schedule_superop_2q(const pulse::Schedule& sched) const {

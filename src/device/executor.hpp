@@ -19,9 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "device/backend_config.hpp"
@@ -50,7 +48,9 @@ public:
     const BackendConfig& config() const { return config_; }
 
     /// Superoperator (dim^2 x dim^2, dim = config.levels) of a complex
-    /// sample stream played on `qubit`'s drive channel.
+    /// sample stream played on `qubit`'s drive channel.  The propagators of
+    /// the distinct samples are computed on the task pool; the result is
+    /// bitwise the same at any pool size.
     Mat waveform_superop_1q(const std::vector<std::complex<double>>& samples,
                             std::size_t qubit) const;
 
@@ -67,6 +67,7 @@ public:
 
     /// Two-qubit (2x2 levels) superoperator of simultaneous sample streams
     /// on D0, D1 and U0.  Streams are zero-padded to a common length.
+    /// Parallel and pool-size independent like `waveform_superop_1q`.
     Mat layer_superop_2q(const std::vector<std::complex<double>>& d0,
                          const std::vector<std::complex<double>>& d1,
                          const std::vector<std::complex<double>>& u0) const;
@@ -109,38 +110,18 @@ private:
     Mat lindblad_generator_2q(std::complex<double> d0, std::complex<double> d1,
                               std::complex<double> u0) const;
 
-    /// Cache key for an amplitude -> single-sample propagator entry: a tag
-    /// (1q qubit index, or kKey2q) plus the raw bit patterns of the drive
-    /// samples.  Exact bit equality keeps cached propagators bitwise
-    /// identical to recomputation.
-    struct PropKey {
-        std::array<std::uint64_t, 7> w;
-        bool operator==(const PropKey& o) const { return w == o.w; }
-    };
-    struct PropKeyHash {
-        std::size_t operator()(const PropKey& k) const;
-    };
-
-    /// Returns the single-dt propagator for `sample` on `qubit`, from the
-    /// shared cache when present; otherwise computes it into `scratch` and
-    /// publishes it.  The returned reference stays valid for the lifetime of
-    /// the executor (entries are never erased).
-    const Mat& sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                    Mat& scratch, linalg::ExpmWorkspace& ws) const;
+    /// exp(dt L) of one drive sample on `qubit`, written into `out`.
+    void sample_propagator_1q(std::complex<double> sample, std::size_t qubit, Mat& out,
+                              linalg::ExpmWorkspace& ws) const;
     /// Two-qubit analogue for a (d0, d1, u0) sample triple.
-    const Mat& sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                                    std::complex<double> u0, Mat& scratch,
-                                    linalg::ExpmWorkspace& ws) const;
+    void sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
+                              std::complex<double> u0, Mat& out,
+                              linalg::ExpmWorkspace& ws) const;
 
     Counts measure_2q_populations(const std::array<double, 4>& true_p, int shots,
                                   std::uint64_t seed) const;
 
     BackendConfig config_;
-    // Amplitude -> propagator cache shared across schedule builds: x/sx/cx
-    // schedules replay the same flat-top and Gaussian sample values, so the
-    // per-sample expm is paid once per distinct amplitude per executor.
-    mutable std::unordered_map<PropKey, Mat, PropKeyHash> prop_cache_;
-    mutable std::mutex prop_cache_mutex_;
     // Cached operator blocks (built once per executor).
     Mat h_drift_1q_base_;       // anharmonic part without detuning (per qubit added later)
     Mat drive_op_a_;            // annihilation (levels)

@@ -124,10 +124,6 @@ void print_metrics_summary() {
     };
 
     std::cout << "\n== obs metrics summary ==\n";
-    const std::uint64_t pc_h = v(Cnt::kPropCacheHits), pc_m = v(Cnt::kPropCacheMisses);
-    std::printf("   prop cache     : %llu hits / %llu misses  (%.1f%% hit rate)\n",
-                static_cast<unsigned long long>(pc_h),
-                static_cast<unsigned long long>(pc_m), rate(pc_h, pc_m));
     const std::uint64_t cm_h = v(Cnt::kCliffMemoHits), cm_m = v(Cnt::kCliffMemoMisses);
     std::printf("   clifford memo  : %llu hits / %llu misses  (%.1f%% hit rate)\n",
                 static_cast<unsigned long long>(cm_h),

@@ -76,8 +76,6 @@ void print_double(std::FILE* f, double v) { std::fprintf(f, "%.17g", v); }
 constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "linalg.gemm.calls",
     "linalg.lu.factorizations",
-    "executor.prop_cache.hits",
-    "executor.prop_cache.misses",
     "rb.clifford_memo.hits",
     "rb.clifford_memo.misses",
     "quantum.superop.applies",

@@ -74,8 +74,6 @@ inline bool telemetry_enabled() noexcept {
 enum class Cnt : unsigned {
     kGemmCalls,         ///< dense complex matrix-matrix products
     kLuFactorizations,  ///< LU factorizations (expm denominators, solves)
-    kPropCacheHits,     ///< executor amplitude->propagator cache hits
-    kPropCacheMisses,   ///< executor amplitude->propagator cache misses
     kCliffMemoHits,     ///< 2Q Clifford superop memo hits
     kCliffMemoMisses,   ///< 2Q Clifford superop memo misses (compositions)
     kSuperopApplies,    ///< vec(rho) matvec propagation steps (dense kernel)
@@ -112,7 +110,7 @@ inline void count(Cnt c, std::uint64_t n = 1) noexcept {
 /// Total over all threads (0 when metrics were never enabled).
 std::uint64_t counter_value(Cnt c) noexcept;
 
-/// Dotted metric name of a counter (e.g. "executor.prop_cache.hits").
+/// Dotted metric name of a counter (e.g. "linalg.gemm.calls").
 const char* counter_name(Cnt c) noexcept;
 
 /// Sets a named gauge (cold paths only: takes a mutex).

@@ -1,10 +1,9 @@
 /// \file fnv1a.hpp
 /// \brief `qoc::util` -- the one FNV-1a implementation of the tree.
 ///
-/// Three subsystems independently grew byte-wise FNV-1a loops (the 1Q
-/// Clifford canonical-phase inverse lookup, the executor's amplitude ->
-/// propagator cache key, and the service pulse-store key).  They are
-/// consolidated here so the constants, byte order and word framing can never
+/// Subsystems that once grew their own byte-wise FNV-1a loops (the 1Q
+/// Clifford canonical-phase inverse lookup and the service pulse-store key)
+/// share this one, so the constants, byte order and word framing can never
 /// drift apart: every digest in the tree that feeds a persisted artifact
 /// (the pulse store's JSONL) or a cross-run cache key hashes bytes in
 /// little-endian word order through this exact loop.
@@ -44,7 +43,7 @@ public:
     constexpr Fnv1a& i64(std::int64_t w) noexcept { return u64(static_cast<std::uint64_t>(w)); }
 
     /// Absorbs the exact bit pattern of a double (bitwise-equal inputs, and
-    /// only those, hash equal -- the executor cache's contract).
+    /// only those, hash equal).
     Fnv1a& f64_bits(double v) noexcept { return u64(std::bit_cast<std::uint64_t>(v)); }
 
     constexpr Fnv1a& bytes(std::string_view s) noexcept {

@@ -1,5 +1,5 @@
-/// Property sweeps over the pulse executor: virtual-Z algebra, propagator
-/// caching equivalence, measurement statistics, and schedule edge cases.
+/// Property sweeps over the pulse executor: virtual-Z algebra, split-waveform
+/// composition, measurement statistics, and schedule edge cases.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +42,10 @@ TEST_F(ExecutorProperty, RzSuperopsFormAGroup) {
                     .approx_equal(Mat::identity(9), 1e-12));
 }
 
-TEST_F(ExecutorProperty, WaveformSuperopCachingConsistent) {
-    // A pulse with long constant plateaus exercises the propagator cache;
-    // splitting the same samples into two calls must compose identically.
+TEST_F(ExecutorProperty, WaveformSuperopSplitComposes) {
+    // Long constant plateaus share one propagator per distinct sample within
+    // a call; splitting the same samples into two calls (which shifts which
+    // samples are shared) must compose identically.
     std::vector<std::complex<double>> samples(300, {0.1, 0.02});
     for (std::size_t k = 100; k < 200; ++k) samples[k] = {0.05, 0.0};
     const Mat whole = exec().waveform_superop_1q(samples, 0);

@@ -298,7 +298,7 @@ TEST_F(ObsTest, ServiceRequestRecordGolden) {
 
 TEST_F(ObsTest, CounterNamesAreStable) {
     EXPECT_STREQ(counter_name(Cnt::kGemmCalls), "linalg.gemm.calls");
-    EXPECT_STREQ(counter_name(Cnt::kPropCacheHits), "executor.prop_cache.hits");
+    EXPECT_STREQ(counter_name(Cnt::kLuFactorizations), "linalg.lu.factorizations");
     EXPECT_STREQ(counter_name(Cnt::kCliffMemoMisses), "rb.clifford_memo.misses");
     EXPECT_STREQ(counter_name(Cnt::kExpmSpectral), "linalg.expm.spectral");
 }

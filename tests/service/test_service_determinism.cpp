@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "obs/obs.hpp"
 #include "runtime/task_pool.hpp"
 #include "service/fleet_driver.hpp"
@@ -25,6 +27,13 @@ namespace {
 /// workload with repeats (hits + coalesced misses) and enough headroom in
 /// queue_bound that admission control never sheds -- the precondition of the
 /// payload-determinism contract.
+/// Per-process temp file: these tests also run as `service_determinism_smoke`,
+/// which `ctest -j` may schedule next to the per-test entries, so a fixed
+/// name would let one process read or delete the other's file.
+std::string temp_path(const std::string& name) {
+    return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
 FleetOptions smoke_fleet() {
     FleetOptions o;
     o.n_devices = 1;
@@ -93,7 +102,7 @@ TEST(ServiceDeterminism, ObsOnVsOffIsBitwiseIdentical) {
         plain = run_fleet(opts);
     }
 
-    const std::string metrics_path = testing::TempDir() + "qoc_obs_onoff_metrics.jsonl";
+    const std::string metrics_path = temp_path("qoc_obs_onoff_metrics.jsonl");
     obs::enable_tracing("");  // in-memory span collection
     obs::enable_metrics(metrics_path);
     ASSERT_TRUE(obs::telemetry_enabled());
@@ -143,7 +152,7 @@ TEST(ServiceDeterminism, ReplayReproducesRequestIds) {
     // the same log must produce the identical id set.
     const FleetOptions opts = smoke_fleet();
     const auto ids_of = [&](const std::vector<io::RequestLogRecord>& log) {
-        const std::string path = testing::TempDir() + "qoc_obs_replay_ids.jsonl";
+        const std::string path = temp_path("qoc_obs_replay_ids.jsonl");
         obs::reset_for_testing();
         obs::enable_metrics(path);
         replay_fleet(opts, log);
@@ -177,7 +186,7 @@ TEST(ServiceDeterminism, WarmRestartStoreIsByteStable) {
     FleetOptions opts = smoke_fleet();
     opts.n_days = 1;
     opts.requests_per_day = 6;
-    opts.store_path = testing::TempDir() + "qoc_fleet_store_a.jsonl";
+    opts.store_path = temp_path("qoc_fleet_store_a.jsonl");
 
     FleetResult run;
     {
@@ -189,7 +198,7 @@ TEST(ServiceDeterminism, WarmRestartStoreIsByteStable) {
     // Load the persisted store and save it again: byte-identical files.
     PulseStore restored;
     ASSERT_EQ(restored.load_jsonl(opts.store_path), run.store_size);
-    const std::string path_b = testing::TempDir() + "qoc_fleet_store_b.jsonl";
+    const std::string path_b = temp_path("qoc_fleet_store_b.jsonl");
     restored.save_jsonl(path_b);
     std::ifstream fa(opts.store_path), fb(path_b);
     std::stringstream sa, sb;
