@@ -179,6 +179,44 @@ void BM_GrapeObjectiveOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_GrapeObjectiveOpen)->Arg(16)->Arg(48)->Arg(128);
 
+/// Closed two-qubit CX design shape (`design_cx_gate` on ibmq_montreal,
+/// 800 dt): 4x4 generators, four controls with per-control bounds, kPsu.
+/// The multi-control shape where one adjoint direction per slot replaces
+/// one Frechet derivative per control.
+void BM_GrapeObjectiveCx(benchmark::State& state) {
+    using quantum::op_on_qubit;
+    const device::BackendConfig dev = device::ibmq_montreal();
+    const auto& cr = dev.cr;
+    const linalg::Mat n_op{{0.0, 0.0}, {0.0, 1.0}};
+    const linalg::Mat zx = op_on_qubit(quantum::sigma_z(), 0, 2) *
+                           op_on_qubit(quantum::sigma_x(), 1, 2);
+    const linalg::Mat zy = op_on_qubit(quantum::sigma_z(), 0, 2) *
+                           op_on_qubit(quantum::sigma_y(), 1, 2);
+    const double w1 = 0.5 * dev.qubit(1).omega_max;
+    control::GrapeProblem prob;
+    prob.system.drift = cr.zz_static * (op_on_qubit(n_op, 0, 2) * op_on_qubit(n_op, 1, 2));
+    prob.system.ctrls = {
+        w1 * op_on_qubit(quantum::sigma_x(), 1, 2),
+        w1 * op_on_qubit(quantum::sigma_y(), 1, 2),
+        0.5 * (cr.zx_rate * zx + cr.ix_rate * op_on_qubit(quantum::sigma_x(), 1, 2) +
+               cr.classical_crosstalk * op_on_qubit(quantum::sigma_x(), 0, 2)),
+        0.5 * (cr.zx_rate * zy + cr.ix_rate * op_on_qubit(quantum::sigma_y(), 1, 2) +
+               cr.classical_crosstalk * op_on_qubit(quantum::sigma_y(), 0, 2)),
+    };
+    prob.target = quantum::gates::cx();
+    prob.amp_lower_per_ctrl = {-0.06, -0.06, -0.7, -0.7};
+    prob.amp_upper_per_ctrl = {0.06, 0.06, 0.7, 0.7};
+    prob.n_timeslots = static_cast<std::size_t>(state.range(0));
+    prob.evo_time = 800.0 * dev.dt;
+    prob.initial_amps.assign(prob.n_timeslots, {0.01, 0.0, 0.3, 0.0});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            control::grape_gradient_descent(prob, {.max_iterations = 1, .step = 0.0}));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GrapeObjectiveCx)->Arg(16)->Arg(48);
+
 // --- structured superoperator apply: dense matvec vs factored/CSR -----------
 //
 // Args are (d, path): Hilbert dimension and 0 = dense d^2 x d^2 matvec

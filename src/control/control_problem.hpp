@@ -5,17 +5,18 @@
 ///
 /// Wraps a `GrapeProblem` (the common PWC problem statement) and exposes the
 /// primitives an optimizer needs: slot exponents, final evolution, fidelity
-/// error, and the exact objective gradient via shared-intermediate Frechet
-/// derivatives.  Validation, subspace/state-transfer overlap handling and
-/// the fidelity formulas live HERE once, instead of being re-derived per
-/// front end.
+/// error, and the exact objective gradient via one adjoint-direction
+/// Frechet derivative per timeslot.  Validation, subspace/state-transfer
+/// overlap handling and the fidelity formulas live HERE once, instead of
+/// being re-derived per front end.
 ///
 /// Parallelism: the per-timeslot propagator/gradient fan-outs run on
-/// `qoc::runtime::TaskPool::global()`, with per-task scratch leased from a
-/// `runtime::WorkspacePool` (replacing the old per-OpenMP-thread scratch
-/// vector).  Every slot writes only its own output matrices and all
-/// reductions are serial, so results are bitwise identical for any pool
-/// size -- the same guarantee the OpenMP implementation made.
+/// `qoc::runtime::TaskPool::global()`.  Each slot's expm factors live in
+/// that slot's own workspace (they must survive from the propagator pass to
+/// the gradient pass); per-task temporaries are leased from a
+/// `runtime::WorkspacePool`.  Every slot writes only its own output
+/// matrices and all reductions are serial, so results are bitwise
+/// identical for any pool size.
 
 #pragma once
 
@@ -85,8 +86,9 @@ public:
 
     /// iLQR linearization seam: one slot's propagator P = expm(A(u)) and its
     /// control derivatives dP_j = L(A, scale*H_j) from a single
-    /// shared-intermediate Frechet call (the same engine `objective` uses,
-    /// so the linearization matches the gradient arithmetic bit-for-bit).
+    /// shared-intermediate Frechet call.  P is bitwise the propagator
+    /// `objective` uses; `objective` takes its gradient from one adjoint
+    /// direction instead, so Tr(R dP_j) matches it only to roundoff.
     /// `dprops` must point at `n_ctrl()` matrices.  Thread-safe: scratch is
     /// leased per call from the workspace pool.
     void slot_propagator_and_derivs(const double* amps, Mat& prop, Mat* dprops) const;
@@ -106,9 +108,9 @@ public:
     double objective(const std::vector<double>& x, std::vector<double>& grad) const;
 
 private:
-    /// Per-task scratch: the expm engine workspace plus the slot/gradient
-    /// temporaries.  Shapes stabilize after the first objective call, so
-    /// reuse is allocation-free.
+    /// Per-task scratch: an expm workspace for `evolution` and the iLQR
+    /// seam, plus the slot/gradient temporaries.  Shapes stabilize after
+    /// the first objective call, so reuse is allocation-free.
     struct EvalScratch {
         linalg::ExpmWorkspace ws;
         Mat gen, prop, tmp;
@@ -128,8 +130,8 @@ private:
     // Reusable evaluation workspace (mutable: objective() is logically
     // const; these caches never change observable results).
     mutable runtime::WorkspacePool<EvalScratch> scratch_pool_;
-    mutable std::vector<Mat> props_;   ///< per-slot propagators
-    mutable std::vector<Mat> dprops_;  ///< [slot * n_ctrl + ctrl] Frechet derivatives
+    mutable std::vector<linalg::ExpmWorkspace> slot_ws_;  ///< per-slot expm factors
+    mutable std::vector<Mat> props_;                      ///< per-slot propagators
     mutable std::vector<Mat> fwd_, bwd_;
     mutable Mat c_adj_;
 };

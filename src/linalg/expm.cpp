@@ -128,10 +128,10 @@ void set_scaled(Mat& out, const Mat& x, double c) {
     out *= c;
 }
 
-/// Shared-Pade multi-direction Frechet core (see expm.hpp).  With
-/// `n_dirs == 0` this is a plain workspace expm.
-void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                        Mat* frechet_out, ExpmWorkspace& ws) {
+/// Shared-Pade factorization (see expm.hpp): the scaled generator, its even
+/// powers, the factored polynomials, one LU of V - U and the squaring
+/// ladder r^(2^j), all kept in `ws` for `pade_direction`.
+void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -142,11 +142,13 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         case 9: obs::count(obs::Cnt::kExpmPade9); break;
         default: obs::count(obs::Cnt::kExpmPade13); break;
     }
-    const double sf = std::ldexp(1.0, -s);
+    ws.prepared = ExpmMethod::kPade;
+    ws.order = m;
+    ws.squarings = s;
     const double* b = pade_table(m);
 
     ws.as = a;
-    if (s > 0) ws.as *= sf;
+    if (s > 0) ws.as *= std::ldexp(1.0, -s);
     const Mat& as = ws.as;
 
     // Shared even powers: pows[k] = As^{2k}.  Order 13 needs A^2/A^4/A^6 for
@@ -192,99 +194,110 @@ void pade_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& 
         gemm_into(as, ws.usum, ws.u);
     }
 
-    // r = (V - U)^{-1} (V + U); one LU shared by every direction.
+    // r = (V - U)^{-1} (V + U); one LU shared by every direction.  The
+    // squaring ladder keeps every r^(2^j): each direction's squaring phase
+    // needs all of them.
     ws.t1 = ws.v;
     ws.t1 -= ws.u;
     ws.t2 = ws.v;
     ws.t2 += ws.u;
     ws.fact.factor(ws.t1);
-    ws.fact.solve_into(ws.t2, ws.r);
-
-    // Per-direction derivative polynomials against the shared intermediates.
-    for (std::size_t d = 0; d < n_dirs; ++d) {
-        ws.es = dirs[d];
-        if (s > 0) ws.es *= sf;
-        const Mat& es = ws.es;
-        // M2 = A E + E A (all in the scaled variables).
-        gemm_into(as, es, ws.m2);
-        gemm_acc(es, as, ws.m2);
-        if (m == 13) {
-            const Mat& a2 = ws.pows[1];
-            const Mat& a4 = ws.pows[2];
-            const Mat& a6 = ws.pows[3];
-            // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
-            gemm_into(a2, ws.m2, ws.m4);
-            gemm_acc(ws.m2, a2, ws.m4);
-            gemm_into(ws.m4, a2, ws.m6);
-            gemm_acc(a4, ws.m2, ws.m6);
-            // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
-            //         + b7 M6 + b5 M4 + b3 M2) + E*w
-            set_scaled(ws.lw1, ws.m6, b[13]);
-            add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
-            add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
-            gemm_into(ws.m6, ws.w1, ws.lw);
-            gemm_acc(a6, ws.lw1, ws.lw);
-            add_scaled(ws.lw, cplx{b[7]}, ws.m6);
-            add_scaled(ws.lw, cplx{b[5]}, ws.m4);
-            add_scaled(ws.lw, cplx{b[3]}, ws.m2);
-            gemm_into(as, ws.lw, ws.lu_m);
-            gemm_acc(es, ws.w, ws.lu_m);
-            // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
-            set_scaled(ws.lw1, ws.m6, b[12]);
-            add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
-            add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
-            gemm_into(ws.m6, ws.z1, ws.lv_m);
-            gemm_acc(a6, ws.lw1, ws.lv_m);
-            add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
-            add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
-            add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
-        } else {
-            // M_{2k} = M_{2(k-1)} A2 + A^{2(k-1)} M2, accumulated into the
-            // odd/even derivative sums.
-            ws.lusum.resize(n, n);
-            ws.lv_m.resize(n, n);
-            for (std::size_t k = 1; k <= kmax; ++k) {
-                if (k == 1) {
-                    ws.mcur = ws.m2;
-                } else {
-                    gemm_into(ws.mprev, ws.pows[1], ws.mcur);
-                    gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
-                }
-                add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
-                add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
-                std::swap(ws.mprev, ws.mcur);
-            }
-            // Lu = E * usum + A * lusum.
-            gemm_into(es, ws.usum, ws.lu_m);
-            gemm_acc(as, ws.lusum, ws.lu_m);
-        }
-        // (V - U) L = Lu + Lv - (Lv - Lu) r, reusing the shared LU.
-        ws.t2 = ws.lv_m;
-        ws.t2 -= ws.lu_m;
-        ws.rhs = ws.lu_m;
-        ws.rhs += ws.lv_m;
-        gemm_into(ws.t2, ws.r, ws.t1);
-        ws.rhs -= ws.t1;
-        ws.fact.solve_into(ws.rhs, frechet_out[d]);
+    const auto rungs = static_cast<std::size_t>(s) + 1;
+    if (ws.ladder.size() < rungs) ws.ladder.resize(rungs);
+    ws.fact.solve_into(ws.t2, ws.ladder[0]);
+    for (std::size_t j = 1; j < rungs; ++j) {
+        gemm_into(ws.ladder[j - 1], ws.ladder[j - 1], ws.ladder[j]);
     }
-
-    // Squaring phase: L <- rL + Lr for every direction, then r <- r^2.
-    for (int step = 0; step < s; ++step) {
-        for (std::size_t d = 0; d < n_dirs; ++d) {
-            gemm_into(ws.r, frechet_out[d], ws.t1);
-            gemm_acc(frechet_out[d], ws.r, ws.t1);
-            std::swap(frechet_out[d], ws.t1);
-        }
-        gemm_into(ws.r, ws.r, ws.t1);
-        std::swap(ws.r, ws.t1);
-    }
-    exp_out = ws.r;
+    exp_out = ws.ladder[rungs - 1];
 }
 
-/// Daleckii-Krein spectral path for anti-Hermitian A = -iS (see expm.hpp).
-void spectral_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                            Mat* frechet_out, ExpmWorkspace& ws) {
+/// One derivative L(A, E) against the factors `pade_prepare` kept.
+void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
+    const std::size_t n = ws.as.rows();
+    const int m = ws.order;
+    const int s = ws.squarings;
+    const double* b = pade_table(m);
+    const std::size_t kmax = (m == 13) ? 3 : static_cast<std::size_t>(m - 1) / 2;
+    const Mat& as = ws.as;
+
+    ws.es = e;
+    if (s > 0) ws.es *= std::ldexp(1.0, -s);
+    const Mat& es = ws.es;
+    // M2 = A E + E A (all in the scaled variables).
+    gemm_into(as, es, ws.m2);
+    gemm_acc(es, as, ws.m2);
+    if (m == 13) {
+        const Mat& a2 = ws.pows[1];
+        const Mat& a4 = ws.pows[2];
+        const Mat& a6 = ws.pows[3];
+        // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
+        gemm_into(a2, ws.m2, ws.m4);
+        gemm_acc(ws.m2, a2, ws.m4);
+        gemm_into(ws.m4, a2, ws.m6);
+        gemm_acc(a4, ws.m2, ws.m6);
+        // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
+        //         + b7 M6 + b5 M4 + b3 M2) + E*w
+        set_scaled(ws.lw1, ws.m6, b[13]);
+        add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
+        add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
+        gemm_into(ws.m6, ws.w1, ws.lw);
+        gemm_acc(a6, ws.lw1, ws.lw);
+        add_scaled(ws.lw, cplx{b[7]}, ws.m6);
+        add_scaled(ws.lw, cplx{b[5]}, ws.m4);
+        add_scaled(ws.lw, cplx{b[3]}, ws.m2);
+        gemm_into(as, ws.lw, ws.lu_m);
+        gemm_acc(es, ws.w, ws.lu_m);
+        // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
+        set_scaled(ws.lw1, ws.m6, b[12]);
+        add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
+        add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
+        gemm_into(ws.m6, ws.z1, ws.lv_m);
+        gemm_acc(a6, ws.lw1, ws.lv_m);
+        add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
+        add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
+        add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
+    } else {
+        // M_{2k} = M_{2(k-1)} A2 + A^{2(k-1)} M2, accumulated into the
+        // odd/even derivative sums.
+        ws.lusum.resize(n, n);
+        ws.lv_m.resize(n, n);
+        for (std::size_t k = 1; k <= kmax; ++k) {
+            if (k == 1) {
+                ws.mcur = ws.m2;
+            } else {
+                gemm_into(ws.mprev, ws.pows[1], ws.mcur);
+                gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
+            }
+            add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
+            add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
+            std::swap(ws.mprev, ws.mcur);
+        }
+        // Lu = E * usum + A * lusum.
+        gemm_into(es, ws.usum, ws.lu_m);
+        gemm_acc(as, ws.lusum, ws.lu_m);
+    }
+    // (V - U) L = Lu + Lv - (Lv - Lu) r, reusing the shared LU.
+    ws.t2 = ws.lv_m;
+    ws.t2 -= ws.lu_m;
+    ws.rhs = ws.lu_m;
+    ws.rhs += ws.lv_m;
+    gemm_into(ws.t2, ws.ladder[0], ws.t1);
+    ws.rhs -= ws.t1;
+    ws.fact.solve_into(ws.rhs, out);
+
+    // Squaring phase: L <- r L + L r with r = r^(2^j) at step j.
+    for (std::size_t j = 0; j < static_cast<std::size_t>(s); ++j) {
+        gemm_into(ws.ladder[j], out, ws.t1);
+        gemm_acc(out, ws.ladder[j], ws.t1);
+        std::swap(out, ws.t1);
+    }
+}
+
+/// Daleckii-Krein spectral factorization for anti-Hermitian A = -iS (see
+/// expm.hpp): keeps the eigenvectors, eigenvalues and phases e^{-i lam}.
+void spectral_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
     obs::count(obs::Cnt::kExpmSpectral);
+    ws.prepared = ExpmMethod::kSpectral;
     const std::size_t n = a.rows();
     ws.t1 = a;
     ws.t1 *= kI;  // S = iA, Hermitian
@@ -303,27 +316,31 @@ void spectral_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, M
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j) ws.t2(i, j) = vec(i, j) * ws.phases[j];
     gemm_into(ws.t2, ws.vt, exp_out);
+}
 
-    for (std::size_t d = 0; d < n_dirs; ++d) {
-        // G = V^dag E V, then the divided-difference Hadamard product
-        // Phi_kl = e^{-i (lam_k + lam_l)/2} sinc((lam_k - lam_l)/2).
-        gemm_into(ws.vt, dirs[d], ws.t1);
-        gemm_into(ws.t1, vec, ws.g);
-        for (std::size_t k = 0; k < n; ++k) {
-            for (std::size_t l = 0; l < n; ++l) {
-                const double half_diff = 0.5 * (lam[k] - lam[l]);
-                const double mid = 0.5 * (lam[k] + lam[l]);
-                // sin(x)/x is cancellation-free; the series guard only
-                // covers the exact-degeneracy limit.
-                const double sinc = (std::abs(half_diff) < 1e-9)
-                                        ? 1.0 - half_diff * half_diff / 6.0
-                                        : std::sin(half_diff) / half_diff;
-                ws.g(k, l) *= cplx{std::cos(mid), -std::sin(mid)} * sinc;
-            }
+/// One derivative L(A, E) against the eigenbasis `spectral_prepare` kept.
+void spectral_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
+    const std::size_t n = ws.evec.rows();
+    const Mat& vec = ws.evec;
+    const std::vector<double>& lam = ws.evals;
+    // G = V^dag E V, then the divided-difference Hadamard product
+    // Phi_kl = e^{-i (lam_k + lam_l)/2} sinc((lam_k - lam_l)/2).
+    gemm_into(ws.vt, e, ws.t1);
+    gemm_into(ws.t1, vec, ws.g);
+    for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t l = 0; l < n; ++l) {
+            const double half_diff = 0.5 * (lam[k] - lam[l]);
+            const double mid = 0.5 * (lam[k] + lam[l]);
+            // sin(x)/x is cancellation-free; the series guard only
+            // covers the exact-degeneracy limit.
+            const double sinc = (std::abs(half_diff) < 1e-9)
+                                    ? 1.0 - half_diff * half_diff / 6.0
+                                    : std::sin(half_diff) / half_diff;
+            ws.g(k, l) *= cplx{std::cos(mid), -std::sin(mid)} * sinc;
         }
-        gemm_into(vec, ws.g, ws.t1);
-        gemm_into(ws.t1, ws.vt, frechet_out[d]);
     }
+    gemm_into(vec, ws.g, ws.t1);
+    gemm_into(ws.t1, ws.vt, out);
 }
 
 }  // namespace
@@ -375,24 +392,40 @@ Mat expm_hermitian(const Mat& h, double t) {
     return e.eigenvectors * d * e.eigenvectors.adjoint();
 }
 
-void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                        Mat* frechet_out, ExpmWorkspace& ws, ExpmMethod method) {
-    if (!a.is_square()) throw std::invalid_argument("expm_frechet_multi: non-square matrix");
-    for (std::size_t d = 0; d < n_dirs; ++d) {
-        if (dirs[d].rows() != a.rows() || dirs[d].cols() != a.cols()) {
-            throw std::invalid_argument("expm_frechet_multi: direction shape mismatch");
-        }
-    }
-    assert(n_dirs == 0 || frechet_out != nullptr);
+void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws, ExpmMethod method) {
+    if (!a.is_square()) throw std::invalid_argument("expm_prepare: non-square matrix");
     if (method == ExpmMethod::kAuto) {
         const double tol = 1e-12 * std::max(1.0, a.max_abs());
         method = is_anti_hermitian(a, tol) ? ExpmMethod::kSpectral : ExpmMethod::kPade;
     }
     if (method == ExpmMethod::kSpectral) {
-        spectral_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
+        spectral_prepare(a, exp_out, ws);
     } else {
-        pade_frechet_multi(a, dirs, n_dirs, exp_out, frechet_out, ws);
+        pade_prepare(a, exp_out, ws);
     }
+}
+
+void expm_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
+    if (ws.prepared == ExpmMethod::kAuto) {
+        throw std::logic_error("expm_direction: workspace not prepared");
+    }
+    const std::size_t n =
+        (ws.prepared == ExpmMethod::kSpectral) ? ws.evec.rows() : ws.as.rows();
+    if (e.rows() != n || e.cols() != n) {
+        throw std::invalid_argument("expm_direction: direction shape mismatch");
+    }
+    if (ws.prepared == ExpmMethod::kSpectral) {
+        spectral_direction(ws, e, out);
+    } else {
+        pade_direction(ws, e, out);
+    }
+}
+
+void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
+                        Mat* frechet_out, ExpmWorkspace& ws, ExpmMethod method) {
+    assert(n_dirs == 0 || frechet_out != nullptr);
+    expm_prepare(a, exp_out, ws, method);
+    for (std::size_t d = 0; d < n_dirs; ++d) expm_direction(ws, dirs[d], frechet_out[d]);
 }
 
 std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a, const std::vector<Mat>& dirs,
@@ -405,7 +438,7 @@ std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a, const std::vec
 }
 
 void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws, ExpmMethod method) {
-    expm_frechet_multi(a, nullptr, 0, out, nullptr, ws, method);
+    expm_prepare(a, out, ws, method);
 }
 
 }  // namespace qoc::linalg

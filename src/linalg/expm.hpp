@@ -1,7 +1,7 @@
 /// \file expm.hpp
 /// \brief Matrix exponential (Higham Pade 13 scaling-and-squaring), the Van
-///        Loan augmented-block directional derivative, and the batched
-///        multi-direction Frechet engine used by the GRAPE hot loop.
+///        Loan augmented-block directional derivative, and the factor-once /
+///        derive-per-direction Frechet engine used by the GRAPE hot loop.
 
 #pragma once
 
@@ -44,28 +44,38 @@ enum class ExpmMethod {
                 ///  requires an anti-Hermitian `A = -i S`, S Hermitian
 };
 
-/// Reusable scratch for `expm_into` / `expm_frechet_multi`.  All buffers are
-/// implementation detail: contents are unspecified between calls, and the
-/// only guarantee is that repeated calls at the same matrix size perform no
-/// heap allocation on either path (the spectral path runs the no-alloc
-/// `eig_hermitian_into`).  One workspace must not be shared between
-/// threads; the GRAPE evaluator keeps one per OpenMP thread.
+/// Reusable scratch for `expm_into` / `expm_prepare` / `expm_direction` /
+/// `expm_frechet_multi`.  `expm_prepare` leaves the factors of its A here
+/// (the Pade intermediates and squaring ladder, or the eigenbasis), and
+/// every later `expm_direction` reads them until the next prepare; all
+/// other buffers are scratch whose contents are unspecified between calls.
+/// Repeated calls at the same matrix size perform no heap allocation on
+/// either path (the spectral path runs the no-alloc `eig_hermitian_into`).
+/// One workspace must not be shared between threads.  The GRAPE evaluator
+/// keeps one per timeslot, since each slot's factors must survive from
+/// its prepare to its adjoint direction.
 class ExpmWorkspace {
 public:
     ExpmWorkspace() = default;
 
+    // what the last expm_prepare factored: kPade or kSpectral (kAuto until
+    // the first prepare), and on the Pade path the order m and squarings s
+    ExpmMethod prepared = ExpmMethod::kAuto;
+    int order = 0;
+    int squarings = 0;
     // shared Pade intermediates (one set per A, reused across directions)
-    Mat as;                 ///< scaled generator A / 2^s
-    std::vector<Mat> pows;  ///< pows[k] = (A/2^s)^{2k}, k >= 1
-    Mat usum;               ///< odd-coefficient polynomial (orders 3..9)
-    Mat u, v;               ///< Pade numerator/denominator halves
-    Mat w1, z1, w;          ///< Higham order-13 factored polynomials
-    Mat r;                  ///< Pade approximant, then its repeated squares
-    Lu fact;                ///< LU of (V - U), shared across directions
+    Mat as;                   ///< scaled generator A / 2^s
+    std::vector<Mat> pows;    ///< pows[k] = (A/2^s)^{2k}, k >= 1
+    Mat usum;                 ///< odd-coefficient polynomial (orders 3..9)
+    Mat u, v;                 ///< Pade numerator/denominator halves
+    Mat w1, z1, w;            ///< Higham order-13 factored polynomials
+    Lu fact;                  ///< LU of (V - U), shared across directions
+    std::vector<Mat> ladder;  ///< ladder[j] = r^(2^j), j = 0..s, r the Pade approximant
     // per-direction scratch
     Mat es, m2, m4, m6, mcur, mprev, lw1, lw, lusum, lu_m, lv_m, rhs;
     Mat t1, t2;
-    // spectral-path scratch
+    // spectral-path factors (eigenvectors, their adjoint, eigenvalues,
+    // phases e^{-i lam}) and scratch
     Mat vt, g, evec, ework;
     std::vector<double> evals;
     std::vector<cplx> phases;
@@ -78,21 +88,42 @@ public:
 void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws,
                ExpmMethod method = ExpmMethod::kAuto);
 
-/// Computes `e^A` and the Frechet derivatives `L(A, E_j)` for all `n_dirs`
-/// directions at once.
+/// Factors A once into `ws` and writes `exp_out = e^A`; `expm_direction`
+/// then takes derivatives of this A in any number of directions.
 ///
 /// kPade path: one set of Pade intermediates (A^2, A^4, A^6, the factored
-/// polynomials and one LU of V - U) is built for A and reused for every
-/// direction, Al-Mohy-Higham style; per direction only the derivative
-/// polynomials, one back-substitution and the squaring-phase products
-/// remain.  Cost per direction is ~N^3 gemms instead of the (2N)^3 ~ 8x
-/// augmented-block expm that `expm_frechet` pays.
+/// polynomials, one LU of V - U and the squaring ladder r^(2^j)) is built
+/// for A and reused for every direction, Al-Mohy-Higham style.
 ///
 /// kSpectral path (anti-Hermitian A = -i S): one Jacobi eigendecomposition
-/// of S, then per direction the Daleckii-Krein divided-difference formula
+/// of S; the eigenvectors, eigenvalues and phases stay in `ws`.
+///
+/// `exp_out` must not alias `a`.
+void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws,
+                  ExpmMethod method = ExpmMethod::kAuto);
+
+/// `out = L(A, E)` for the A of the last `expm_prepare` on `ws`, from the
+/// kept factors (which it does not modify).
+///
+/// kPade: the derivative polynomials, one back-substitution against the
+/// shared LU and two products per squaring step -- ~N^3 gemms instead of
+/// the (2N)^3 ~ 8x augmented-block expm that `expm_frechet` pays.
+///
+/// kSpectral: the Daleckii-Krein divided-difference formula
 ///   L(A, E) = V [ (V^dag E V) o Phi ] V^dag,
 ///   Phi_kl = e^{-i(lam_k+lam_l)/2} * sinc((lam_k-lam_l)/2),
-/// i.e. two gemm pairs and a Hadamard product per direction.
+/// i.e. two gemm pairs and a Hadamard product.
+///
+/// Both are the exact derivative of an analytic function of A (the Pade
+/// approximant with its squarings, or the exponential itself), so
+///   Tr(R L(A, E)) = Tr(L(A, R) E)
+/// for any R, E.  GRAPE uses this to get every control's gradient from ONE
+/// direction per slot.  `E` must have the shape of A and not alias `out`.
+void expm_direction(ExpmWorkspace& ws, const Mat& e, Mat& out);
+
+/// Computes `e^A` and the Frechet derivatives `L(A, E_j)` for all `n_dirs`
+/// directions at once: one `expm_prepare`, then one `expm_direction` per
+/// direction.
 ///
 /// `frechet_out` must point at `n_dirs` writable matrices (resized in
 /// place); `exp_out`/`frechet_out` must not alias `a`/`dirs`.  Every

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -241,9 +242,22 @@ void PulseStore::save_jsonl(const std::string& path) const {
               [](const io::PulseStoreRecord& a, const io::PulseStoreRecord& b) {
                   return a.key < b.key;
               });
-    std::ofstream os(path);
-    if (!os) throw std::runtime_error("PulseStore::save_jsonl: cannot open " + path);
-    io::write_pulse_store_jsonl(os, records);
+    // Write a sibling temp file and rename it over the target, so a crash
+    // or a failed write never leaves a torn store: readers see the old
+    // file or the new one, whole.
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream os(tmp);
+        if (!os) throw std::runtime_error("PulseStore::save_jsonl: cannot open " + tmp);
+        io::write_pulse_store_jsonl(os, records);
+        os.close();
+        if (!os) {
+            std::error_code ignored;  // report the write failure, not the cleanup
+            std::filesystem::remove(tmp, ignored);
+            throw std::runtime_error("PulseStore::save_jsonl: write failed on " + tmp);
+        }
+    }
+    std::filesystem::rename(tmp, path);
 }
 
 std::size_t PulseStore::load_jsonl(const std::string& path) {

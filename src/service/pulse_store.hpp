@@ -143,8 +143,10 @@ public:
 
     /// JSONL persistence (bitwise round trip; see the file comment).
     /// `save_jsonl` writes entries sorted by key so the file is
-    /// content-deterministic; `load_jsonl` merges records into the store
-    /// (existing keys are replaced) and returns how many were loaded.
+    /// content-deterministic, into `<path>.tmp` renamed over `path`: a save
+    /// that throws leaves the old file untouched.  `load_jsonl` merges
+    /// records into the store (existing keys are replaced) and returns how
+    /// many were loaded.
     void save_jsonl(const std::string& path) const;
     std::size_t load_jsonl(const std::string& path);
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "contracts/contracts.hpp"
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "optim/cg_descent.hpp"
 #include "device/calibration.hpp"
@@ -131,6 +132,9 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
 TEST_F(AllocGuardTest, RbRunAllocDeterministicAndBudgeted) {
     GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
 }
+TEST_F(AllocGuardTest, OpenEvaluatorObjectiveAllocationFree) {
+    GTEST_SKIP() << "contracts compiled in: invariant checks allocate scratch by design";
+}
 
 #else  // !QOC_CONTRACTS_ENABLED
 
@@ -187,6 +191,41 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
     RecordProperty("worst_steady_iter_allocs", static_cast<int>(worst));
     EXPECT_LE(worst, kGrapeIterAllocBudget)
         << "a steady-state GRAPE iteration gained heap allocations";
+}
+
+TEST_F(AllocGuardTest, OpenEvaluatorObjectiveAllocationFree) {
+    // The open-system evaluator (3-level Lindbladian, kTraceDiff, two
+    // controls): once the first call has sized the per-slot workspaces,
+    // objective + gradient at a fixed shape must allocate NOTHING --
+    // fidelity error included.
+    control::GrapeProblem p;
+    p.system.drift = quantum::liouvillian(
+        quantum::duffing_drift(3, 0.0, -2.0),
+        {0.01 * quantum::annihilation(3), 0.01 * quantum::number_op(3)});
+    p.system.ctrls = {quantum::liouvillian_hamiltonian(0.5 * quantum::drive_x(3)),
+                      quantum::liouvillian_hamiltonian(0.5 * quantum::drive_y(3))};
+    Mat x3(3, 3);  // X on the qubit subspace, identity on leakage
+    x3(0, 1) = 1.0;
+    x3(1, 0) = 1.0;
+    x3(2, 2) = 1.0;
+    p.target = quantum::unitary_superop(x3);
+    p.fidelity = control::FidelityType::kTraceDiff;
+    p.n_timeslots = 12;
+    p.evo_time = 30.0;
+    p.initial_amps.resize(p.n_timeslots);
+    for (std::size_t k = 0; k < p.n_timeslots; ++k) {
+        const double t = static_cast<double>(k) / static_cast<double>(p.n_timeslots);
+        p.initial_amps[k] = {0.3 * t, 0.2 * (1.0 - t)};
+    }
+    const control::ControlProblem cp(p);
+    const std::vector<double> x = cp.flatten(p.initial_amps);
+    std::vector<double> grad;
+    double sink = cp.objective(x, grad);  // warmup: sizes every workspace
+
+    AllocMeter m;
+    for (int i = 0; i < 8; ++i) sink += cp.objective(x, grad);
+    EXPECT_EQ(m.delta(), 0u) << "the open-system evaluator allocates in its hot loop";
+    EXPECT_GT(sink, 0.0);
 }
 
 TEST_F(AllocGuardTest, CgDescentSteadyStateAllocationFree) {

@@ -1,7 +1,8 @@
 /// Multi-direction Frechet engine: shared-Pade and spectral paths checked
 /// against finite differences and against the independent augmented-block
 /// `expm_frechet` across every Pade order (3..13) and the
-/// scaling-and-squaring branch.
+/// scaling-and-squaring branch, plus the prepare/direction split and the
+/// trace-pairing identity the adjoint GRAPE gradient rests on.
 
 #include <gtest/gtest.h>
 
@@ -155,6 +156,125 @@ TEST(ExpmInto, MatchesExpmAndReusesWorkspace) {
     expm_into(a, out, ws);  // kAuto must detect anti-Hermitian
     EXPECT_TRUE(out.is_unitary(1e-11));
     EXPECT_LT(rel_diff(out, expm(a)), 1e-11);
+}
+
+/// Random matrix with a strong strictly-upper part: far from normal, so
+/// L(A, E) and L(A, R) genuinely differ from any commuting shortcut.
+Mat random_non_normal(std::size_t n, unsigned seed) {
+    Mat m = random_matrix(n, seed, 1.0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j) m(i, j) *= 4.0;
+    return m;
+}
+
+/// One norm per Pade band plus Pade 13 with s = 0, 1, 2, 3 squarings.
+struct PadeCase {
+    double norm;
+    int order;
+    int squarings;
+};
+constexpr PadeCase kPadeCases[] = {{0.01, 3, 0}, {0.2, 5, 0},  {0.8, 7, 0},  {1.8, 9, 0},
+                                   {4.5, 13, 0}, {9.0, 13, 1}, {18.0, 13, 2}, {36.0, 13, 3}};
+
+TEST(ExpmPrepareDirection, MatchesAugmentedOnNonNormalAcrossPadeOrders) {
+    for (const PadeCase& c : kPadeCases) {
+        const Mat a = with_norm(random_non_normal(5, 141), c.norm);
+        ExpmWorkspace ws;
+        Mat ea;
+        expm_prepare(a, ea, ws, ExpmMethod::kPade);
+        ASSERT_EQ(ws.order, c.order) << "norm=" << c.norm;
+        ASSERT_EQ(ws.squarings, c.squarings) << "norm=" << c.norm;
+        // Several directions off ONE prepare: a direction must not disturb
+        // the kept factors.
+        for (unsigned j = 0; j < 3; ++j) {
+            const Mat e = random_non_normal(5, 150 + j);
+            Mat l;
+            expm_direction(ws, e, l);
+            const auto [ea_ref, l_ref] = expm_frechet(a, e);
+            EXPECT_LT(rel_diff(ea, ea_ref), 1e-12) << "norm=" << c.norm;
+            EXPECT_LT(rel_diff(l, l_ref), 1e-12) << "norm=" << c.norm << " dir=" << j;
+        }
+    }
+}
+
+TEST(ExpmPrepareDirection, MatchesAugmentedOnSpectralPath) {
+    for (double dt : {0.05, 0.8, 3.0}) {
+        const Mat a = (-kI * dt) * random_hermitian(5, 161, 1.0);
+        ExpmWorkspace ws;
+        Mat ea;
+        expm_prepare(a, ea, ws, ExpmMethod::kSpectral);
+        ASSERT_EQ(ws.prepared, ExpmMethod::kSpectral);
+        for (unsigned j = 0; j < 3; ++j) {
+            // Non-Hermitian directions too: the adjoint direction R is general.
+            const Mat e = random_non_normal(5, 170 + j);
+            Mat l;
+            expm_direction(ws, e, l);
+            const auto [ea_ref, l_ref] = expm_frechet(a, e);
+            EXPECT_LT(rel_diff(ea, ea_ref), 1e-12) << "dt=" << dt;
+            EXPECT_LT(rel_diff(l, l_ref), 1e-12) << "dt=" << dt << " dir=" << j;
+        }
+    }
+}
+
+/// |Tr(R L(A,E)) - Tr(L(A,R) E)| relative to the Cauchy-Schwarz scale of
+/// the two traces.
+double trace_pairing_gap(ExpmWorkspace& ws, const Mat& r, const Mat& e) {
+    Mat l_e, l_r;
+    expm_direction(ws, e, l_e);
+    expm_direction(ws, r, l_r);
+    const cplx lhs = trace_of_product(r, l_e);
+    const cplx rhs = trace_of_product(l_r, e);
+    const double scale = std::max(r.frobenius_norm() * l_e.frobenius_norm(),
+                                  l_r.frobenius_norm() * e.frobenius_norm());
+    return std::abs(lhs - rhs) / scale;
+}
+
+TEST(ExpmPrepareDirection, TracePairingIdentityHolds) {
+    for (const PadeCase& c : kPadeCases) {
+        const Mat a = with_norm(random_non_normal(5, 181), c.norm);
+        ExpmWorkspace ws;
+        Mat ea;
+        expm_prepare(a, ea, ws, ExpmMethod::kPade);
+        for (unsigned j = 0; j < 3; ++j) {
+            const Mat r = random_non_normal(5, 190 + j);
+            const Mat e = random_non_normal(5, 200 + j);
+            EXPECT_LT(trace_pairing_gap(ws, r, e), 1e-12) << "norm=" << c.norm << " pair=" << j;
+        }
+    }
+    for (double dt : {0.05, 0.8, 3.0}) {
+        const Mat a = (-kI * dt) * random_hermitian(5, 211, 1.0);
+        ExpmWorkspace ws;
+        Mat ea;
+        expm_prepare(a, ea, ws, ExpmMethod::kSpectral);
+        for (unsigned j = 0; j < 3; ++j) {
+            const Mat r = random_non_normal(5, 220 + j);
+            const Mat e = (-kI * dt) * random_hermitian(5, 230 + j, 1.0);
+            EXPECT_LT(trace_pairing_gap(ws, r, e), 1e-12) << "dt=" << dt << " pair=" << j;
+        }
+    }
+}
+
+TEST(ExpmPrepareDirection, MultiIsPrepareThenDirectionsBitwise) {
+    const Mat a = with_norm(random_non_normal(4, 241), 18.0);
+    const std::vector<Mat> dirs = {random_matrix(4, 242, 0.5), random_matrix(4, 243, 0.5)};
+    const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+    ExpmWorkspace ws;
+    Mat ea2, l;
+    expm_prepare(a, ea2, ws, ExpmMethod::kPade);
+    EXPECT_TRUE(ea.approx_equal(ea2, 0.0));
+    for (std::size_t j = dirs.size(); j-- > 0;) {  // order must not matter
+        expm_direction(ws, dirs[j], l);
+        EXPECT_TRUE(ls[j].approx_equal(l, 0.0)) << "dir=" << j;
+    }
+}
+
+TEST(ExpmPrepareDirection, UnpreparedOrMismatchedDirectionThrows) {
+    ExpmWorkspace ws;
+    Mat l;
+    EXPECT_THROW(expm_direction(ws, Mat(2, 2), l), std::logic_error);
+    Mat ea;
+    expm_prepare(random_matrix(3, 251, 0.5), ea, ws, ExpmMethod::kPade);
+    EXPECT_THROW(expm_direction(ws, Mat(2, 2), l), std::invalid_argument);
 }
 
 TEST(ExpmFrechetMulti, ShapeMismatchThrows) {

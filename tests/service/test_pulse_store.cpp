@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -176,6 +177,46 @@ TEST(PulseStore, JsonlRoundTripIsBitwise) {
     s2 << f2.rdbuf();
     EXPECT_EQ(s1.str(), s2.str());
     EXPECT_FALSE(s1.str().empty());
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+}
+
+TEST(PulseStore, SaveRenamesTempFileOverTarget) {
+    const std::string path = testing::TempDir() + "qoc_pulse_store_atomic.jsonl";
+    std::filesystem::remove_all(path + ".tmp");
+    PulseStore store;
+    store.put(sample_pulse(7));
+    store.save_jsonl(path);
+    store.put(sample_pulse(8));
+    store.save_jsonl(path);  // overwrite an existing store
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    PulseStore loaded;
+    EXPECT_EQ(loaded.load_jsonl(path), 2u);
+    std::filesystem::remove(path);
+}
+
+TEST(PulseStore, FailedSaveThrowsAndKeepsOldFile) {
+    const std::string path = testing::TempDir() + "qoc_pulse_store_failed_save.jsonl";
+    std::filesystem::remove_all(path + ".tmp");
+    PulseStore store;
+    store.put(sample_pulse(7));
+    store.save_jsonl(path);
+    const std::string before = read_file(path);
+    ASSERT_FALSE(before.empty());
+
+    // A directory where the temp file goes makes its open fail.
+    std::filesystem::create_directory(path + ".tmp");
+    store.put(sample_pulse(8));
+    EXPECT_THROW(store.save_jsonl(path), std::runtime_error);
+    EXPECT_EQ(read_file(path), before);
+    EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+    std::filesystem::remove_all(path + ".tmp");
+    std::filesystem::remove(path);
 }
 
 TEST(PulseStore, OccupancyCountsShardsAndStates) {
