@@ -66,9 +66,9 @@ QOC_METRICS="$metrics_out" "$build_dir/bench/bench_perf_kernels" \
 echo "wrote $out (repo build type: $build_type)"
 echo "wrote $metrics_out (obs metrics for this run)"
 
-# Optimizer-ablation matrix: every registry solver x paper gate x duration
-# through the same pulse_optim front end (fidelity / iteration / wall-time
-# table, the evidence behind the baseline_pr10 trailer).  Same pinned
+# Optimizer ablation: every pulse_optim method x paper gate x duration,
+# plus the box-active and saturated cells (fidelity / iteration / wall-time
+# tables, the evidence behind the baseline_pr10 trailer).  Same pinned
 # QOC_THREADS as the kernel run so wall times are comparable across records.
 ablation_out="${out%.json}.optimizer_ablation.txt"
 cmake --build "$build_dir" -j --target bench_ablation_optimizers >/dev/null

@@ -155,14 +155,6 @@ Mat ControlProblem::slot_exponent(const std::vector<double>& amps) const {
     return out;
 }
 
-void ControlProblem::slot_propagator_and_derivs(const double* amps, Mat& prop,
-                                                Mat* dprops) const {
-    auto lease = scratch_pool_.acquire();
-    EvalScratch& sc = *lease;
-    slot_exponent_into(amps, sc.gen);
-    linalg::expm_frechet_multi(sc.gen, exp_dirs_.data(), n_ctrl_, prop, dprops, sc.ws, method_);
-}
-
 Mat ControlProblem::evolution(const ControlAmplitudes& amps) const {
     auto lease = scratch_pool_.acquire();
     EvalScratch& sc = *lease;

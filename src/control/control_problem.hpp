@@ -84,15 +84,6 @@ public:
     /// Slot exponent `scale * (drift + sum u_j ctrl_j)`.
     Mat slot_exponent(const std::vector<double>& amps) const;
 
-    /// iLQR linearization seam: one slot's propagator P = expm(A(u)) and its
-    /// control derivatives dP_j = L(A, scale*H_j) from a single
-    /// shared-intermediate Frechet call.  P is bitwise the propagator
-    /// `objective` uses; `objective` takes its gradient from one adjoint
-    /// direction instead, so Tr(R dP_j) matches it only to roundoff.
-    /// `dprops` must point at `n_ctrl()` matrices.  Thread-safe: scratch is
-    /// leased per call from the workspace pool.
-    void slot_propagator_and_derivs(const double* amps, Mat& prop, Mat* dprops) const;
-
     /// Final evolution operator for an amplitude table.
     Mat evolution(const ControlAmplitudes& amps) const;
 
@@ -108,9 +99,9 @@ public:
     double objective(const std::vector<double>& x, std::vector<double>& grad) const;
 
 private:
-    /// Per-task scratch: an expm workspace for `evolution` and the iLQR
-    /// seam, plus the slot/gradient temporaries.  Shapes stabilize after
-    /// the first objective call, so reuse is allocation-free.
+    /// Per-task scratch: an expm workspace for `evolution`, plus the
+    /// slot/gradient temporaries.  Shapes stabilize after the first
+    /// objective call, so reuse is allocation-free.
     struct EvalScratch {
         linalg::ExpmWorkspace ws;
         Mat gen, prop, tmp;

@@ -8,15 +8,14 @@
 ///   H(t) = H_0 + sum_j u_j(t) H_j   (closed)  or
 ///   L(t) = L_0 + sum_j u_j(t) L_j   (open, Liouvillian form),
 /// minimizing the gate infidelity against a target unitary (closed) or
-/// target superoperator (open).  Gradients are exact: each slot propagator's
-/// control derivatives come from one shared-intermediate Frechet call.
+/// target superoperator (open).  Gradients are exact: every control's
+/// gradient in a slot comes from one adjoint-direction Frechet derivative.
 
 #pragma once
 
 #include <optional>
 
 #include "dynamics/propagator.hpp"
-#include "optim/cg_descent.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgsb.hpp"
 #include "optim/problem.hpp"
@@ -75,7 +74,7 @@ struct GrapeProblem {
 };
 
 /// The one result every pulse-optimization method returns (GRAPE through
-/// any gradient solver, Krotov, CRAB, GOAT, iLQR, robust GRAPE).
+/// any gradient solver, Krotov, CRAB, GOAT, robust GRAPE).
 struct GrapeResult {
     ControlAmplitudes initial_amps;
     ControlAmplitudes final_amps;
@@ -101,7 +100,7 @@ optim::SolverOptions record_iterations(GrapeResult& result, optim::SolverOptions
 /// GRAPE through any gradient-based solver: builds the exact-gradient
 /// objective over `cp.bounds()` once and hands it to `solver`, e.g.
 /// `grape_solve(cp, optim::lbfgsb_minimize, opts)` (or
-/// `optim::cg_descent_minimize`, `optim::gradient_descent_minimize`).
+/// `optim::gradient_descent_minimize`).
 GrapeResult grape_solve(const ControlProblem& cp, optim::Minimizer solver,
                         const optim::SolverOptions& opts = {});
 

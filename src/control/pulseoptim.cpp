@@ -6,7 +6,6 @@
 #include "control/control_problem.hpp"
 #include "control/crab.hpp"
 #include "control/goat.hpp"
-#include "control/ilqr.hpp"
 #include "control/krotov.hpp"
 #include "control/pulse_shapes.hpp"
 #include "quantum/superop.hpp"
@@ -20,8 +19,6 @@ const char* method_name(OptimMethod method) {
         case OptimMethod::kCrab: return "crab";
         case OptimMethod::kKrotov: return "krotov";
         case OptimMethod::kGoat: return "goat";
-        case OptimMethod::kCgDescent: return "cg_descent";
-        case OptimMethod::kIlqr: return "ilqr";
     }
     throw std::invalid_argument("method_name: unknown OptimMethod");
 }
@@ -145,10 +142,8 @@ GrapeResult pulse_optim(const PulseOptimSpec& spec) {
         case OptimMethod::kLbfgsB: return grape_solve(cp, optim::lbfgsb_minimize, opts);
         case OptimMethod::kGradientDescent:
             return grape_solve(cp, optim::gradient_descent_minimize, opts);
-        case OptimMethod::kCgDescent: return grape_solve(cp, optim::cg_descent_minimize, opts);
         case OptimMethod::kCrab: return crab_optimize(cp, opts, {.seed = spec.random_seed});
         case OptimMethod::kKrotov: return krotov_unitary(cp, opts);
-        case OptimMethod::kIlqr: return ilqr_optimize(cp, opts);
         case OptimMethod::kGoat: {
             if (open_system) throw std::invalid_argument("pulse_optim: GOAT is closed-system only");
             if (!spec.amp_lower_per_ctrl.empty() || !spec.amp_upper_per_ctrl.empty()) {

@@ -39,13 +39,11 @@ enum class OptimMethod {
     kCrab,             ///< CRAB + Nelder-Mead baseline
     kKrotov,           ///< Krotov's sequential monotone update (closed only)
     kGoat,             ///< GOAT analytic Fourier controls (closed only)
-    kCgDescent,        ///< Hager-Zhang CG-descent GRAPE (first-order memory-light)
-    kIlqr,             ///< iLQR trajectory optimization (closed only)
 };
 
 /// Stable key of a method ("lbfgsb", "gradient_descent", "crab", "krotov",
-/// "goat", "cg_descent", "ilqr").  `CalibrationService::key_for` hashes it
-/// into `PulseStore` keys, so these strings must never change.
+/// "goat").  `CalibrationService::key_for` hashes it into `PulseStore`
+/// keys, so these strings must never change.
 const char* method_name(OptimMethod method);
 
 struct PulseOptimSpec {
@@ -94,7 +92,7 @@ ControlAmplitudes build_initial_amps(const PulseOptimSpec& spec);
 
 /// Runs the full pipeline.  Throws `std::invalid_argument` on malformed
 /// specs (dimension mismatches, empty controls, non-unitary target), and
-/// when Krotov, GOAT or iLQR get collapse operators (closed-system only).
+/// when Krotov or GOAT get collapse operators (closed-system only).
 /// `final_evolution` is the achieved unitary (closed) or superoperator
 /// (open, i.e. when `collapse_ops` is non-empty).
 GrapeResult pulse_optim(const PulseOptimSpec& spec);

@@ -54,8 +54,8 @@ struct GateDesignSpec {
     std::uint64_t random_seed = 99;
     int max_iterations = 400;
     double target_fid_err = 1e-9;
-    /// Which optimizer drives the design (any OptimMethod; Krotov, GOAT and
-    /// iLQR are closed-system only, so pair them with a *Closed design model).
+    /// Which optimizer drives the design (any OptimMethod; Krotov and GOAT
+    /// are closed-system only, so pair them with a *Closed design model).
     control::OptimMethod method = control::OptimMethod::kLbfgsB;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -419,22 +418,6 @@ void expm_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
     } else {
         pade_direction(ws, e, out);
     }
-}
-
-void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs, Mat& exp_out,
-                        Mat* frechet_out, ExpmWorkspace& ws, ExpmMethod method) {
-    assert(n_dirs == 0 || frechet_out != nullptr);
-    expm_prepare(a, exp_out, ws, method);
-    for (std::size_t d = 0; d < n_dirs; ++d) expm_direction(ws, dirs[d], frechet_out[d]);
-}
-
-std::pair<Mat, std::vector<Mat>> expm_frechet_multi(const Mat& a, const std::vector<Mat>& dirs,
-                                                    ExpmMethod method) {
-    ExpmWorkspace ws;
-    std::pair<Mat, std::vector<Mat>> out;
-    out.second.resize(dirs.size());
-    expm_frechet_multi(a, dirs.data(), dirs.size(), out.first, out.second.data(), ws, method);
-    return out;
 }
 
 void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws, ExpmMethod method) {

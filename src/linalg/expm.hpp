@@ -23,9 +23,9 @@ Mat expm(const Mat& a);
 ///   expm([[A, E], [0, A]]) = [[e^A, L(A,E)], [0, e^A]].
 /// Returns `{e^A, L(A, E)}`.  Valid for any (also non-Hermitian) generator.
 /// The augmented block is 2N x 2N, so one call costs ~8x an N x N expm; the
-/// multi-direction engine below exists because GRAPE needs L against every
-/// control direction of the *same* A.  Kept as the independent reference
-/// implementation the engine is tested against.
+/// factor-once engine below (`expm_prepare` + `expm_direction`) exists
+/// because GRAPE needs L against many directions of the *same* A.  Kept as
+/// the independent reference implementation the engine is tested against.
 std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e);
 
 /// Unitary propagator `exp(-i H t)` of a Hermitian `H` via its spectrum.
@@ -44,8 +44,8 @@ enum class ExpmMethod {
                 ///  requires an anti-Hermitian `A = -i S`, S Hermitian
 };
 
-/// Reusable scratch for `expm_into` / `expm_prepare` / `expm_direction` /
-/// `expm_frechet_multi`.  `expm_prepare` leaves the factors of its A here
+/// Reusable scratch for `expm_into` / `expm_prepare` / `expm_direction`.
+/// `expm_prepare` leaves the factors of its A here
 /// (the Pade intermediates and squaring ladder, or the eigenbasis), and
 /// every later `expm_direction` reads them until the next prepare; all
 /// other buffers are scratch whose contents are unspecified between calls.
@@ -120,22 +120,5 @@ void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws,
 /// for any R, E.  GRAPE uses this to get every control's gradient from ONE
 /// direction per slot.  `E` must have the shape of A and not alias `out`.
 void expm_direction(ExpmWorkspace& ws, const Mat& e, Mat& out);
-
-/// Computes `e^A` and the Frechet derivatives `L(A, E_j)` for all `n_dirs`
-/// directions at once: one `expm_prepare`, then one `expm_direction` per
-/// direction.
-///
-/// `frechet_out` must point at `n_dirs` writable matrices (resized in
-/// place); `exp_out`/`frechet_out` must not alias `a`/`dirs`.  Every
-/// direction must have the shape of `a`.  Results are deterministic for a
-/// given input regardless of how calls are distributed over threads.
-void expm_frechet_multi(const Mat& a, const Mat* dirs, std::size_t n_dirs,
-                        Mat& exp_out, Mat* frechet_out, ExpmWorkspace& ws,
-                        ExpmMethod method = ExpmMethod::kAuto);
-
-/// Convenience overload with value-semantics results (tests, one-shot use).
-std::pair<Mat, std::vector<Mat>> expm_frechet_multi(
-    const Mat& a, const std::vector<Mat>& dirs,
-    ExpmMethod method = ExpmMethod::kAuto);
 
 }  // namespace qoc::linalg

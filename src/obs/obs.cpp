@@ -94,8 +94,6 @@ constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "service.requests.admitted",
     "service.queue.shed",
     "solver.dispatches",
-    "solver.cg.restarts",
-    "solver.ilqr.reg_bumps",
 };
 
 constexpr std::array<const char*, kNumHists> kHistNames = {
@@ -111,8 +109,6 @@ constexpr std::array<const char*, kNumHists> kHistNames = {
     "irb.wall",
     "pool.task.queue_wait",
     "lbfgsb.line_search_evals",
-    "solver.cg.line_search_evals",
-    "solver.ilqr.forward_passes",
 };
 
 /// Writes the final metrics object (counters + Pade-order histogram +

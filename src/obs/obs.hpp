@@ -92,8 +92,6 @@ enum class Cnt : unsigned {
     kSvcAdmitted,       ///< design requests admitted to the service queue (monotone)
     kSvcQueueShed,      ///< design requests shed by admission control
     kSolverDispatches,  ///< solver runs (one per `optim::SolverLoop`, every method)
-    kSolverCgRestarts,  ///< CG-descent restarts to projected steepest descent
-    kSolverIlqrRegBumps, ///< iLQR Levenberg regularization increases
     kCount
 };
 
@@ -143,8 +141,6 @@ enum class Hist : unsigned {
     kIrbWall,                      ///< one IRB characterization, wall ns
     kPoolQueueWait,                ///< task submit -> execution start, ns
     kLbfgsbLineSearchEvals,        ///< objective evaluations per line search
-    kCgLineSearchEvals,            ///< evaluations per CG-descent line search
-    kIlqrForwardPasses,            ///< forward-pass rollouts per iLQR iteration
     kCount
 };
 

@@ -15,12 +15,16 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
     return std::inner_product(a.begin(), a.end(), b.begin(), 0.0);
 }
 
+// Strong Wolfe constants: sufficient decrease and (quasi-Newton) curvature.
+constexpr double kC1 = 1e-4;
+constexpr double kC2 = 0.9;
+
 }  // namespace
 
 LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x,
                               double& f, std::vector<double>& g, const std::vector<double>& d,
                               double alpha_max, int& evals, int max_evals,
-                              LineSearchWorkspace& ws, double c1, double c2) {
+                              LineSearchWorkspace& ws) {
     const double phi0 = f;
     const double dphi0 = dot(g, d);
     if (dphi0 >= 0.0) return {};
@@ -66,12 +70,12 @@ LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x
             const double a = cubic(alo, flo, dflo, ahi, fhi, dfhi);
             double fa, dfa;
             if (!eval(a, fa, dfa)) return kNonFinite;
-            if (fa > phi0 + c1 * a * dphi0 || fa >= flo) {
+            if (fa > phi0 + kC1 * a * dphi0 || fa >= flo) {
                 ahi = a;
                 fhi = fa;
                 dfhi = dfa;
             } else {
-                if (std::abs(dfa) <= -c2 * dphi0) return accept(a, fa);
+                if (std::abs(dfa) <= -kC2 * dphi0) return accept(a, fa);
                 if (dfa * (ahi - alo) >= 0.0) {
                     ahi = alo;
                     fhi = flo;
@@ -84,7 +88,7 @@ LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x
             if (std::abs(ahi - alo) < 1e-16 * std::max(1.0, std::abs(alo))) break;
         }
         // Fall back to the best sufficient-decrease point found, if any.
-        if (flo < phi0 + c1 * alo * dphi0 && alo > 0.0) {
+        if (flo < phi0 + kC1 * alo * dphi0 && alo > 0.0) {
             double fa, dfa;
             if (!eval(alo, fa, dfa)) return kNonFinite;
             return accept(alo, fa);
@@ -97,10 +101,10 @@ LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x
     for (int it = 0; it < 20 && evals < max_evals; ++it) {
         double fa, dfa;
         if (!eval(a, fa, dfa)) return kNonFinite;
-        if (fa > phi0 + c1 * a * dphi0 || (it > 0 && fa >= f_prev)) {
+        if (fa > phi0 + kC1 * a * dphi0 || (it > 0 && fa >= f_prev)) {
             return zoom(a_prev, f_prev, df_prev, a, fa, dfa);
         }
-        if (std::abs(dfa) <= -c2 * dphi0) return accept(a, fa);
+        if (std::abs(dfa) <= -kC2 * dphi0) return accept(a, fa);
         if (dfa >= 0.0) return zoom(a, fa, dfa, a_prev, f_prev, df_prev);
         if (a >= alpha_max * (1.0 - 1e-12)) {
             // Bound-limited step that still satisfies sufficient decrease.

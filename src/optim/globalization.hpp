@@ -1,11 +1,11 @@
 /// \file globalization.hpp
-/// \brief The step rule shared by the line-based solvers.
+/// \brief L-BFGS-B's step rule and the projected-gradient stationarity
+///        measure the bound-constrained solvers share.
 ///
-/// L-BFGS-B and Hager-Zhang CG both produce a descent direction and then
-/// delegate the "how far" decision to `wolfe_search`: the strong Wolfe line
-/// search (Nocedal & Wright Algorithms 3.5/3.6, cubic Hermite zoom).  The
-/// Wolfe constants are parameters because CG wants a tighter curvature
-/// condition (c2 ~ 0.4) than quasi-Newton (c2 = 0.9).
+/// L-BFGS-B produces a descent direction and delegates the "how far"
+/// decision to `wolfe_search`: the strong Wolfe line search (Nocedal &
+/// Wright Algorithms 3.5/3.6, cubic Hermite zoom) with the quasi-Newton
+/// constants c1 = 1e-4, c2 = 0.9.
 
 #pragma once
 
@@ -32,7 +32,8 @@ struct LineSearchWorkspace {
     std::vector<double> xt, gt;
 };
 
-/// Strong Wolfe line search with cubic interpolation in the zoom phase.
+/// Strong Wolfe line search (c1 = 1e-4, c2 = 0.9) with cubic
+/// interpolation in the zoom phase.
 /// Returns the accepted step or `ok == false` on failure; updates f/g/x to
 /// the accepted point and counts evaluations into `evals` (bounded by
 /// `max_evals`).  `alpha_max` caps the step (bound-limited steps that still
@@ -40,7 +41,7 @@ struct LineSearchWorkspace {
 LineSearchResult wolfe_search(const Objective& objective, std::vector<double>& x,
                               double& f, std::vector<double>& g, const std::vector<double>& d,
                               double alpha_max, int& evals, int max_evals,
-                              LineSearchWorkspace& ws, double c1 = 1e-4, double c2 = 0.9);
+                              LineSearchWorkspace& ws);
 
 /// Max-norm of the projected gradient -- the first-order stationarity
 /// measure every bound-constrained solver shares.

@@ -114,8 +114,8 @@ struct OptimResult {
 };
 
 /// The call shape of the gradient-based solvers (`lbfgsb_minimize`,
-/// `cg_descent_minimize`, `gradient_descent_minimize`), for callers that
-/// take the algorithm as a parameter.
+/// `gradient_descent_minimize`), for callers that take the algorithm as a
+/// parameter.
 using Minimizer = OptimResult (*)(const Objective& objective, std::vector<double> x0,
                                   const Bounds& bounds, const SolverOptions& options);
 

@@ -27,7 +27,6 @@
 #include "contracts/contracts.hpp"
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
-#include "optim/cg_descent.hpp"
 #include "device/calibration.hpp"
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
@@ -226,49 +225,6 @@ TEST_F(AllocGuardTest, OpenEvaluatorObjectiveAllocationFree) {
     for (int i = 0; i < 8; ++i) sink += cp.objective(x, grad);
     EXPECT_EQ(m.delta(), 0u) << "the open-system evaluator allocates in its hot loop";
     EXPECT_GT(sink, 0.0);
-}
-
-TEST_F(AllocGuardTest, CgDescentSteadyStateAllocationFree) {
-    // CG-descent's hot loop (beta update, projection bookkeeping, Wolfe
-    // trials) works entirely in vectors sized once at entry, so after the
-    // first iteration it must allocate NOTHING -- whatever the line search
-    // does.  A generalized Rosenbrock chain keeps the solver iterating (and
-    // line-searching) for the whole budget.
-    const std::size_t n = 8;
-    const optim::Objective chain = [n](const std::vector<double>& x,
-                                       std::vector<double>& grad) {
-        double f = 0.0;
-        for (std::size_t i = 0; i < n; ++i) grad[i] = 0.0;
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-            const double a = 1.0 - x[i];
-            const double b = x[i + 1] - x[i] * x[i];
-            f += a * a + 100.0 * b * b;
-            grad[i] += -2.0 * a - 400.0 * x[i] * b;
-            grad[i + 1] += 200.0 * b;
-        }
-        return f;
-    };
-
-    optim::SolverOptions opts;
-    opts.max_iterations = 40;
-    opts.tol = 0.0;  // run the full budget
-    opts.f_tol = 0.0;
-    std::vector<std::uint64_t> marks;
-    marks.reserve(64);  // keep the callback itself allocation-free
-    opts.iter_callback = [&](const optim::IterationRecord&) {
-        marks.push_back(testing::alloc_count());
-    };
-    std::vector<double> x0(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) x0[i] = -1.0 + 0.2 * static_cast<double>(i % 3);
-    optim::cg_descent_minimize(chain, x0, optim::Bounds::uniform(n, -5.0, 5.0), opts);
-    ASSERT_GE(marks.size(), 8u);
-
-    std::uint64_t worst = 0;
-    for (std::size_t i = 2; i < marks.size(); ++i) {
-        worst = std::max(worst, marks[i] - marks[i - 1]);
-    }
-    RecordProperty("worst_steady_cg_iter_allocs", static_cast<int>(worst));
-    EXPECT_EQ(worst, 0u) << "a steady-state CG-descent iteration gained heap allocations";
 }
 
 TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {

@@ -1,13 +1,15 @@
-/// Multi-direction Frechet engine: shared-Pade and spectral paths checked
-/// against finite differences and against the independent augmented-block
-/// `expm_frechet` across every Pade order (3..13) and the
-/// scaling-and-squaring branch, plus the prepare/direction split and the
-/// trace-pairing identity the adjoint GRAPE gradient rests on.
+/// Factor-once Frechet engine (`expm_prepare` + one `expm_direction` per
+/// direction): shared-Pade and spectral paths checked against finite
+/// differences and against the independent augmented-block `expm_frechet`
+/// across every Pade order (3..13) and the scaling-and-squaring branch,
+/// plus the trace-pairing identity the adjoint GRAPE gradient rests on.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "linalg/expm.hpp"
 
@@ -41,6 +43,26 @@ double rel_diff(const Mat& got, const Mat& ref) {
     return (got - ref).max_abs() / std::max(1.0, ref.max_abs());
 }
 
+/// `e^A` and `L(A, E_j)` for every direction: one `expm_prepare` on `ws`,
+/// then one `expm_direction` per direction against the kept factors.
+std::pair<Mat, std::vector<Mat>> prepare_then_directions(const Mat& a,
+                                                         const std::vector<Mat>& dirs,
+                                                         ExpmMethod method, ExpmWorkspace& ws) {
+    std::pair<Mat, std::vector<Mat>> out;
+    expm_prepare(a, out.first, ws, method);
+    out.second.resize(dirs.size());
+    for (std::size_t j = 0; j < dirs.size(); ++j) expm_direction(ws, dirs[j], out.second[j]);
+    return out;
+}
+
+/// The same on a fresh workspace.
+std::pair<Mat, std::vector<Mat>> prepare_then_directions(const Mat& a,
+                                                         const std::vector<Mat>& dirs,
+                                                         ExpmMethod method) {
+    ExpmWorkspace ws;
+    return prepare_then_directions(a, dirs, method, ws);
+}
+
 TEST(ExpmFrechetMulti, MatchesAugmentedAcrossPadeOrders) {
     // One norm per theta band: orders 3, 5, 7, 9, 13, and 13 with s > 0
     // squarings.  The engine must agree with the Van Loan reference on both
@@ -50,7 +72,7 @@ TEST(ExpmFrechetMulti, MatchesAugmentedAcrossPadeOrders) {
         const Mat a = with_norm(random_matrix(5, 11, 1.0), nrm);
         const std::vector<Mat> dirs = {random_matrix(5, 21, 0.7), random_matrix(5, 22, 0.7),
                                        random_matrix(5, 23, 0.7)};
-        const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+        const auto [ea, ls] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
         EXPECT_LT(rel_diff(ea, expm(a)), 1e-11) << "norm=" << nrm;
         for (std::size_t j = 0; j < dirs.size(); ++j) {
             const auto [ea_ref, l_ref] = expm_frechet(a, dirs[j]);
@@ -65,7 +87,7 @@ TEST(ExpmFrechetMulti, MatchesFiniteDifferenceEveryOrder) {
     for (double nrm : norms) {
         const Mat a = with_norm(random_matrix(4, 31, 1.0), nrm);
         const std::vector<Mat> dirs = {random_matrix(4, 41, 0.5), random_matrix(4, 42, 0.5)};
-        const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+        const auto [ea, ls] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
         const double h = 1e-6;
         for (std::size_t j = 0; j < dirs.size(); ++j) {
             const Mat fd = (0.5 / h) * (expm(a + h * dirs[j]) - expm(a - h * dirs[j]));
@@ -80,8 +102,8 @@ TEST(ExpmFrechetMulti, SpectralMatchesPadeOnAntiHermitian) {
         const Mat a = (-kI * dt) * random_hermitian(6, 51, 1.0);
         const std::vector<Mat> dirs = {(-kI * dt) * random_hermitian(6, 52, 1.0),
                                        (-kI * dt) * random_hermitian(6, 53, 1.0)};
-        const auto [ea_s, ls_s] = expm_frechet_multi(a, dirs, ExpmMethod::kSpectral);
-        const auto [ea_p, ls_p] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+        const auto [ea_s, ls_s] = prepare_then_directions(a, dirs, ExpmMethod::kSpectral);
+        const auto [ea_p, ls_p] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
         EXPECT_LT(rel_diff(ea_s, ea_p), 1e-11) << "dt=" << dt;
         EXPECT_TRUE(ea_s.is_unitary(1e-11));
         for (std::size_t j = 0; j < dirs.size(); ++j) {
@@ -93,8 +115,8 @@ TEST(ExpmFrechetMulti, SpectralMatchesPadeOnAntiHermitian) {
 TEST(ExpmFrechetMulti, AutoPicksSpectralResultOnAntiHermitian) {
     const Mat a = (-kI * 0.7) * random_hermitian(4, 61, 1.0);
     const std::vector<Mat> dirs = {(-kI * 0.7) * random_hermitian(4, 62, 1.0)};
-    const auto [ea_auto, ls_auto] = expm_frechet_multi(a, dirs, ExpmMethod::kAuto);
-    const auto [ea_spec, ls_spec] = expm_frechet_multi(a, dirs, ExpmMethod::kSpectral);
+    const auto [ea_auto, ls_auto] = prepare_then_directions(a, dirs, ExpmMethod::kAuto);
+    const auto [ea_spec, ls_spec] = prepare_then_directions(a, dirs, ExpmMethod::kSpectral);
     EXPECT_TRUE(ea_auto.approx_equal(ea_spec, 0.0));  // bitwise: same code path
     EXPECT_TRUE(ls_auto[0].approx_equal(ls_spec[0], 0.0));
 }
@@ -103,9 +125,9 @@ TEST(ExpmFrechetMulti, ManyDirectionsMatchSingleDirectionCalls) {
     const Mat a = random_matrix(4, 71, 0.8);
     std::vector<Mat> dirs;
     for (unsigned j = 0; j < 4; ++j) dirs.push_back(random_matrix(4, 80 + j, 0.6));
-    const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+    const auto [ea, ls] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
     for (std::size_t j = 0; j < dirs.size(); ++j) {
-        const auto [ea1, l1] = expm_frechet_multi(a, {dirs[j]}, ExpmMethod::kPade);
+        const auto [ea1, l1] = prepare_then_directions(a, {dirs[j]}, ExpmMethod::kPade);
         EXPECT_TRUE(ea.approx_equal(ea1, 0.0));  // bitwise: shared intermediates
         EXPECT_TRUE(ls[j].approx_equal(l1[0], 0.0));
     }
@@ -123,11 +145,9 @@ TEST(ExpmFrechetMulti, WorkspaceReuseAcrossSizesAndOrdersIsStateless) {
                                     norms[c]);
             const std::vector<Mat> dirs = {
                 random_matrix(sizes[c], 100 + static_cast<unsigned>(c), 0.5)};
-            Mat ea_shared;
-            std::vector<Mat> l_shared(1);
-            expm_frechet_multi(a, dirs.data(), 1, ea_shared, l_shared.data(), shared,
-                               ExpmMethod::kPade);
-            const auto [ea_fresh, l_fresh] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+            const auto [ea_shared, l_shared] =
+                prepare_then_directions(a, dirs, ExpmMethod::kPade, shared);
+            const auto [ea_fresh, l_fresh] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
             EXPECT_TRUE(ea_shared.approx_equal(ea_fresh, 0.0)) << "case=" << c;
             EXPECT_TRUE(l_shared[0].approx_equal(l_fresh[0], 0.0)) << "case=" << c;
         }
@@ -138,7 +158,7 @@ TEST(ExpmFrechetMulti, LinearInDirection) {
     const Mat a = random_matrix(3, 111, 0.5);
     const Mat e1 = random_matrix(3, 112, 0.5);
     const Mat e2 = random_matrix(3, 113, 0.5);
-    const auto [ea, ls] = expm_frechet_multi(a, {e1, e2, e1 + e2}, ExpmMethod::kPade);
+    const auto [ea, ls] = prepare_then_directions(a, {e1, e2, e1 + e2}, ExpmMethod::kPade);
     (void)ea;
     EXPECT_LT((ls[2] - (ls[0] + ls[1])).max_abs(), 1e-10);
 }
@@ -255,9 +275,11 @@ TEST(ExpmPrepareDirection, TracePairingIdentityHolds) {
 }
 
 TEST(ExpmPrepareDirection, MultiIsPrepareThenDirectionsBitwise) {
+    // Directions taken in reverse order off a second prepare match the
+    // forward pass bit for bit: a direction reads the factors, never writes.
     const Mat a = with_norm(random_non_normal(4, 241), 18.0);
     const std::vector<Mat> dirs = {random_matrix(4, 242, 0.5), random_matrix(4, 243, 0.5)};
-    const auto [ea, ls] = expm_frechet_multi(a, dirs, ExpmMethod::kPade);
+    const auto [ea, ls] = prepare_then_directions(a, dirs, ExpmMethod::kPade);
     ExpmWorkspace ws;
     Mat ea2, l;
     expm_prepare(a, ea2, ws, ExpmMethod::kPade);
@@ -278,8 +300,10 @@ TEST(ExpmPrepareDirection, UnpreparedOrMismatchedDirectionThrows) {
 }
 
 TEST(ExpmFrechetMulti, ShapeMismatchThrows) {
-    EXPECT_THROW(expm_frechet_multi(Mat(2, 2), {Mat(3, 3)}), std::invalid_argument);
-    EXPECT_THROW(expm_frechet_multi(Mat(2, 3), {}), std::invalid_argument);
+    EXPECT_THROW(prepare_then_directions(Mat(2, 2), {Mat(3, 3)}, ExpmMethod::kAuto),
+                 std::invalid_argument);
+    EXPECT_THROW(prepare_then_directions(Mat(2, 3), {}, ExpmMethod::kAuto),
+                 std::invalid_argument);
 }
 
 }  // namespace

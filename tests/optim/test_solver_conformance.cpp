@@ -7,7 +7,7 @@
 ///    minimizer lands on the box face;
 ///  * mismatched or inverted bounds are rejected up front;
 ///  * the analytic Rosenbrock gradient passes check_gradient, and the
-///    line-searching gradient solvers drive Rosenbrock to the optimum;
+///    line-searching L-BFGS-B drives Rosenbrock to the optimum;
 ///  * a NaN value (or NaN gradient component) stops the solve with
 ///    `kNonFinite`, never as converged;
 ///  * repeated solves are bitwise deterministic;
@@ -24,7 +24,6 @@
 
 #include "contracts/contracts.hpp"
 #include "obs/obs.hpp"
-#include "optim/cg_descent.hpp"
 #include "optim/gradient_check.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgsb.hpp"
@@ -59,7 +58,6 @@ void PrintTo(const SolverCase& c, std::ostream* os) { *os << '"' << c.name << '"
 
 const SolverCase kSolvers[] = {
     {"lbfgsb", lbfgsb_minimize},
-    {"cg_descent", cg_descent_minimize},
     {"gradient_descent", gradient_descent_minimize},
     {"nelder_mead", nullptr, nelder_mead_minimize},
 };
@@ -192,7 +190,7 @@ TEST_P(SolverConformance, RosenbrockGradientAndDescent) {
     EXPECT_LT(gc.max_rel_error, 1e-5);
 
     // Every solver must make progress from the classic start; the
-    // line-searching gradient solvers must reach the (1, 1) optimum.  The
+    // line-searching L-BFGS-B must reach the (1, 1) optimum.  The
     // fixed-step first-order baseline and the simplex method are only held
     // to strict decrease (that is their historical behaviour).
     std::vector<double> g(2);
@@ -200,7 +198,7 @@ TEST_P(SolverConformance, RosenbrockGradientAndDescent) {
     const OptimResult r =
         solver().solve(p, {-1.2, 1.0}, Bounds::uniform(2, -5.0, 5.0), generous());
     EXPECT_LT(r.f, f0);
-    if (solver().name == "lbfgsb" || solver().name == "cg_descent") {
+    if (solver().name == "lbfgsb") {
         EXPECT_LT(r.f, 1e-10) << to_string(r.reason);
         EXPECT_NEAR(r.x[0], 1.0, 1e-4);
         EXPECT_NEAR(r.x[1], 1.0, 1e-4);

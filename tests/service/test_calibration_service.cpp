@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "service/pulse_store.hpp"
@@ -64,40 +65,39 @@ TEST(CalibrationService, MissDesignsThenHitsServeTheSameBytes) {
 }
 
 TEST(CalibrationService, SolverChoiceIsPartOfTheCacheKey) {
-    // Two services differing ONLY in the design optimizer must not alias:
+    // Three services differing ONLY in the design optimizer must not alias:
     // the same request addresses different entries (and a store written by
     // one would hand the other a different key on warm restart).
     ServiceOptions lbfgsb = tiny_service();
-    ServiceOptions cg = tiny_service();
-    cg.method = control::OptimMethod::kCgDescent;
-    ServiceOptions ilqr = tiny_service();
-    ilqr.method = control::OptimMethod::kIlqr;
+    ServiceOptions gd = tiny_service();
+    gd.method = control::OptimMethod::kGradientDescent;
+    ServiceOptions krotov = tiny_service();
+    krotov.method = control::OptimMethod::kKrotov;
 
     CalibrationService svc_lbfgsb(lbfgsb);
-    CalibrationService svc_cg(cg);
-    CalibrationService svc_ilqr(ilqr);
+    CalibrationService svc_gd(gd);
+    CalibrationService svc_krotov(krotov);
     const auto dev = device::ibmq_montreal();
     svc_lbfgsb.register_device(0, dev);
-    svc_cg.register_device(0, dev);
-    svc_ilqr.register_device(0, dev);
+    svc_gd.register_device(0, dev);
+    svc_krotov.register_device(0, dev);
 
     const std::uint64_t k_lbfgsb = svc_lbfgsb.request_key(0, tiny_request());
-    const std::uint64_t k_cg = svc_cg.request_key(0, tiny_request());
-    const std::uint64_t k_ilqr = svc_ilqr.request_key(0, tiny_request());
-    EXPECT_NE(k_lbfgsb, k_cg);
-    EXPECT_NE(k_lbfgsb, k_ilqr);
-    EXPECT_NE(k_cg, k_ilqr);
+    const std::uint64_t k_gd = svc_gd.request_key(0, tiny_request());
+    const std::uint64_t k_krotov = svc_krotov.request_key(0, tiny_request());
+    EXPECT_NE(k_lbfgsb, k_gd);
+    EXPECT_NE(k_lbfgsb, k_krotov);
+    EXPECT_NE(k_gd, k_krotov);
 
-    // The alternate solvers actually design through the service path (the
-    // default design model is closed, so iLQR is admissible here).
-    const PulseResponse via_cg = svc_cg.request(0, tiny_request());
-    EXPECT_EQ(via_cg.status, ResponseStatus::kDesigned);
-    EXPECT_EQ(via_cg.key, k_cg);
-    EXPECT_FALSE(via_cg.pulse.channels.empty());
-    const PulseResponse via_ilqr = svc_ilqr.request(0, tiny_request());
-    EXPECT_EQ(via_ilqr.status, ResponseStatus::kDesigned);
-    EXPECT_EQ(via_ilqr.key, k_ilqr);
-    EXPECT_FALSE(via_ilqr.pulse.channels.empty());
+    // Every solver actually designs through the service path (the default
+    // design model is closed, so Krotov is admissible here).
+    for (auto [svc, key] : {std::pair{&svc_lbfgsb, k_lbfgsb}, std::pair{&svc_gd, k_gd},
+                            std::pair{&svc_krotov, k_krotov}}) {
+        const PulseResponse resp = svc->request(0, tiny_request());
+        EXPECT_EQ(resp.status, ResponseStatus::kDesigned);
+        EXPECT_EQ(resp.key, key);
+        EXPECT_FALSE(resp.pulse.channels.empty());
+    }
 }
 
 TEST(CalibrationService, SmallDriftKeepsKeyAndEntryFresh) {
