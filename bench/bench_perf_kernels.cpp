@@ -133,6 +133,54 @@ void BM_ExpmFrechetMultiSpectral(benchmark::State& state) {
 BENCHMARK(BM_ExpmFrechetMultiSpectral)
     ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
 
+/// A dense non-normal N x N test matrix: uniform entries in the unit square
+/// plus N on the diagonal (well conditioned, pivoting still active).
+linalg::Mat random_general(std::size_t n, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    linalg::Mat m(n, n);
+    for (auto& v : m.data()) v = {dist(rng), dist(rng)};
+    for (std::size_t i = 0; i < n; ++i) m(i, i) += static_cast<double>(n);
+    return m;
+}
+
+/// One LU factorization plus a solve with N right-hand sides: the
+/// `(V - U) r = V + U` step every Pade slot pays once in `expm_prepare`
+/// and once more per `expm_direction`.
+void BM_LuFactorSolve(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const linalg::Mat a = random_general(n, 11);
+    const linalg::Mat b = random_general(n, 12);
+    linalg::Lu lu;
+    linalg::Mat x;
+    for (auto _ : state) {
+        lu.factor(a);
+        lu.solve_into(b, x);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_LuFactorSolve)->Arg(4)->Arg(9);
+
+/// One GRAPE open-system slot of the Pade engine: `expm_prepare` at order 13
+/// with one squaring (||A||_1 = 1.5 theta_13) plus the single adjoint
+/// `expm_direction` the evaluator takes per slot.
+void BM_ExpmPrepareDirection(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    linalg::Mat a = random_general(n, 13);
+    a *= 1.5 * 5.371920351148152 / a.norm_1();
+    const linalg::Mat e = random_general(n, 14);
+    linalg::ExpmWorkspace ws;
+    linalg::Mat ea, l;
+    for (auto _ : state) {
+        linalg::expm_prepare(a, ea, ws, linalg::ExpmMethod::kPade);
+        linalg::expm_direction(ws, e, l);
+        benchmark::DoNotOptimize(ea);
+        benchmark::DoNotOptimize(l);
+    }
+    if (ws.order != 13 || ws.squarings < 1) state.SkipWithError("not a Pade-13 slot with s >= 1");
+}
+BENCHMARK(BM_ExpmPrepareDirection)->Arg(9);
+
 void BM_GrapeObjectiveClosed(benchmark::State& state) {
     control::GrapeProblem prob;
     prob.system.drift = quantum::duffing_drift(3, 0.0, -2.0);

@@ -144,9 +144,13 @@ std::vector<double> ControlProblem::flatten(const ControlAmplitudes& amps) const
 void ControlProblem::slot_exponent_into(const double* amps, Mat& out) const {
     out = prob_.system.drift;
     for (std::size_t j = 0; j < n_ctrl_; ++j) {
-        linalg::add_scaled(out, cplx{amps[j], 0.0}, prob_.system.ctrls[j]);
+        linalg::add_scaled(out, amps[j], prob_.system.ctrls[j]);
     }
-    out *= open_ ? cplx{dt_, 0.0} : (-kI * dt_);
+    if (open_) {
+        out *= dt_;
+    } else {
+        out *= -kI * dt_;
+    }
 }
 
 Mat ControlProblem::slot_exponent(const std::vector<double>& amps) const {
@@ -199,10 +203,14 @@ double ControlProblem::fid_err_of(const Mat& evo) const {
 /// is independent, reads only its own workspace and writes to disjoint
 /// storage.
 ///
-/// Gradient (adjoint direction): with R_k = fwd_{k-1} C bwd_k the cost
-/// derivative is Tr(R_k L(A_k, E_j)) = Tr(L(A_k, R_k) E_j), so ONE Frechet
-/// derivative per slot, taken in the direction R_k, gives every control's
-/// gradient entry as an O(N^2) trace.
+/// Gradient (adjoint direction): with the co-state bwd_k = C P_{N-1} ...
+/// P_{k+1} (C the cost-side matrix, bwd_{N-1} = C) and R_k = fwd_{k-1}
+/// bwd_k, the cost derivative is Tr(R_k L(A_k, E_j)) = Tr(L(A_k, R_k) E_j),
+/// so ONE Frechet derivative per slot, taken in the direction R_k, gives
+/// every control's gradient entry as an O(N^2) trace.  Folding C into the
+/// backward recursion (run once the fidelity is known) costs no gemm more
+/// than the plain products P_{N-1} ... P_{k+1} and saves the per-slot C
+/// product.
 double ControlProblem::objective(const std::vector<double>& x,
                                  std::vector<double>& grad) const {
     obs::Span span("grape.objective");
@@ -218,46 +226,44 @@ double ControlProblem::objective(const std::vector<double>& x,
         linalg::expm_prepare(sc.gen, props_[k], slot_ws_[k], method_);
     });
 
-    // Forward partial products fwd[k] = P_k ... P_0 and backward
-    // products bwd[k] = P_{N-1} ... P_{k+1}, into reused storage.
+    // Forward partial products fwd[k] = P_k ... P_0, into reused storage.
     fwd_.resize(n_ts_);
-    bwd_.resize(n_ts_);
     fwd_[0] = props_[0];
     for (std::size_t k = 1; k < n_ts_; ++k) linalg::gemm_into(props_[k], fwd_[k - 1], fwd_[k]);
-    const std::size_t dim = prob_.system.drift.rows();
-    bwd_[n_ts_ - 1].resize(dim, dim);
-    for (std::size_t i = 0; i < dim; ++i) bwd_[n_ts_ - 1](i, i) = cplx{1.0, 0.0};
-    for (std::size_t k = n_ts_ - 1; k-- > 0;) {
-        linalg::gemm_into(bwd_[k + 1], props_[k + 1], bwd_[k]);
-    }
 
     const Mat& evo = fwd_.back();
     const double err = fid_err_of(evo);
+    const std::size_t dim = prob_.system.drift.rows();
 
-    // Cost-side matrix C such that d(val)/du = Tr((fwd_{k-1} C bwd_k) dP).
+    // Co-states bwd[k] = C P_{N-1} ... P_{k+1}, seeded with the cost-side
+    // matrix C (bwd[N-1] = C): d(val)/du = Tr(bwd_k dP_k fwd_{k-1}).
+    bwd_.resize(n_ts_);
+    Mat& c_adj = bwd_[n_ts_ - 1];
     cplx g_overlap{0.0, 0.0};
     if (prob_.fidelity == FidelityType::kTraceDiff) {
-        c_adj_.resize(dim, dim);
+        c_adj.resize(dim, dim);
         for (std::size_t i = 0; i < dim; ++i)
             for (std::size_t j = 0; j < dim; ++j)
-                c_adj_(j, i) = std::conj(prob_.target(i, j) - evo(i, j));
+                c_adj(j, i) = std::conj(prob_.target(i, j) - evo(i, j));
     } else {
         g_overlap = linalg::hs_inner(overlap_target_, evo);
-        c_adj_.resize(overlap_target_.cols(), overlap_target_.rows());
+        c_adj.resize(overlap_target_.cols(), overlap_target_.rows());
         for (std::size_t i = 0; i < overlap_target_.rows(); ++i)
             for (std::size_t j = 0; j < overlap_target_.cols(); ++j)
-                c_adj_(j, i) = std::conj(overlap_target_(i, j));
+                c_adj(j, i) = std::conj(overlap_target_(i, j));
+    }
+    for (std::size_t k = n_ts_ - 1; k-- > 0;) {
+        linalg::gemm_into(bwd_[k + 1], props_[k + 1], bwd_[k]);
     }
 
     grad.assign(n_params(), 0.0);
     runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
         auto lease = scratch_pool_.acquire();
         EvalScratch& sc = *lease;
-        // R_k = fwd_{k-1} * C * bwd_k  (so Tr(C bwd dP fwd) = Tr(R dP)).
-        linalg::gemm_into(c_adj_, bwd_[k], sc.tmp);
-        const Mat* r = &sc.tmp;
+        // R_k = fwd_{k-1} * bwd_k  (so Tr(bwd_k dP_k fwd_{k-1}) = Tr(R_k dP_k)).
+        const Mat* r = &bwd_[k];
         if (k > 0) {
-            linalg::gemm_into(fwd_[k - 1], sc.tmp, sc.prop);
+            linalg::gemm_into(fwd_[k - 1], bwd_[k], sc.prop);
             r = &sc.prop;
         }
         // L(A_k, R_k) into sc.gen (free once the slot is prepared).

@@ -123,8 +123,8 @@ private:
     mutable runtime::WorkspacePool<EvalScratch> scratch_pool_;
     mutable std::vector<linalg::ExpmWorkspace> slot_ws_;  ///< per-slot expm factors
     mutable std::vector<Mat> props_;                      ///< per-slot propagators
-    mutable std::vector<Mat> fwd_, bwd_;
-    mutable Mat c_adj_;
+    mutable std::vector<Mat> fwd_;  ///< fwd_[k] = P_k ... P_0
+    mutable std::vector<Mat> bwd_;  ///< co-states bwd_[k] = C P_{N-1} ... P_{k+1}
 };
 
 }  // namespace qoc::control

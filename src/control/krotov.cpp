@@ -53,7 +53,7 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
         }
         gen = problem.system.drift;
         for (std::size_t j = 0; j < n_ctrl; ++j) {
-            linalg::add_scaled(gen, cplx{amps[j], 0.0}, problem.system.ctrls[j]);
+            linalg::add_scaled(gen, amps[j], problem.system.ctrls[j]);
         }
         gen *= -kI * dt;
         linalg::expm_into(gen, out, ws);

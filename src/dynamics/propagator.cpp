@@ -32,7 +32,7 @@ std::vector<Mat> pwc_propagators(const PwcSystem& sys, const ControlAmplitudes& 
     for (std::size_t k = 0; k < amps.size(); ++k) {
         gen = sys.drift;
         for (std::size_t j = 0; j < sys.ctrls.size(); ++j) {
-            linalg::add_scaled(gen, cplx{amps[k][j], 0.0}, sys.ctrls[j]);
+            linalg::add_scaled(gen, amps[k][j], sys.ctrls[j]);
         }
         gen *= scale;
         linalg::expm_into(gen, props[k], ws, method);

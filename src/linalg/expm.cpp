@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "linalg/eig_hermitian.hpp"
@@ -90,9 +91,19 @@ const double* pade_table(int m) {
     }
 }
 
+/// Rejects a norm with an Inf entry behind it: the scaling loop could
+/// never bring it below theta_13 (it would halve forever), and the spectral
+/// path has no eigenbasis to offer.
+void check_finite_norm(double nrm, const char* who) {
+    if (!std::isfinite(nrm)) {
+        throw std::domain_error(std::string(who) + ": non-finite norm (Inf entry)");
+    }
+}
+
 /// Picks the Pade order for `nrm = ||A||_1` and, for order 13, the number of
 /// scaling steps `s` such that ||A / 2^s||_1 <= theta_13.
 int choose_pade_order(double nrm, int& s) {
+    check_finite_norm(nrm, "expm_prepare");
     s = 0;
     if (nrm <= kTheta3) return 3;
     if (nrm <= kTheta5) return 5;
@@ -164,22 +175,22 @@ void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
         const Mat& a6 = ws.pows[3];
         // w1 = b13 A6 + b11 A4 + b9 A2 ; w = A6 w1 + b7 A6 + b5 A4 + b3 A2 + b1 I
         set_scaled(ws.w1, a6, b[13]);
-        add_scaled(ws.w1, cplx{b[11]}, a4);
-        add_scaled(ws.w1, cplx{b[9]}, a2);
+        add_scaled(ws.w1, b[11], a4);
+        add_scaled(ws.w1, b[9], a2);
         gemm_into(a6, ws.w1, ws.w);
-        add_scaled(ws.w, cplx{b[7]}, a6);
-        add_scaled(ws.w, cplx{b[5]}, a4);
-        add_scaled(ws.w, cplx{b[3]}, a2);
+        add_scaled(ws.w, b[7], a6);
+        add_scaled(ws.w, b[5], a4);
+        add_scaled(ws.w, b[3], a2);
         add_diag(ws.w, b[1]);
         gemm_into(as, ws.w, ws.u);
         // z1 = b12 A6 + b10 A4 + b8 A2 ; V = A6 z1 + b6 A6 + b4 A4 + b2 A2 + b0 I
         set_scaled(ws.z1, a6, b[12]);
-        add_scaled(ws.z1, cplx{b[10]}, a4);
-        add_scaled(ws.z1, cplx{b[8]}, a2);
+        add_scaled(ws.z1, b[10], a4);
+        add_scaled(ws.z1, b[8], a2);
         gemm_into(a6, ws.z1, ws.v);
-        add_scaled(ws.v, cplx{b[6]}, a6);
-        add_scaled(ws.v, cplx{b[4]}, a4);
-        add_scaled(ws.v, cplx{b[2]}, a2);
+        add_scaled(ws.v, b[6], a6);
+        add_scaled(ws.v, b[4], a4);
+        add_scaled(ws.v, b[2], a2);
         add_diag(ws.v, b[0]);
     } else {
         ws.usum.resize(n, n);
@@ -187,8 +198,8 @@ void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
         add_diag(ws.usum, b[1]);
         add_diag(ws.v, b[0]);
         for (std::size_t k = 1; k <= kmax; ++k) {
-            add_scaled(ws.usum, cplx{b[2 * k + 1]}, ws.pows[k]);
-            add_scaled(ws.v, cplx{b[2 * k]}, ws.pows[k]);
+            add_scaled(ws.usum, b[2 * k + 1], ws.pows[k]);
+            add_scaled(ws.v, b[2 * k], ws.pows[k]);
         }
         gemm_into(as, ws.usum, ws.u);
     }
@@ -237,24 +248,24 @@ void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
         // Lu = A*(M6 w1 + A6 (b13 M6 + b11 M4 + b9 M2)
         //         + b7 M6 + b5 M4 + b3 M2) + E*w
         set_scaled(ws.lw1, ws.m6, b[13]);
-        add_scaled(ws.lw1, cplx{b[11]}, ws.m4);
-        add_scaled(ws.lw1, cplx{b[9]}, ws.m2);
+        add_scaled(ws.lw1, b[11], ws.m4);
+        add_scaled(ws.lw1, b[9], ws.m2);
         gemm_into(ws.m6, ws.w1, ws.lw);
         gemm_acc(a6, ws.lw1, ws.lw);
-        add_scaled(ws.lw, cplx{b[7]}, ws.m6);
-        add_scaled(ws.lw, cplx{b[5]}, ws.m4);
-        add_scaled(ws.lw, cplx{b[3]}, ws.m2);
+        add_scaled(ws.lw, b[7], ws.m6);
+        add_scaled(ws.lw, b[5], ws.m4);
+        add_scaled(ws.lw, b[3], ws.m2);
         gemm_into(as, ws.lw, ws.lu_m);
         gemm_acc(es, ws.w, ws.lu_m);
         // Lv = M6 z1 + A6 (b12 M6 + b10 M4 + b8 M2) + b6 M6 + b4 M4 + b2 M2
         set_scaled(ws.lw1, ws.m6, b[12]);
-        add_scaled(ws.lw1, cplx{b[10]}, ws.m4);
-        add_scaled(ws.lw1, cplx{b[8]}, ws.m2);
+        add_scaled(ws.lw1, b[10], ws.m4);
+        add_scaled(ws.lw1, b[8], ws.m2);
         gemm_into(ws.m6, ws.z1, ws.lv_m);
         gemm_acc(a6, ws.lw1, ws.lv_m);
-        add_scaled(ws.lv_m, cplx{b[6]}, ws.m6);
-        add_scaled(ws.lv_m, cplx{b[4]}, ws.m4);
-        add_scaled(ws.lv_m, cplx{b[2]}, ws.m2);
+        add_scaled(ws.lv_m, b[6], ws.m6);
+        add_scaled(ws.lv_m, b[4], ws.m4);
+        add_scaled(ws.lv_m, b[2], ws.m2);
     } else {
         // M_{2k} = M_{2(k-1)} A2 + A^{2(k-1)} M2, accumulated into the
         // odd/even derivative sums.
@@ -267,8 +278,8 @@ void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
                 gemm_into(ws.mprev, ws.pows[1], ws.mcur);
                 gemm_acc(ws.pows[k - 1], ws.m2, ws.mcur);
             }
-            add_scaled(ws.lusum, cplx{b[2 * k + 1]}, ws.mcur);
-            add_scaled(ws.lv_m, cplx{b[2 * k]}, ws.mcur);
+            add_scaled(ws.lusum, b[2 * k + 1], ws.mcur);
+            add_scaled(ws.lv_m, b[2 * k], ws.mcur);
             std::swap(ws.mprev, ws.mcur);
         }
         // Lu = E * usum + A * lusum.
@@ -295,6 +306,7 @@ void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
 /// Daleckii-Krein spectral factorization for anti-Hermitian A = -iS (see
 /// expm.hpp): keeps the eigenvectors, eigenvalues and phases e^{-i lam}.
 void spectral_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
+    check_finite_norm(a.max_abs(), "expm_prepare");
     obs::count(obs::Cnt::kExpmSpectral);
     ws.prepared = ExpmMethod::kSpectral;
     const std::size_t n = a.rows();
@@ -347,6 +359,7 @@ void spectral_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
 Mat expm(const Mat& a) {
     if (!a.is_square()) throw std::invalid_argument("expm: non-square matrix");
     const double nrm = a.norm_1();
+    check_finite_norm(nrm, "expm");
 
     if (nrm <= kTheta3) return pade_eval(a, kPade3.data(), 3);
     if (nrm <= kTheta5) return pade_eval(a, kPade5.data(), 5);
@@ -394,7 +407,9 @@ Mat expm_hermitian(const Mat& h, double t) {
 void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws, ExpmMethod method) {
     if (!a.is_square()) throw std::invalid_argument("expm_prepare: non-square matrix");
     if (method == ExpmMethod::kAuto) {
-        const double tol = 1e-12 * std::max(1.0, a.max_abs());
+        const double amax = a.max_abs();
+        check_finite_norm(amax, "expm_prepare");
+        const double tol = 1e-12 * std::max(1.0, amax);
         method = is_anti_hermitian(a, tol) ? ExpmMethod::kSpectral : ExpmMethod::kPade;
     }
     if (method == ExpmMethod::kSpectral) {

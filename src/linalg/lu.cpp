@@ -4,10 +4,42 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
+
+namespace {
+
+/// `y[j] -= l * x[j]` over `m` complex entries, written out in real
+/// arithmetic on the interleaved doubles (no NaN-recovery branch, no
+/// per-row dispatch).
+inline void row_update(cplx* y, const cplx* x, cplx l, std::size_t m) noexcept {
+    auto* yd = reinterpret_cast<double*>(y);
+    const auto* xd = reinterpret_cast<const double*>(x);
+    const double lr = l.real(), li = l.imag();
+    for (std::size_t j = 0; j < m; ++j) {
+        const double xr = xd[2 * j], xi = xd[2 * j + 1];
+        yd[2 * j] -= lr * xr - li * xi;
+        yd[2 * j + 1] -= lr * xi + li * xr;
+    }
+}
+
+/// `y[j] *= s` over `m` complex entries in real arithmetic.
+inline void row_scale(cplx* y, cplx s, std::size_t m) noexcept {
+    auto* yd = reinterpret_cast<double*>(y);
+    const double sr = s.real(), si = s.imag();
+    for (std::size_t j = 0; j < m; ++j) {
+        const double yr = yd[2 * j], yi = yd[2 * j + 1];
+        yd[2 * j] = yr * sr - yi * si;
+        yd[2 * j + 1] = yr * si + yi * sr;
+    }
+}
+
+/// Pivot magnitude `|re| + |im|` (LAPACK izamax): no hypot, same pivot
+/// as `std::abs` up to a factor of sqrt(2).
+inline double pivot_size(cplx v) noexcept { return std::abs(v.real()) + std::abs(v.imag()); }
+
+}  // namespace
 
 Lu::Lu(const Mat& a) { factor(a); }
 
@@ -20,13 +52,14 @@ void Lu::factor(const Mat& a) {
     const std::size_t n = a.rows();
     piv_.resize(n);
     for (std::size_t i = 0; i < n; ++i) piv_[i] = i;
+    inv_diag_.resize(n);
 
     for (std::size_t k = 0; k < n; ++k) {
-        // Partial pivot: largest magnitude in column k at/below the diagonal.
+        // Partial pivot: largest |re| + |im| in column k at/below the diagonal.
         std::size_t p = k;
-        double best = std::abs(lu_(k, k));
+        double best = pivot_size(lu_(k, k));
         for (std::size_t i = k + 1; i < n; ++i) {
-            const double v = std::abs(lu_(i, k));
+            const double v = pivot_size(lu_(i, k));
             if (v > best) {
                 best = v;
                 p = i;
@@ -42,11 +75,17 @@ void Lu::factor(const Mat& a) {
             singular_ = true;
             continue;
         }
+        // The one complex division of this column; the multipliers and the
+        // back substitution reuse the reciprocal.
+        const cplx inv = 1.0 / pivot;
+        inv_diag_[k] = inv;
         for (std::size_t i = k + 1; i < n; ++i) {
-            const cplx m = lu_(i, k) / pivot;
+            const cplx lik = lu_(i, k);
+            if (lik == cplx{0.0, 0.0}) continue;
+            const cplx m{lik.real() * inv.real() - lik.imag() * inv.imag(),
+                         lik.real() * inv.imag() + lik.imag() * inv.real()};
             lu_(i, k) = m;
-            if (m == cplx{0.0, 0.0}) continue;
-            for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= m * lu_(k, j);
+            row_update(&lu_(i, k + 1), &lu_(k, k + 1), m, n - k - 1);
         }
     }
 }
@@ -75,24 +114,23 @@ void Lu::solve_into(const Mat& b, Mat& x) const {
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < m; ++j) x(i, j) = b(piv_[i], j);
 
-    // Forward substitution (L has unit diagonal); the row updates vectorize
-    // over the right-hand-side columns.
+    // Forward substitution (L has unit diagonal), one row update per
+    // nonzero multiplier.
     for (std::size_t i = 1; i < n; ++i)
         for (std::size_t k = 0; k < i; ++k) {
             const cplx lik = lu_(i, k);
             if (lik == cplx{0.0, 0.0}) continue;
-            simd::row_sub_scaled(&x(i, 0), &x(k, 0), lik, m);
+            row_update(&x(i, 0), &x(k, 0), lik, m);
         }
 
-    // Back substitution.
+    // Back substitution, multiplying by the reciprocal pivots kept by factor.
     for (std::size_t ii = n; ii-- > 0;) {
         for (std::size_t k = ii + 1; k < n; ++k) {
             const cplx uik = lu_(ii, k);
             if (uik == cplx{0.0, 0.0}) continue;
-            simd::row_sub_scaled(&x(ii, 0), &x(k, 0), uik, m);
+            row_update(&x(ii, 0), &x(k, 0), uik, m);
         }
-        const cplx d = lu_(ii, ii);
-        for (std::size_t j = 0; j < m; ++j) x(ii, j) /= d;
+        row_scale(&x(ii, 0), inv_diag_[ii], m);
     }
 }
 

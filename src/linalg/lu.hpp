@@ -12,6 +12,18 @@ namespace qoc::linalg {
 /// LU factorization `P A = L U` of a square complex matrix with partial
 /// (row) pivoting.  L has unit diagonal and is stored, together with U, in
 /// the packed factor matrix.
+///
+/// Arithmetic rules (the Pade engine runs one factor and 1 + #directions
+/// solves per slot, at n <= 16, so the scalar overhead is the cost):
+/// - the pivot of column k is the largest `|re| + |im|` at/below the
+///   diagonal, as LAPACK's izamax picks it; ties keep the upper row;
+/// - a pivot with `std::abs(pivot) < 1e-300` (one hypot per column) marks
+///   the matrix singular;
+/// - each pivot costs one complex division, its reciprocal; multipliers and
+///   the back substitution's diagonal step multiply by it;
+/// - row updates are written out in real arithmetic over the interleaved
+///   doubles.  They do not route through `linalg::simd`: at these sizes
+///   the per-row dispatch cost more than the vector lanes saved.
 class Lu {
 public:
     /// Creates an empty factorization; call `factor` before use.
@@ -41,8 +53,8 @@ public:
     Mat solve(const Mat& b) const;
 
     /// Solves `A x = b` into a caller-owned matrix (allocation-free on shape
-    /// reuse).  `x` must not alias `b`.  The substitution row updates run
-    /// through `simd::row_sub_scaled`.
+    /// reuse).  `x` must not alias `b`.  Division-free: the diagonal step
+    /// multiplies by the reciprocal pivots `factor` kept.
     void solve_into(const Mat& b, Mat& x) const;
 
     /// Inverse of the original matrix.
@@ -51,6 +63,7 @@ public:
 private:
     Mat lu_;                       // packed L (unit diag, below) and U (on/above)
     std::vector<std::size_t> piv_; // row permutation
+    std::vector<cplx> inv_diag_;   // 1 / U(k, k), read by solve_into
     int pivot_sign_ = 1;
     bool singular_ = false;
 };

@@ -126,9 +126,21 @@ double Mat::frobenius_norm() const {
     return std::sqrt(s);
 }
 
+namespace {
+/// |v| as `sqrt(re^2 + im^2)` while the sum of squares is a finite normal
+/// number; exact zero for a zero entry; `std::abs` (overflow- and
+/// underflow-safe hypot) for everything else.
+double magnitude(cplx v) {
+    const double ss = v.real() * v.real() + v.imag() * v.imag();
+    if (std::isnormal(ss)) return std::sqrt(ss);
+    if (v.real() == 0.0 && v.imag() == 0.0) return 0.0;
+    return std::abs(v);
+}
+}  // namespace
+
 double Mat::max_abs() const {
     double m = 0.0;
-    for (const auto& v : data_) m = std::max(m, std::abs(v));
+    for (const auto& v : data_) m = std::max(m, magnitude(v));
     return m;
 }
 
@@ -136,7 +148,7 @@ double Mat::norm_1() const {
     double best = 0.0;
     for (std::size_t j = 0; j < cols_; ++j) {
         double colsum = 0.0;
-        for (std::size_t i = 0; i < rows_; ++i) colsum += std::abs((*this)(i, j));
+        for (std::size_t i = 0; i < rows_; ++i) colsum += magnitude((*this)(i, j));
         best = std::max(best, colsum);
     }
     return best;
@@ -288,17 +300,33 @@ void add_scaled(Mat& y, cplx alpha, const Mat& x) {
     for (std::size_t i = 0; i < y.data().size(); ++i) y.data()[i] += alpha * x.data()[i];
 }
 
+void add_scaled(Mat& y, double alpha, const Mat& x) {
+    if (y.rows() != x.rows() || y.cols() != x.cols()) {
+        throw std::invalid_argument("add_scaled: shape mismatch");
+    }
+    // std::complex<double> is array-compatible with double[2].
+    auto* yd = reinterpret_cast<double*>(y.data().data());
+    const auto* xd = reinterpret_cast<const double*>(x.data().data());
+    for (std::size_t i = 0; i < 2 * y.size(); ++i) yd[i] += alpha * xd[i];
+}
+
 cplx trace_of_product(const Mat& a, const Mat& b) {
     if (a.cols() != b.rows() || a.rows() != b.cols()) {
         throw std::invalid_argument("trace_of_product: shape mismatch");
     }
     const std::size_t n = a.rows(), k = a.cols();
-    cplx t{0.0, 0.0};
+    const auto* ad = reinterpret_cast<const double*>(a.data().data());
+    const auto* bd = reinterpret_cast<const double*>(b.data().data());
+    double tr = 0.0, ti = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const cplx* arow = &a.data()[i * k];
-        for (std::size_t j = 0; j < k; ++j) t += arow[j] * b(j, i);
+        for (std::size_t j = 0; j < k; ++j) {
+            const double* av = ad + 2 * (i * k + j);
+            const double* bv = bd + 2 * (j * n + i);
+            tr += av[0] * bv[0] - av[1] * bv[1];
+            ti += av[0] * bv[1] + av[1] * bv[0];
+        }
     }
-    return t;
+    return {tr, ti};
 }
 
 cplx hs_inner(const Mat& a, const Mat& b) {

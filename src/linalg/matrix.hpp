@@ -107,10 +107,13 @@ public:
     /// Frobenius norm `sqrt(sum |a_ij|^2)`.
     double frobenius_norm() const;
 
-    /// Largest entry magnitude (max norm).
+    /// Largest entry magnitude (max norm).  Entry magnitudes are
+    /// `sqrt(re^2 + im^2)`, falling back to `std::abs` (hypot) only when the
+    /// sum of squares is not a finite normal number.
     double max_abs() const;
 
-    /// Induced 1-norm (max absolute column sum); used by expm scaling.
+    /// Induced 1-norm (max absolute column sum); used by expm scaling.  Same
+    /// entry magnitudes as `max_abs`.
     double norm_1() const;
 
     /// True when `|a_ij - a_ji^*| <= tol` for all entries.
@@ -179,9 +182,15 @@ void adjoint_times_into(const Mat& a, const Mat& b, Mat& out);
 /// `y += alpha * x` (complex axpy), allocation free.
 void add_scaled(Mat& y, cplx alpha, const Mat& x);
 
+/// `y += alpha * x` for a real `alpha`: one multiply-add per interleaved
+/// double.  For finite inputs this rounds exactly like the `cplx{alpha, 0}`
+/// overload, without `std::complex`'s NaN-recovery multiply.  The Pade
+/// polynomial sums and the GRAPE slot exponents run through it.
+void add_scaled(Mat& y, double alpha, const Mat& x);
+
 /// `tr(a * b)` in a single pass without forming the product: the O(N^2)
-/// contraction sum_ij a(i,j) b(j,i).  Requires a.cols() == b.rows() and
-/// a.rows() == b.cols().
+/// contraction sum_ij a(i,j) b(j,i), accumulated in two real sums over the
+/// raw storage.  Requires a.cols() == b.rows() and a.rows() == b.cols().
 cplx trace_of_product(const Mat& a, const Mat& b);
 
 /// `tr(a^dagger * b)` (Hilbert-Schmidt inner product) without forming the product.

@@ -28,12 +28,6 @@ inline void cfma(cplx& acc, const cplx a, const cplx b) noexcept {
     acc = cplx{acc.real() + pr, acc.imag() + pi};
 }
 
-inline void cfms(cplx& acc, const cplx a, const cplx b) noexcept {
-    const double pr = std::fma(b.real(), a.real(), -(a.imag() * b.imag()));
-    const double pi = std::fma(b.imag(), a.real(), a.imag() * b.real());
-    acc = cplx{acc.real() - pr, acc.imag() - pi};
-}
-
 void gemm_raw_scalar(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t k,
                      std::size_t n, bool accumulate) noexcept {
     for (std::size_t i = 0; i < m; ++i) {
@@ -91,10 +85,6 @@ void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
             for (std::size_t j = 0; j < n; ++j) cfma(crow[j], v, brow[j]);
         }
     }
-}
-
-void row_sub_scaled_scalar(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept {
-    for (std::size_t j = 0; j < n; ++j) cfms(xi[j], l, xk[j]);
 }
 
 #if defined(QOC_HAVE_AVX2_PATH)
@@ -298,22 +288,6 @@ __attribute__((target("avx2,fma"))) void csr_gemm_raw_avx2(const cplx* vals, con
     }
 }
 
-__attribute__((target("avx2,fma"))) void row_sub_scaled_avx2(cplx* xi, const cplx* xk, cplx l,
-                                                             std::size_t n) noexcept {
-    const std::size_t n2 = n & ~std::size_t{1};
-    const __m256d lr = _mm256_set1_pd(l.real());
-    const __m256d li = _mm256_set1_pd(l.imag());
-    auto* xd = reinterpret_cast<double*>(xi);
-    const auto* kd = reinterpret_cast<const double*>(xk);
-    for (std::size_t j = 0; j < n2; j += 2) {
-        const __m256d v = _mm256_loadu_pd(kd + 2 * j);
-        const __m256d swapped = _mm256_permute_pd(v, 0b0101);
-        const __m256d prod = _mm256_fmaddsub_pd(v, lr, _mm256_mul_pd(swapped, li));
-        _mm256_storeu_pd(xd + 2 * j, _mm256_sub_pd(_mm256_loadu_pd(xd + 2 * j), prod));
-    }
-    if (n2 != n) cfms(xi[n2], l, xk[n2]);
-}
-
 bool detect_avx2() noexcept {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -390,16 +364,6 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
     }
 #endif
     csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
-}
-
-void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept {
-#if defined(QOC_HAVE_AVX2_PATH)
-    if (use_avx2()) {
-        row_sub_scaled_avx2(xi, xk, l, n);
-        return;
-    }
-#endif
-    row_sub_scaled_scalar(xi, xk, l, n);
 }
 
 }  // namespace qoc::linalg::simd

@@ -2,9 +2,13 @@
 /// \brief Runtime-dispatched SIMD complex kernels.
 ///
 /// This is the single kernel family behind every dense complex product:
-/// `linalg::gemm_into`/`gemm_acc`/`operator*`, `Lu::solve_into` (and so the
-/// expm/Frechet engine), the structured superoperator applies and the
-/// batched RB seed propagation all run through it.
+/// `linalg::gemm_into`/`gemm_acc`/`operator*` (and so the expm/Frechet
+/// engine's products), the structured superoperator applies and the
+/// batched RB seed propagation all run through it.  The LU factor and
+/// substitutions do not: their row updates are a few complex entries long
+/// at the engine's sizes (n <= 16), where a per-row dispatch into this
+/// family cost more than it saved, so `Lu` writes them out in real
+/// arithmetic itself (see lu.hpp).
 ///
 /// Determinism contract: for every output element the accumulation runs
 /// over ascending inner index `p`, and each partial product is committed as
@@ -70,9 +74,5 @@ void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
 /// the contiguous batch dimension with one broadcast per stored nonzero.
 void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
                   const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept;
-
-/// `xi[j] -= l * xk[j]` over `n` contiguous elements: the row update of the
-/// vectorized LU forward/backward substitution.
-void row_sub_scaled(cplx* xi, const cplx* xk, cplx l, std::size_t n) noexcept;
 
 }  // namespace qoc::linalg::simd

@@ -3,7 +3,6 @@
 #include "contracts/matrix_checks.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <numbers>
 #include <stdexcept>
@@ -41,40 +40,27 @@ std::uint64_t phase_key(const Mat& u) {
     const Mat n = phase_normalize(u);
     util::Fnv1a h;
     for (const auto& v : n.data()) {
-        // Round to the 1e-6 grid; casting to integer absorbs -0.
-        h.i64(static_cast<std::int64_t>(std::round(v.real() * 1e6)));
-        h.i64(static_cast<std::int64_t>(std::round(v.imag() * 1e6)));
+        // Round to the 1e-6 grid; rounding to an integer absorbs -0, and
+        // llround keeps out-of-range or NaN entries defined (such a matrix
+        // is no Clifford, and find() rejects it).
+        h.i64(std::llround(v.real() * 1e6));
+        h.i64(std::llround(v.imag() * 1e6));
     }
     return h.digest();
-}
-
-std::string phase_hash(const Mat& u) {
-    const Mat n = phase_normalize(u);
-    std::string key;
-    key.reserve(n.data().size() * 16);
-    char buf[40];
-    for (const auto& v : n.data()) {
-        // Round to 1e-6 and canonicalize -0.
-        double re = std::round(v.real() * 1e6) / 1e6;
-        double im = std::round(v.imag() * 1e6) / 1e6;
-        if (re == 0.0) re = 0.0;
-        if (im == 0.0) im = 0.0;
-        std::snprintf(buf, sizeof(buf), "%.6f,%.6f;", re, im);
-        key += buf;
-    }
-    return key;
 }
 
 Clifford1Q::Clifford1Q() {
     namespace g = quantum::gates;
 
-    // Enumerate the group by closure over {H, S}.
-    std::unordered_map<std::string, std::size_t> index_of;
+    // Enumerate the group by closure over {H, S}, keyed by phase_key.  A
+    // key collision between two elements would merge them; the group-order
+    // check below catches it.
+    key_index_.reserve(kSize);
     std::deque<Mat> frontier;
     auto add = [&](const Mat& u) -> bool {
-        const std::string key = phase_hash(u);
-        if (index_of.count(key)) return false;
-        index_of.emplace(key, unitaries_.size());
+        const std::uint64_t key = phase_key(u);
+        if (key_index_.count(key)) return false;
+        key_index_.emplace(key, unitaries_.size());
         unitaries_.push_back(phase_normalize(u));
         frontier.push_back(unitaries_.back());
         return true;
@@ -89,26 +75,17 @@ Clifford1Q::Clifford1Q() {
     if (unitaries_.size() != kSize) {
         throw std::logic_error("Clifford1Q: generated group has wrong order");
     }
-    identity_ = index_of.at(phase_hash(Mat::identity(2)));
-
-    // Canonical-phase hash index for O(1) find().
-    key_index_.reserve(kSize);
-    for (std::size_t i = 0; i < kSize; ++i) {
-        contracts::check_unitary(unitaries_[i], "Clifford1Q: group element");
-        key_index_.emplace(phase_key(unitaries_[i]), i);
-    }
-    if (key_index_.size() != kSize) {
-        throw std::logic_error("Clifford1Q: phase_key collision within the group");
-    }
+    identity_ = key_index_.at(phase_key(Mat::identity(2)));
+    for (const Mat& u : unitaries_) contracts::check_unitary(u, "Clifford1Q: group element");
 
     // Multiplication and inverse tables.
     mult_table_.assign(kSize * kSize, 0);
     inv_table_.assign(kSize, 0);
     for (std::size_t i = 0; i < kSize; ++i) {
         for (std::size_t j = 0; j < kSize; ++j) {
-            mult_table_[i * kSize + j] = index_of.at(phase_hash(unitaries_[i] * unitaries_[j]));
+            mult_table_[i * kSize + j] = key_index_.at(phase_key(unitaries_[i] * unitaries_[j]));
         }
-        inv_table_[i] = index_of.at(phase_hash(unitaries_[i].adjoint()));
+        inv_table_[i] = key_index_.at(phase_key(unitaries_[i].adjoint()));
     }
 
     // Minimal basis-gate decompositions via BFS over {rz(k pi/2), sx, x},
@@ -133,14 +110,14 @@ Clifford1Q::Clifford1Q() {
 
     std::deque<Node> queue;
     queue.push_back(Node{Mat::identity(2), {}, 0});
-    std::unordered_map<std::string, std::size_t> best_pulses;
-    best_pulses[phase_hash(Mat::identity(2))] = 0;
+    std::unordered_map<std::uint64_t, std::size_t> best_pulses;
+    best_pulses[phase_key(Mat::identity(2))] = 0;
 
     while (!queue.empty() && n_found < kSize) {
         Node node = std::move(queue.front());
         queue.pop_front();
-        const auto it = index_of.find(phase_hash(node.u));
-        if (it != index_of.end() && !found[it->second]) {
+        const auto it = key_index_.find(phase_key(node.u));
+        if (it != key_index_.end() && !found[it->second]) {
             found[it->second] = true;
             decomps_[it->second] = node.seq;
             ++n_found;
@@ -154,7 +131,7 @@ Clifford1Q::Clifford1Q() {
             next.seq = node.seq;
             next.seq.push_back(gate);
             next.pulses = node.pulses + (gate.name == "rz" ? 0 : 1);
-            const std::string key = phase_hash(next.u);
+            const std::uint64_t key = phase_key(next.u);
             const auto bit = best_pulses.find(key);
             if (bit != best_pulses.end() && bit->second <= next.pulses) continue;
             best_pulses[key] = next.pulses;

@@ -77,13 +77,10 @@ Mat phase_normalize(const Mat& u);
 /// In-place variant of `phase_normalize` (no allocation).
 void phase_normalize_inplace(Mat& u);
 
-/// Hash key of a phase-normalized matrix (entries rounded to 1e-6).
-std::string phase_hash(const Mat& u);
-
 /// 64-bit canonical-phase hash: FNV-1a over the phase-normalized entries
-/// rounded to the same 1e-6 grid as `phase_hash`, but without materializing a
-/// string.  Equal-up-to-phase matrices map to the same key; recovery lookups
-/// hash the net ideal unitary with this and verify the candidate exactly.
+/// rounded to a 1e-6 grid.  Equal-up-to-phase matrices map to the same key.
+/// The group tables are built on it, and recovery lookups hash the net
+/// ideal unitary with it and verify the candidate exactly.
 std::uint64_t phase_key(const Mat& u);
 
 }  // namespace qoc::rb

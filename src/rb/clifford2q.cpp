@@ -2,6 +2,7 @@
 
 #include "contracts/matrix_checks.hpp"
 
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 
@@ -44,14 +45,18 @@ Clifford2Q::Clifford2Q(const Clifford1Q& c1) : c1_(c1) {
 
     // Cache every phase-normalized unitary and hash it for find().  ~3 MB;
     // makes unitary() an indexed read in the RB sequence loop and find()
-    // race-free across pool workers.
+    // race-free across pool workers.  The keys are hashed in the same
+    // fan-out; the map is filled serially in index order.
     unitaries_.resize(kSize);
+    std::vector<std::uint64_t> keys(kSize);
+    runtime::TaskPool::global().parallel_for(0, kSize, [&](std::size_t i) {
+        unitaries_[i] = compute_unitary(i);
+        keys[i] = phase_key(unitaries_[i]);
+    });
     key_index_.reserve(kSize);
-    runtime::TaskPool::global().parallel_for(
-        0, kSize, [&](std::size_t i) { unitaries_[i] = compute_unitary(i); });
     for (std::size_t i = 0; i < kSize; ++i) {
         contracts::check_unitary(unitaries_[i], "Clifford2Q: group element");
-        key_index_.emplace(phase_key(unitaries_[i]), i);
+        key_index_.emplace(keys[i], i);
     }
     if (key_index_.size() != kSize) {
         throw std::logic_error("Clifford2Q: coset construction produced duplicates");

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <random>
+#include <stdexcept>
+#include <thread>
 
 #include "linalg/eig_hermitian.hpp"
 
@@ -68,6 +74,77 @@ TEST(Expm, LargeNormTriggersScalingAndStaysAccurate) {
     const Mat e = expm((-kI * theta) * sz);
     EXPECT_NEAR(std::abs(e(0, 0) - std::exp(-kI * theta)), 0.0, 1e-9);
     EXPECT_NEAR(std::abs(e(1, 1) - std::exp(kI * theta)), 0.0, 1e-9);
+}
+
+/// Runs `f` on a watchdog thread: true when it throws std::domain_error
+/// within 10 s.  A call that never returns fails the test instead of
+/// hanging the suite; its thread is abandoned.
+template <class F>
+bool throws_domain_error_promptly(F f) {
+    auto result = std::make_shared<std::promise<bool>>();
+    std::future<bool> done = result->get_future();
+    std::thread([result, f] {
+        try {
+            f();
+            result->set_value(false);
+        } catch (const std::domain_error&) {
+            result->set_value(true);
+        } catch (...) {
+            result->set_value(false);
+        }
+    }).detach();
+    return done.wait_for(std::chrono::seconds(10)) == std::future_status::ready && done.get();
+}
+
+TEST(Expm, InfEntryThrowsDomainError) {
+    // An infinite 1-norm can never be scaled below theta_13: both entry
+    // points must refuse it instead of halving forever.
+    for (const double inf : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        Mat a{{1.0, 0.0}, {0.0, 1.0}};
+        a(0, 1) = cplx{inf, 0.0};
+        EXPECT_TRUE(throws_domain_error_promptly([a] { (void)expm(a); }));
+        EXPECT_TRUE(throws_domain_error_promptly([a] {
+            ExpmWorkspace ws;
+            Mat e;
+            expm_prepare(a, e, ws, ExpmMethod::kPade);
+        }));
+        EXPECT_TRUE(throws_domain_error_promptly([a] {
+            ExpmWorkspace ws;
+            Mat e;
+            expm_into(a, e, ws);
+        }));
+    }
+}
+
+TEST(Expm, HugeFiniteScaleStillExponentiates) {
+    // ||A||_1 = 1e200 is finite: ~660 squarings, and the norm's squared
+    // entries overflow, so this also runs the hypot fallback.  Each squaring
+    // doubles the approximant's relative error, so only a strongly damped
+    // generator has a value that survives them: e^A = 0, reached without
+    // NaN.  A non-normal generator at the same scale must still factor and
+    // give finite numbers.
+    const double c = 1e200;
+    const Mat damped{{-c, 0.0}, {0.0, -2.0 * c}};
+    const Mat nilpotent{{0.0, c}, {0.0, 0.0}};
+    for (const Mat* a : std::initializer_list<const Mat*>{&damped, &nilpotent}) {
+        const Mat got = expm(*a);
+        ExpmWorkspace ws;
+        Mat prepared;
+        expm_prepare(*a, prepared, ws, ExpmMethod::kPade);
+        EXPECT_EQ(ws.order, 13);
+        EXPECT_GT(ws.squarings, 600);
+        EXPECT_FALSE(ws.fact.singular());
+        for (const Mat* m : std::initializer_list<const Mat*>{&got, &prepared}) {
+            for (const cplx& v : m->data()) {
+                EXPECT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
+            }
+        }
+        if (a == &damped) {
+            EXPECT_EQ(got.max_abs(), 0.0);
+            EXPECT_EQ(prepared.max_abs(), 0.0);
+        }
+    }
 }
 
 TEST(Expm, GroupProperty) {

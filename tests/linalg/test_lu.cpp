@@ -38,10 +38,10 @@ TEST(Lu, SolveResidualSmallRandom) {
 }
 
 TEST(Lu, SolveIntoResidualAcrossSizes) {
-    // Normwise backward error of the vectorized substitutions at the
-    // transmon (3), pair (9) and doubled-pair (18) sizes, with odd and even
-    // right-hand-side counts so the AVX2 row update hits its scalar tail.
-    // The scalar replay must agree with the dispatched kernel bitwise.
+    // Normwise backward error of the substitutions at the transmon (3),
+    // pair (9) and doubled-pair (18) sizes, with odd and even right-hand-side
+    // counts.  Forcing the scalar gemm kernels must not change the solve:
+    // the LU row updates never dispatch.
     const double eps = std::numeric_limits<double>::epsilon();
     for (const std::size_t n : {3u, 9u, 18u}) {
         const Mat a = random_matrix(n, static_cast<unsigned>(40 + n));
@@ -115,6 +115,29 @@ TEST(Lu, PivotingHandlesZeroLeadingEntry) {
     const Mat x = solve(a, Mat::col_vector({cplx{3.0}, cplx{4.0}}));
     EXPECT_NEAR(std::abs(x(0, 0) - cplx{4.0}), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(x(1, 0) - cplx{3.0}), 0.0, 1e-12);
+}
+
+TEST(Lu, ResidualAtExtremeScales) {
+    // The |re| + |im| pivot search and the reciprocal-pivot multiply must
+    // neither overflow nor underflow where the entries' squares would: the
+    // same well-conditioned system at entry scales 1e-200, 1 and 1e200
+    // factors as nonsingular and solves to a scale-free residual.
+    for (const std::size_t n : {4u, 9u}) {
+        for (const double scale : {1e-200, 1.0, 1e200}) {
+            Mat a = random_matrix(n, static_cast<unsigned>(60 + n));
+            for (std::size_t i = 0; i < n; ++i) a(i, i) += cplx{2.0, -1.0};
+            Mat b = random_matrix(n, static_cast<unsigned>(70 + n));
+            a *= scale;
+            b *= scale;
+            const Lu f(a);
+            ASSERT_FALSE(f.singular()) << "n=" << n << " scale=" << scale;
+            const Mat x = f.solve(b);
+            const double rel = (a * x - b).max_abs() / (a.norm_1() * x.max_abs() + b.max_abs());
+            EXPECT_LE(rel, 1e-12) << "n=" << n << " scale=" << scale;
+            const Mat x1 = Lu(a * (1.0 / scale)).solve(b * (1.0 / scale));
+            EXPECT_LE((x - x1).max_abs(), 1e-12 * x1.max_abs()) << "n=" << n << " scale=" << scale;
+        }
+    }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <utility>
 #include <sstream>
 #include <vector>
 
@@ -345,6 +348,71 @@ TEST(Matrix, GemmRejectsBadShapes) {
     Mat acc_bad(3, 3);
     EXPECT_THROW(gemm_acc(a, b, acc_bad), std::invalid_argument);
     EXPECT_THROW(gemm_acc(a, b_bad, out), std::invalid_argument);
+}
+
+TEST(Matrix, AddScaledRealMatchesComplexPromotionBitwise) {
+    std::mt19937 rng(2024);
+    std::uniform_real_distribution<double> dist(-3.0, 3.0);
+    for (const std::size_t n : {1u, 3u, 9u, 16u}) {
+        Mat x(n, n + 1), y(n, n + 1);
+        for (auto& v : x.data()) v = cplx{dist(rng), dist(rng)};
+        for (auto& v : y.data()) v = cplx{dist(rng), dist(rng)};
+        for (const double alpha : {dist(rng), 182.0, -1.0e-7, 64764752532480000.0}) {
+            Mat via_real = y, via_cplx = y;
+            add_scaled(via_real, alpha, x);
+            add_scaled(via_cplx, cplx{alpha, 0.0}, x);
+            ASSERT_EQ(0, std::memcmp(via_real.data().data(), via_cplx.data().data(),
+                                     via_real.size() * sizeof(cplx)))
+                << "n=" << n << " alpha=" << alpha;
+        }
+    }
+    Mat y(2, 2);
+    EXPECT_THROW(add_scaled(y, 1.0, Mat(2, 3)), std::invalid_argument);
+}
+
+TEST(Matrix, TraceOfProductMatchesNaiveSum) {
+    std::mt19937 rng(99);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{1, 1}, {3, 3}, {9, 9},
+                               {4, 7}, {7, 4}}) {
+        Mat a(n, k), b(k, n);
+        for (auto& v : a.data()) v = cplx{dist(rng), dist(rng)};
+        for (auto& v : b.data()) v = cplx{dist(rng), dist(rng)};
+        cplx naive{0.0, 0.0};
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < k; ++j) naive += a(i, j) * b(j, i);
+        EXPECT_LE(std::abs(trace_of_product(a, b) - naive), 1e-14) << n << "x" << k;
+    }
+    EXPECT_THROW(trace_of_product(Mat(2, 3), Mat(2, 3)), std::invalid_argument);
+}
+
+TEST(Matrix, NormsMatchHypotAtExtremeScales) {
+    // Entry magnitudes whose squares overflow (1e200), underflow (1e-200,
+    // subnormal) or are exact zeros must still come out as std::abs does.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double scale : {1e-200, 1e-160, 1.0, 1e160, 1e200}) {
+        Mat m{{cplx{3.0, 4.0} * scale, cplx{0.0, 0.0}},
+              {cplx{-1.0, 1.0} * scale, cplx{tiny, -tiny}}};
+        double ref_max = 0.0, ref_n1 = 0.0;
+        for (std::size_t j = 0; j < 2; ++j) {
+            double col = 0.0;
+            for (std::size_t i = 0; i < 2; ++i) {
+                ref_max = std::max(ref_max, std::abs(m(i, j)));
+                col += std::abs(m(i, j));
+            }
+            ref_n1 = std::max(ref_n1, col);
+        }
+        EXPECT_NEAR(m.max_abs(), ref_max, 4e-16 * ref_max) << "scale=" << scale;
+        EXPECT_NEAR(m.norm_1(), ref_n1, 4e-16 * ref_n1) << "scale=" << scale;
+        EXPECT_GT(m.max_abs(), 0.0);
+    }
+    Mat z(2, 2);
+    EXPECT_EQ(z.max_abs(), 0.0);
+    EXPECT_EQ(z.norm_1(), 0.0);
+    Mat with_inf{{cplx{inf, 0.0}, cplx{1.0, 0.0}}, {cplx{0.0, 0.0}, cplx{0.0, 1.0}}};
+    EXPECT_EQ(with_inf.max_abs(), inf);
+    EXPECT_EQ(with_inf.norm_1(), inf);
 }
 
 }  // namespace

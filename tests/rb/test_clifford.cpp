@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 
@@ -29,8 +31,8 @@ protected:
 
 TEST_F(CliffordTest, GroupOrder24) {
     EXPECT_EQ(c1().size(), 24u);
-    std::set<std::string> keys;
-    for (std::size_t i = 0; i < 24; ++i) keys.insert(phase_hash(c1().unitary(i)));
+    std::set<std::uint64_t> keys;
+    for (std::size_t i = 0; i < 24; ++i) keys.insert(phase_key(c1().unitary(i)));
     EXPECT_EQ(keys.size(), 24u);
 }
 
@@ -149,8 +151,21 @@ TEST_F(CliffordTest, TwoQubitCxCountByClass) {
 TEST_F(CliffordTest, PhaseHashInvariantUnderGlobalPhase) {
     const Mat u = g::h();
     const Mat v = std::exp(linalg::cplx{0.0, 1.234}) * u;
-    EXPECT_EQ(phase_hash(u), phase_hash(v));
-    EXPECT_NE(phase_hash(g::h()), phase_hash(g::x()));
+    EXPECT_EQ(phase_key(u), phase_key(v));
+    EXPECT_NE(phase_key(g::h()), phase_key(g::x()));
+}
+
+TEST_F(CliffordTest, FindRejectsNonFiniteAndHugeMatrices) {
+    // Entries far outside the 1e-6 key grid's int64 range, or NaN/Inf, hash
+    // to some key without undefined behaviour and are then rejected.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double v : {1e300, -1e300, inf, nan}) {
+        Mat u = g::x();
+        u(0, 1) = linalg::cplx{v, 0.0};
+        (void)phase_key(u);
+        EXPECT_THROW(c1().find(u), std::invalid_argument) << v;
+    }
 }
 
 TEST_F(CliffordTest, SamplingCoversClasses) {
