@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
 #include "rb/rb.hpp"
+#include "rb/seed_block.hpp"
 #include "service/calibration_service.hpp"
 
 namespace {
@@ -335,6 +337,46 @@ void BM_SuperopApplyBatched(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_SuperopApplyBatched)->Args({3, 8})->Args({3, 32})->Args({9, 8});
+
+/// One mixed Clifford step over a 4-seed block: every seed applies its own
+/// dense d^2 x d^2 propagator (arg = d^2), the RB engine's step whenever the
+/// seeds of a block drew different Cliffords.  Items are seed columns.
+void BM_RbMixedStep(benchmark::State& state) {
+    const auto d2 = static_cast<std::size_t>(state.range(0));
+    const auto d = static_cast<std::size_t>(std::lround(std::sqrt(static_cast<double>(d2))));
+    constexpr std::size_t kSeeds = 4;
+    std::vector<quantum::StructuredSuperOp> ops;
+    for (unsigned k = 0; k < kSeeds; ++k) {
+        const linalg::Mat l = quantum::liouvillian(random_hermitian(d, 40 + k),
+                                                   {0.1 * quantum::annihilation(d)});
+        ops.push_back(quantum::StructuredSuperOp::from_dense(linalg::expm(0.5 * l)));
+    }
+    const auto structured_of = [&ops](std::size_t i) -> const quantum::StructuredSuperOp& {
+        return ops[i];
+    };
+    const std::size_t idx[kSeeds] = {0, 1, 2, 3};
+    linalg::Mat x(d2, kSeeds), x_next;
+    for (std::size_t j = 0; j < kSeeds; ++j) x(0, j) = 1.0;
+    for (auto _ : state) {
+        rb::detail::apply_block_step(structured_of, idx, kSeeds, x, x_next);
+        benchmark::DoNotOptimize(x);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSeeds));
+}
+BENCHMARK(BM_RbMixedStep)->Arg(4)->Arg(9)->Arg(16);
+
+/// 2Q readout of one RB survival point: 8192 shots off a vec(rho) whose
+/// populations sit where a mid-length 2Q RB sequence leaves them.
+void BM_Measure2q(benchmark::State& state) {
+    const device::PulseExecutor exec(device::ibmq_montreal());
+    linalg::Mat v(16, 1);
+    const double pops[4] = {0.93, 0.03, 0.025, 0.015};
+    for (std::size_t k = 0; k < 4; ++k) v(k * 5, 0) = pops[k];
+    std::uint64_t seed = 1;
+    for (auto _ : state) benchmark::DoNotOptimize(exec.measure_2q_vec(v, 8192, seed++));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Measure2q);
 
 void BM_LindbladPropagator1q(benchmark::State& state) {
     device::PulseExecutor exec(device::ibmq_montreal());

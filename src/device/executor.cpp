@@ -1,5 +1,6 @@
 #include "device/executor.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -322,8 +323,9 @@ double PulseExecutor::p1_after_readout_vec(const Mat& vec_rho, std::size_t qubit
 Counts PulseExecutor::measure_1q(const Mat& rho, std::size_t qubit, int shots,
                                  std::uint64_t seed) const {
     const double p1 = p1_after_readout(rho, qubit);
+    if (!std::isfinite(p1)) throw std::domain_error("measure_1q: non-finite populations");
     std::mt19937_64 rng(seed);
-    std::binomial_distribution<int> binom(shots, p1);
+    std::binomial_distribution<int> binom(shots, std::clamp(p1, 0.0, 1.0));
     const int ones = binom(rng);
     Counts c;
     c.shots = shots;
@@ -335,7 +337,7 @@ Counts PulseExecutor::measure_1q(const Mat& rho, std::size_t qubit, int shots,
 Counts PulseExecutor::measure_2q(const Mat& rho, int shots, std::uint64_t seed) const {
     // True populations over |q0 q1>.
     std::array<double, 4> true_p{};
-    for (std::size_t k = 0; k < 4; ++k) true_p[k] = std::max(0.0, rho(k, k).real());
+    for (std::size_t k = 0; k < 4; ++k) true_p[k] = rho(k, k).real();
     return measure_2q_populations(true_p, shots, seed);
 }
 
@@ -344,14 +346,16 @@ Counts PulseExecutor::measure_2q_vec(const Mat& vec_rho, int shots, std::uint64_
         throw std::invalid_argument("measure_2q_vec: expected 16 x 1 vector");
     }
     std::array<double, 4> true_p{};
-    for (std::size_t k = 0; k < 4; ++k) {
-        true_p[k] = std::max(0.0, vec_rho(k * 5, 0).real());  // vec diagonal
-    }
+    for (std::size_t k = 0; k < 4; ++k) true_p[k] = vec_rho(k * 5, 0).real();  // vec diagonal
     return measure_2q_populations(true_p, shots, seed);
 }
 
-Counts PulseExecutor::measure_2q_populations(const std::array<double, 4>& true_p, int shots,
+Counts PulseExecutor::measure_2q_populations(std::array<double, 4> true_p, int shots,
                                              std::uint64_t seed) const {
+    for (double& p : true_p) {
+        if (!std::isfinite(p)) throw std::domain_error("measure_2q: non-finite populations");
+        p = std::clamp(p, 0.0, 1.0);
+    }
     double norm = true_p[0] + true_p[1] + true_p[2] + true_p[3];
     if (norm <= 0.0) norm = 1.0;
 
@@ -369,12 +373,33 @@ Counts PulseExecutor::measure_2q_populations(const std::array<double, 4>& true_p
                     read_p[r0 * 2 + r1] +=
                         (true_p[t0 * 2 + t1] / norm) * flip(0, r0, t0) * flip(1, r1, t1);
 
+    // One multinomial draw as a chain of conditional binomials: label k
+    // takes Bin(shots left, p_k / (p_k + ... + p_3)).  The last label with
+    // nonzero probability takes the remainder, so a zero-probability label
+    // never appears.
+    std::size_t last = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+        if (read_p[k] > 0.0) last = k;
+    }
+    std::array<int, 4> counts{};
     std::mt19937_64 rng(seed);
-    std::discrete_distribution<int> dist(read_p.begin(), read_p.end());
+    int left = shots;
+    for (std::size_t k = 0; k < last && left > 0; ++k) {
+        double tail = 0.0;
+        for (std::size_t t = k; t < 4; ++t) tail += read_p[t];
+        const double q = std::clamp(read_p[k] / tail, 0.0, 1.0);
+        if (q <= 0.0) continue;
+        counts[k] = q >= 1.0 ? left : std::binomial_distribution<int>(left, q)(rng);
+        left -= counts[k];
+    }
+    counts[last] = left;
+
     Counts c;
     c.shots = shots;
     static const char* labels[4] = {"00", "01", "10", "11"};
-    for (int s = 0; s < shots; ++s) c.histogram[labels[dist(rng)]]++;
+    for (std::size_t k = 0; k < 4; ++k) {
+        if (counts[k] > 0) c.histogram[labels[k]] = counts[k];
+    }
     return c;
 }
 

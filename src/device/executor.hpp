@@ -82,10 +82,12 @@ public:
 
     /// Readout of a 1-qubit (levels-dim) density matrix: collapses the
     /// populations to {0, 1} (level >= 2 reads as 1), applies the confusion
-    /// matrix, samples `shots` outcomes.
+    /// matrix, samples `shots` outcomes.  Throws std::domain_error when the
+    /// populations are not finite.
     Counts measure_1q(const Mat& rho, std::size_t qubit, int shots, std::uint64_t seed) const;
 
-    /// Readout of a 2-qubit density matrix (4x4), bitstring "q0q1".
+    /// Readout of a 2-qubit density matrix (4x4), bitstring "q0q1".  Throws
+    /// std::domain_error when the populations are not finite.
     Counts measure_2q(const Mat& rho, int shots, std::uint64_t seed) const;
 
     /// `measure_2q` on a vectorized (16x1, column-stacking) density matrix,
@@ -118,7 +120,10 @@ private:
                               std::complex<double> u0, Mat& out,
                               linalg::ExpmWorkspace& ws) const;
 
-    Counts measure_2q_populations(const std::array<double, 4>& true_p, int shots,
+    /// Readout of true populations |q0 q1> (clamped to [0, 1], then
+    /// normalized): confusion, then one multinomial draw of `shots`.
+    /// Throws std::domain_error on a non-finite population.
+    Counts measure_2q_populations(std::array<double, 4> true_p, int shots,
                                   std::uint64_t seed) const;
 
     BackendConfig config_;

@@ -1,5 +1,6 @@
 #include "linalg/simd_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -45,17 +46,15 @@ void gemm_raw_scalar(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::
     }
 }
 
-void gemv_strided_scalar(const cplx* a, std::size_t n, const cplx* x, cplx* out,
-                         std::size_t stride, bool accumulate) noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-        cplx acc = accumulate ? out[i * stride] : cplx{0.0, 0.0};
-        const cplx* arow = a + i * n;
-        for (std::size_t p = 0; p < n; ++p) {
-            const cplx aip = arow[p];
-            if (aip == cplx{0.0, 0.0}) continue;
-            cfma(acc, aip, x[p * stride]);
+void gemv_mixed_scalar(const cplx* const* a, std::size_t cols, std::size_t n,
+                       const cplx* x, cplx* out, std::size_t stride) noexcept {
+    for (std::size_t j = 0; j < cols; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+            cplx acc{0.0, 0.0};
+            const cplx* arow = a[j] + i * n;
+            for (std::size_t p = 0; p < n; ++p) cfma(acc, arow[p], x[p * stride + j]);
+            out[i * stride + j] = acc;
         }
-        out[i * stride] = acc;
     }
 }
 
@@ -115,19 +114,97 @@ __attribute__((target("avx2,fma"))) inline void cfma_hw(cplx& acc, const cplx a,
     acc = cplx{acc.real() + pr, acc.imag() + pi};
 }
 
-__attribute__((target("avx2,fma"))) void gemv_strided_hw(const cplx* a, std::size_t n,
+// Mixed-operator column step.  Two adjacent columns (seeds) share one
+// 256-bit vector: their x entries are contiguous in the row-major batch, and
+// the matching operator entries a_j(i, p), a_{j+1}(i, p) come from two
+// different matrices as two 128-bit halves.  `movedup` / `permute` spread
+// each half into the (a_re, a_im) broadcasts of cfma2, so every lane commits
+// exactly the contract's sequence.  R output rows keep independent
+// accumulators across the p loop; an odd last column runs the same
+// arithmetic at 128-bit width.
+template <int R>
+__attribute__((target("avx2,fma"))) void gemv_mixed_pair(const cplx* a0, const cplx* a1,
+                                                         std::size_t n, std::size_t i0,
                                                          const cplx* x, cplx* out,
-                                                         std::size_t stride,
-                                                         bool accumulate) noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-        cplx acc = accumulate ? out[i * stride] : cplx{0.0, 0.0};
-        const cplx* arow = a + i * n;
-        for (std::size_t p = 0; p < n; ++p) {
-            const cplx aip = arow[p];
-            if (aip == cplx{0.0, 0.0}) continue;
-            cfma_hw(acc, aip, x[p * stride]);
+                                                         std::size_t stride) noexcept {
+    __m256d acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < n; ++p) {
+        const __m256d xv = _mm256_loadu_pd(reinterpret_cast<const double*>(x + p * stride));
+        const __m256d xs = _mm256_permute_pd(xv, 0b0101);
+        for (int r = 0; r < R; ++r) {
+            const std::size_t e = (i0 + r) * n + p;
+            const __m256d av = _mm256_insertf128_pd(
+                _mm256_castpd128_pd256(_mm_loadu_pd(reinterpret_cast<const double*>(a0 + e))),
+                _mm_loadu_pd(reinterpret_cast<const double*>(a1 + e)), 1);
+            const __m256d ar = _mm256_movedup_pd(av);
+            const __m256d ai = _mm256_permute_pd(av, 0b1111);
+            acc[r] = _mm256_add_pd(acc[r], _mm256_fmaddsub_pd(xv, ar, _mm256_mul_pd(xs, ai)));
         }
-        out[i * stride] = acc;
+    }
+    for (int r = 0; r < R; ++r) {
+        _mm256_storeu_pd(reinterpret_cast<double*>(out + (i0 + r) * stride), acc[r]);
+    }
+}
+
+template <int R>
+__attribute__((target("avx2,fma"))) void gemv_mixed_single(const cplx* a0, std::size_t n,
+                                                           std::size_t i0, const cplx* x,
+                                                           cplx* out,
+                                                           std::size_t stride) noexcept {
+    __m128d acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = _mm_setzero_pd();
+    for (std::size_t p = 0; p < n; ++p) {
+        const __m128d xv = _mm_loadu_pd(reinterpret_cast<const double*>(x + p * stride));
+        const __m128d xs = _mm_permute_pd(xv, 0b01);
+        for (int r = 0; r < R; ++r) {
+            const __m128d av =
+                _mm_loadu_pd(reinterpret_cast<const double*>(a0 + (i0 + r) * n + p));
+            const __m128d ar = _mm_movedup_pd(av);
+            const __m128d ai = _mm_permute_pd(av, 0b11);
+            acc[r] = _mm_add_pd(acc[r], _mm_fmaddsub_pd(xv, ar, _mm_mul_pd(xs, ai)));
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        _mm_storeu_pd(reinterpret_cast<double*>(out + (i0 + r) * stride), acc[r]);
+    }
+}
+
+constexpr std::size_t kMixedRows = 4;
+
+/// Rows [i0, i0 + rows) of one column pair (a1 != nullptr) or one column.
+__attribute__((target("avx2,fma"))) void gemv_mixed_rows(const cplx* a0, const cplx* a1,
+                                                         std::size_t n, std::size_t i0,
+                                                         std::size_t rows, const cplx* x,
+                                                         cplx* out,
+                                                         std::size_t stride) noexcept {
+    if (a1 != nullptr) {
+        switch (rows) {
+            case 1: gemv_mixed_pair<1>(a0, a1, n, i0, x, out, stride); break;
+            case 2: gemv_mixed_pair<2>(a0, a1, n, i0, x, out, stride); break;
+            case 3: gemv_mixed_pair<3>(a0, a1, n, i0, x, out, stride); break;
+            default: gemv_mixed_pair<4>(a0, a1, n, i0, x, out, stride); break;
+        }
+    } else {
+        switch (rows) {
+            case 1: gemv_mixed_single<1>(a0, n, i0, x, out, stride); break;
+            case 2: gemv_mixed_single<2>(a0, n, i0, x, out, stride); break;
+            case 3: gemv_mixed_single<3>(a0, n, i0, x, out, stride); break;
+            default: gemv_mixed_single<4>(a0, n, i0, x, out, stride); break;
+        }
+    }
+}
+
+__attribute__((target("avx2,fma"))) void gemv_mixed_avx2(const cplx* const* a,
+                                                         std::size_t cols, std::size_t n,
+                                                         const cplx* x, cplx* out,
+                                                         std::size_t stride) noexcept {
+    for (std::size_t j = 0; j < cols; j += 2) {
+        const cplx* a1 = j + 1 < cols ? a[j + 1] : nullptr;
+        for (std::size_t i0 = 0; i0 < n; i0 += kMixedRows) {
+            gemv_mixed_rows(a[j], a1, n, i0, std::min(kMixedRows, n - i0), x + j, out + j,
+                            stride);
+        }
     }
 }
 
@@ -330,17 +407,15 @@ void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t 
     gemm_raw_scalar(a, b, c, m, k, n, accumulate);
 }
 
-void gemv_strided(const cplx* a, std::size_t n, const cplx* x, cplx* out,
-                  std::size_t stride, bool accumulate) noexcept {
-    // Strided columns defeat contiguous vector loads; the scalar replay is
-    // the canonical arithmetic here, run through hardware fma when present.
+void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cplx* x,
+                cplx* out, std::size_t stride) noexcept {
 #if defined(QOC_HAVE_AVX2_PATH)
     if (use_avx2()) {
-        gemv_strided_hw(a, n, x, out, stride, accumulate);
+        gemv_mixed_avx2(a, cols, n, x, out, stride);
         return;
     }
 #endif
-    gemv_strided_scalar(a, n, x, out, stride, accumulate);
+    gemv_mixed_scalar(a, cols, n, x, out, stride);
 }
 
 void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,

@@ -55,16 +55,26 @@ void force_scalar(bool on) noexcept;
 void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t k,
               std::size_t n, bool accumulate) noexcept;
 
-/// Column-strided matvec: `out[i*stride] (+)= sum_p a(i,p) x[p*stride]` for a
-/// row-major `n x n` matrix applied to one column of a row-major batch whose
-/// consecutive components are `stride` elements apart.  Used for the
-/// mixed-operator RB batch step (each seed applies a different superop).
-void gemv_strided(const cplx* a, std::size_t n, const cplx* x, cplx* out,
-                  std::size_t stride, bool accumulate) noexcept;
+/// Mixed-operator step over `cols` adjacent columns of a row-major batch
+/// whose rows are `stride` elements apart: column j advances by its own
+/// row-major `n x n` operator,
+///
+///     out[i*stride + j] = sum_p a[j][i*n + p] * x[p*stride + j].
+///
+/// This is the RB seed engine's step when the seeds of a block drew
+/// different Cliffords.  Each element sums over ascending p through the
+/// contract's commit, so it rounds like every other kernel here.  Unlike
+/// `gemm_raw` it does not skip zero entries; for finite `x` that changes no
+/// bit (a zero entry's product is +-0, and an accumulator that starts at +0
+/// never becomes -0 under round-to-nearest), so the result equals the
+/// zero-skipping dense and CSR paths bitwise.  `out` must not alias `x`.
+void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cplx* x,
+                cplx* out, std::size_t stride) noexcept;
 
 /// CSR matvec on one strided column: `out[i*stride] (+)= sum over row i's
 /// nonzeros of val * x[col*stride]`.  Column indices must be ascending
-/// within each row (guaranteed by CsrMat construction).
+/// within each row (guaranteed by CsrMat construction).  Backs
+/// `CsrMat::spmv_into` / `apply_col`.
 void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
                       std::size_t n_rows, const cplx* x, cplx* out, std::size_t stride,
                       bool accumulate) noexcept;

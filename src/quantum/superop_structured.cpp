@@ -46,14 +46,20 @@ void StructuredSuperOp::apply_into(const Mat& vec_rho, Mat& out) const {
 }
 
 void StructuredSuperOp::apply_col(const cplx* in, cplx* out, std::size_t stride) const noexcept {
-    if (kind_ == Kind::kCsr) {
-        obs::count(obs::Cnt::kSuperopCsrApplies);
-        csr_.apply_col(in, out, stride);
-    } else {
-        obs::count(obs::Cnt::kSuperopApplies);
-        linalg::simd::gemv_strided(dense_.data().data(), dim(), in, out, stride,
-                                   /*accumulate=*/false);
+    const StructuredSuperOp* self = this;
+    apply_mixed_cols(&self, 1, in, out, stride);
+}
+
+void StructuredSuperOp::apply_mixed_cols(const StructuredSuperOp* const* ops, std::size_t cols,
+                                         const cplx* in, cplx* out,
+                                         std::size_t stride) noexcept {
+    const cplx* dense[kMaxMixedCols];
+    for (std::size_t j = 0; j < cols; ++j) {
+        obs::count(ops[j]->kind_ == Kind::kCsr ? obs::Cnt::kSuperopCsrApplies
+                                               : obs::Cnt::kSuperopApplies);
+        dense[j] = ops[j]->dense_.data().data();
     }
+    linalg::simd::gemv_mixed(dense, cols, ops[0]->dim(), in, out, stride);
 }
 
 void StructuredSuperOp::apply_batch_into(const Mat& batch, Mat& out) const {

@@ -57,9 +57,20 @@ public:
     void apply_into(const Mat& vec_rho, Mat& out) const;
 
     /// `out = S * column of a row-major batch`, reading/writing every
-    /// `stride`-th element.  Raw no-alloc form for the SoA seed engine's
-    /// mixed (per-seed different operator) step path.
+    /// `stride`-th element: `apply_mixed_cols` with this operator alone.
     void apply_col(const cplx* in, cplx* out, std::size_t stride) const noexcept;
+
+    /// Most columns one `apply_mixed_cols` call takes.
+    static constexpr std::size_t kMaxMixedCols = 8;
+
+    /// The SoA seed engine's mixed step: column j (< `cols` <=
+    /// `kMaxMixedCols`) of a row-major batch with row stride `stride`
+    /// advances by `*ops[j]`.  All operators share one `dim()`.  Runs
+    /// `simd::gemv_mixed` on the dense forms whatever each operator's
+    /// `kind()`, bitwise equal to the per-kind paths for finite input, and
+    /// counts one apply per column under that column's kind.
+    static void apply_mixed_cols(const StructuredSuperOp* const* ops, std::size_t cols,
+                                 const cplx* in, cplx* out, std::size_t stride) noexcept;
 
     /// `out = S * batch` against a row-major d^2 x B seed block -- ONE
     /// kernel sweep per Clifford step for the whole block (the broadcast

@@ -105,15 +105,17 @@ Mat Clifford2Q::compute_unitary(std::size_t i) const {
     return phase_normalize(u);
 }
 
-std::vector<TwoQubitGate> Clifford2Q::decomposition(std::size_t i) const {
-    const Parts p = split(i);
+std::vector<TwoQubitGate> Clifford2Q::layer_gates(std::size_t c1_index,
+                                                  std::size_t qubit) const {
     std::vector<TwoQubitGate> seq;
+    for (const BasisGate& bg : c1_.decomposition(c1_index)) {
+        seq.push_back(TwoQubitGate{bg.name, {qubit}, bg.param});
+    }
+    return seq;
+}
 
-    auto add_1q = [&](std::size_t cliff, std::size_t qubit) {
-        for (const BasisGate& bg : c1_.decomposition(cliff)) {
-            seq.push_back(TwoQubitGate{bg.name, {qubit}, bg.param});
-        }
-    };
+std::vector<TwoQubitGate> Clifford2Q::entangler_gates(std::size_t cls) {
+    std::vector<TwoQubitGate> seq;
     auto add_cx01 = [&] { seq.push_back(TwoQubitGate{"cx", {0, 1}, std::nullopt}); };
     auto add_cx10 = [&] {
         // cx(1,0) = (H (x) H) cx(0,1) (H (x) H); H itself is rz sx rz.
@@ -130,14 +132,7 @@ std::vector<TwoQubitGate> Clifford2Q::decomposition(std::size_t i) const {
             seq.push_back(TwoQubitGate{"rz", {q}, hp});
         }
     };
-
-    // Matrix order is (c_a (x) c_b) . E . (s (x) s); execution order is the
-    // reverse: s-layer first, then the entangler, then the c-layer.
-    if (p.cls == 1 || p.cls == 2) {
-        add_1q(s_set_[p.s_i], 0);
-        add_1q(s_set_[p.s_j], 1);
-    }
-    switch (p.cls) {
+    switch (cls) {
         case 0: break;
         case 1: add_cx01(); break;
         case 2:
@@ -149,9 +144,26 @@ std::vector<TwoQubitGate> Clifford2Q::decomposition(std::size_t i) const {
             add_cx10();
             add_cx01();
             break;
+        default: throw std::logic_error("entangler_gates: bad class");
     }
-    add_1q(p.c_a, 0);
-    add_1q(p.c_b, 1);
+    return seq;
+}
+
+std::vector<TwoQubitGate> Clifford2Q::decomposition(std::size_t i) const {
+    const Parts p = split(i);
+    std::vector<TwoQubitGate> seq;
+    const auto append = [&seq](const std::vector<TwoQubitGate>& part) {
+        seq.insert(seq.end(), part.begin(), part.end());
+    };
+    // Matrix order is (c_a (x) c_b) . E . (s (x) s); execution order is the
+    // reverse: s-layer first, then the entangler, then the c-layer.
+    if (p.cls == 1 || p.cls == 2) {
+        append(layer_gates(s_set_[p.s_i], 0));
+        append(layer_gates(s_set_[p.s_j], 1));
+    }
+    append(entangler_gates(p.cls));
+    append(layer_gates(p.c_a, 0));
+    append(layer_gates(p.c_b, 1));
     return seq;
 }
 

@@ -44,8 +44,28 @@ public:
 
     /// Decomposition into {rz, sx, x} on either qubit plus cx(0,1) /
     /// cx(1,0); cx(1,0) is emitted as h-conjugated cx(0,1) so only the
-    /// native direction is required.
+    /// native direction is required.  It is the concatenation, in execution
+    /// order, of `layer_gates(axis_cycle(s_i), 0)`, `layer_gates(
+    /// axis_cycle(s_j), 1)` (classes 1 and 2 only), `entangler_gates(cls)`,
+    /// `layer_gates(c_a, 0)` and `layer_gates(c_b, 1)` for `split(i)`.
     std::vector<TwoQubitGate> decomposition(std::size_t i) const;
+
+    /// Coset coordinates of an element: (c_a (x) c_b) . E_cls . (s_i (x) s_j).
+    struct Parts {
+        std::size_t c_a, c_b;   ///< post single-qubit layer (Clifford1Q indices)
+        std::size_t cls;        ///< entangling class 0..3
+        std::size_t s_i, s_j;   ///< axis-cycling layer (0..2; classes 1, 2 only)
+    };
+    Parts split(std::size_t i) const;
+
+    /// Clifford1Q index of axis-cycling element `s` (0..2): I, SH, (SH)^2.
+    std::size_t axis_cycle(std::size_t s) const { return s_set_.at(s); }
+
+    /// Gates of single-qubit Clifford `c1_index` played on `qubit`.
+    std::vector<TwoQubitGate> layer_gates(std::size_t c1_index, std::size_t qubit) const;
+
+    /// Gates of entangling class `cls`: none, cx, cx.cx(1,0), cx.cx(1,0).cx.
+    static std::vector<TwoQubitGate> entangler_gates(std::size_t cls);
 
     /// Uniformly random element index.
     std::size_t sample(std::mt19937_64& rng) const;
@@ -65,12 +85,6 @@ public:
     std::size_t cx_count(std::size_t i) const;
 
 private:
-    struct Parts {
-        std::size_t c_a, c_b;   ///< pre single-qubit layer
-        std::size_t cls;        ///< entangling class 0..3
-        std::size_t s_i, s_j;   ///< axis-cycling layer (classes 1, 2 only)
-    };
-    Parts split(std::size_t i) const;
     Mat compute_unitary(std::size_t i) const;
 
     const Clifford1Q& c1_;

@@ -239,12 +239,19 @@ IrbResult run_irb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::siz
 
 // --- 2Q -----------------------------------------------------------------
 
+namespace {
+constexpr std::size_t kLayers1q = 2 * Clifford1Q::kSize;  // per-qubit 1Q layers
+constexpr std::size_t kLayers = kLayers1q + 3;            // + entangler classes 1..3
+}  // namespace
+
 GateSet2Q::GateSet2Q(const PulseExecutor& exec, const pulse::InstructionScheduleMap& gates,
                      const Clifford2Q& group)
     : group_(group),
       exec_(exec),
       cliff_cache_(Clifford2Q::kSize),
-      cliff_once_(std::make_unique<std::once_flag[]>(Clifford2Q::kSize)) {
+      cliff_once_(std::make_unique<std::once_flag[]>(Clifford2Q::kSize)),
+      layer_cache_(kLayers),
+      layer_once_(std::make_unique<std::once_flag[]>(kLayers)) {
     for (std::size_t q = 0; q < 2; ++q) {
         const pulse::Schedule& xs = gates.get("x", {q});
         const pulse::Schedule& sxs = gates.get("sx", {q});
@@ -264,9 +271,9 @@ GateSet2Q::GateSet2Q(const PulseExecutor& exec, const pulse::InstructionSchedule
     cx_super_ = exec.schedule_superop_2q(gates.get("cx", {0, 1}));
 }
 
-Mat GateSet2Q::compose_superop(std::size_t i) const {
+Mat GateSet2Q::compose_gates(const std::vector<TwoQubitGate>& gates) const {
     Mat total = Mat::identity(16);
-    for (const TwoQubitGate& g : group_.decomposition(i)) {
+    for (const TwoQubitGate& g : gates) {
         if (g.name == "rz") {
             total = exec_.rz_superop_2q(*g.param, g.qubits[0]) * total;
         } else if (g.name == "sx") {
@@ -278,6 +285,43 @@ Mat GateSet2Q::compose_superop(std::size_t i) const {
         } else {
             throw std::logic_error("GateSet2Q: unknown gate " + g.name);
         }
+    }
+    return total;
+}
+
+const Mat& GateSet2Q::layer_1q(std::size_t c1_index, std::size_t qubit) const {
+    const std::size_t k = qubit * Clifford1Q::kSize + c1_index;
+    std::call_once(layer_once_[k], [&] {
+        layer_cache_[k] = compose_gates(group_.layer_gates(c1_index, qubit));
+    });
+    return layer_cache_[k];
+}
+
+const Mat& GateSet2Q::entangler(std::size_t cls) const {
+    const std::size_t k = kLayers1q + cls - 1;
+    std::call_once(layer_once_[k], [&] {
+        layer_cache_[k] = compose_gates(Clifford2Q::entangler_gates(cls));
+    });
+    return layer_cache_[k];
+}
+
+Mat GateSet2Q::compose_superop(std::size_t i) const {
+    // Execution order: S_i, S_j (classes 1, 2), E_cls (classes 1..3), C_a, C_b.
+    const Clifford2Q::Parts p = group_.split(i);
+    const Mat* factors[5];
+    std::size_t n = 0;
+    if (p.cls == 1 || p.cls == 2) {
+        factors[n++] = &layer_1q(group_.axis_cycle(p.s_i), 0);
+        factors[n++] = &layer_1q(group_.axis_cycle(p.s_j), 1);
+    }
+    if (p.cls != 0) factors[n++] = &entangler(p.cls);
+    factors[n++] = &layer_1q(p.c_a, 0);
+    factors[n++] = &layer_1q(p.c_b, 1);
+    Mat total = *factors[0];
+    Mat next;
+    for (std::size_t k = 1; k < n; ++k) {
+        linalg::gemm_into(*factors[k], total, next);
+        std::swap(total, next);
     }
     contracts::check_trace_preserving(total, "GateSet2Q: Clifford superop", 1e-7);
     return total;

@@ -145,15 +145,29 @@ public:
     const Clifford2Q& group() const { return group_; }
 
 private:
-    /// Gate-by-gate composition of element `i` from the decomposition (the
-    /// cache-miss path).
+    /// The cache-miss path: element `i` as C_b . C_a . E_cls . S_j . S_i
+    /// from the memoized layer superops, at most 4 products.
     Mat compose_superop(std::size_t i) const;
+
+    /// Gate-by-gate superop of a gate list (the layers' build path).
+    Mat compose_gates(const std::vector<TwoQubitGate>& gates) const;
+
+    /// Memoized superop of 1Q Clifford `c1_index` on `qubit`, built on
+    /// first use.
+    const Mat& layer_1q(std::size_t c1_index, std::size_t qubit) const;
+
+    /// Memoized superop of entangling class `cls` (1..3), built on first use.
+    const Mat& entangler(std::size_t cls) const;
 
     const Clifford2Q& group_;
     Mat x_super_[2], sx_super_[2], cx_super_;
     const PulseExecutor& exec_;
     mutable std::vector<quantum::StructuredSuperOp> cliff_cache_;
     mutable std::unique_ptr<std::once_flag[]> cliff_once_;
+    /// 2 x 24 one-qubit layers (qubit-major), then entangler classes 1..3.
+    /// Lazy: a GateSet2Q that touches few elements builds few layers.
+    mutable std::vector<Mat> layer_cache_;
+    mutable std::unique_ptr<std::once_flag[]> layer_once_;
 };
 
 RbCurve run_rb_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbOptions& options);

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "linalg/matrix.hpp"
+#include "quantum/superop_structured.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::rb::detail {
@@ -19,7 +20,7 @@ using linalg::Mat;
 
 /// Width of the SoA seed blocks.  Per-seed results are invariant under the
 /// partition (the simd kernel family computes each output element with the
-/// same accumulation order on the batched, strided and single-vector paths
+/// same accumulation order on the batched, mixed and single-vector paths
 /// -- see simd_kernels.hpp), so the auto policy (`requested == 0`) is free
 /// to spread seeds evenly over the task pool without breaking 1-vs-N-thread
 /// bitwise reproducibility.
@@ -43,9 +44,10 @@ inline void fill_block(const Mat& vec_rho0, std::size_t bw, Mat& x) {
 /// One Clifford step over a whole seed block: column j advances by
 /// `structured_of(idx[j])`.  When every seed drew the same element (always
 /// true for IRB interleave steps, often for short blocks) this is ONE
-/// batched d^2 x B apply; otherwise each column gets a strided
-/// single-column apply.  Both paths produce bitwise-identical columns, so
-/// the branch is purely a throughput decision.
+/// batched d^2 x B apply; otherwise the mixed-operator kernel advances up to
+/// `kMaxMixedCols` columns per call, each by its own operator.  Both paths
+/// produce bitwise-identical columns, so the branch is purely a throughput
+/// decision.
 template <typename StructuredOf>
 void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
                       std::size_t bw, Mat& x, Mat& x_next) {
@@ -59,9 +61,14 @@ void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
     if (same) {
         structured_of(idx[0]).apply_batch_into(x, x_next);
     } else {
+        using quantum::StructuredSuperOp;
         x_next.resize(x.rows(), x.cols());
-        for (std::size_t j = 0; j < bw; ++j) {
-            structured_of(idx[j]).apply_col(x.data().data() + j, x_next.data().data() + j, bw);
+        const StructuredSuperOp* ops[StructuredSuperOp::kMaxMixedCols];
+        for (std::size_t j0 = 0; j0 < bw; j0 += StructuredSuperOp::kMaxMixedCols) {
+            const std::size_t cols = std::min(StructuredSuperOp::kMaxMixedCols, bw - j0);
+            for (std::size_t c = 0; c < cols; ++c) ops[c] = &structured_of(idx[j0 + c]);
+            StructuredSuperOp::apply_mixed_cols(ops, cols, x.data().data() + j0,
+                                                x_next.data().data() + j0, bw);
         }
     }
     std::swap(x, x_next);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 #include "device/calibration.hpp"
+#include "linalg/kron.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/states.hpp"
@@ -209,6 +215,127 @@ TEST(Executor, DefaultXFidelityAtPaperScale) {
     // Paper scale: default 1Q error a few 1e-4.
     EXPECT_GT(err, 1e-5);
     EXPECT_LT(err, 5e-3);
+}
+
+// --- readout sampling ------------------------------------------------------
+
+/// A 2-qubit density matrix with populations `p` on its diagonal.
+Mat diag_rho(const std::array<double, 4>& p) {
+    Mat rho(4, 4);
+    for (std::size_t k = 0; k < 4; ++k) rho(k, k) = p[k];
+    return rho;
+}
+
+/// Read-out distribution over "00".."11", written out from the per-qubit
+/// confusion matrices independently of the executor.
+std::array<double, 4> readout_distribution(const BackendConfig& cfg,
+                                           const std::array<double, 4>& truth) {
+    const auto m = [&](std::size_t q, int read, int t) {
+        const double flip = t == 0 ? cfg.qubits[q].readout_p10 : cfg.qubits[q].readout_p01;
+        return read == t ? 1.0 - flip : flip;
+    };
+    std::array<double, 4> p{};
+    for (int r = 0; r < 4; ++r)
+        for (int t = 0; t < 4; ++t) p[r] += truth[t] * m(0, r / 2, t / 2) * m(1, r % 2, t % 2);
+    return p;
+}
+
+const char* const kLabels[4] = {"00", "01", "10", "11"};
+
+TEST(Readout, Measure2qCountsFollowMultinomialMoments) {
+    // Over 2000 shot seeds each label's mean count must sit within 4 sigma
+    // of shots * p, and the count covariance must match the multinomial's
+    // shots * (diag p - p p^T) within 5 standard errors.
+    const BackendConfig cfg = ibmq_montreal();
+    const PulseExecutor exec(cfg);
+    const std::array<double, 4> truth{0.55, 0.25, 0.15, 0.05};
+    const std::array<double, 4> p = readout_distribution(cfg, truth);
+    constexpr int kShots = 1000;
+    constexpr int kSeeds = 2000;
+    std::vector<std::array<double, 4>> counts(kSeeds);
+    std::array<double, 4> mean{};
+    for (int s = 0; s < kSeeds; ++s) {
+        const Counts c = exec.measure_2q(diag_rho(truth), kShots, 1000 + s);
+        ASSERT_EQ(c.shots, kShots);
+        int total = 0;
+        for (int k = 0; k < 4; ++k) {
+            const auto it = c.histogram.find(kLabels[k]);
+            counts[s][k] = it == c.histogram.end() ? 0.0 : it->second;
+            total += static_cast<int>(counts[s][k]);
+            mean[k] += counts[s][k] / kSeeds;
+        }
+        ASSERT_EQ(total, kShots);
+    }
+    for (int k = 0; k < 4; ++k) {
+        const double sd_mean = std::sqrt(kShots * p[k] * (1.0 - p[k]) / kSeeds);
+        EXPECT_NEAR(mean[k], kShots * p[k], 4.0 * sd_mean) << kLabels[k];
+    }
+    for (int k = 0; k < 4; ++k) {
+        for (int l = 0; l < 4; ++l) {
+            double cov = 0.0;
+            for (const auto& c : counts) cov += (c[k] - mean[k]) * (c[l] - mean[l]);
+            cov /= kSeeds - 1;
+            const double want = kShots * ((k == l ? p[k] : 0.0) - p[k] * p[l]);
+            const double var_k = kShots * p[k] * (1.0 - p[k]);
+            const double var_l = kShots * p[l] * (1.0 - p[l]);
+            const double se = std::sqrt((var_k * var_l + want * want) / kSeeds);
+            EXPECT_NEAR(cov, want, 5.0 * se) << kLabels[k] << kLabels[l];
+        }
+    }
+}
+
+TEST(Readout, Measure2qZeroProbabilityLabelsNeverAppear) {
+    const PulseExecutor exec(clean_device());
+    // |00> and |10> only: with ideal readout "01" and "11" are impossible.
+    for (int s = 0; s < 500; ++s) {
+        const Counts c = exec.measure_2q(diag_rho({0.5, 0.0, 0.5, 0.0}), 64, s);
+        EXPECT_EQ(c.histogram.count("01"), 0u);
+        EXPECT_EQ(c.histogram.count("11"), 0u);
+        EXPECT_EQ(c.histogram.at("00") + c.histogram.at("10"), 64);
+    }
+}
+
+TEST(Readout, Measure2qZeroShotsAndSingleOutcome) {
+    const PulseExecutor exec(clean_device());
+    const Counts none = exec.measure_2q(diag_rho({0.25, 0.25, 0.25, 0.25}), 0, 3);
+    EXPECT_EQ(none.shots, 0);
+    EXPECT_TRUE(none.histogram.empty());
+    EXPECT_EQ(none.probability("00"), 0.0);
+    for (int k = 0; k < 4; ++k) {
+        std::array<double, 4> truth{};
+        truth[k] = 1.0;
+        const Counts c = exec.measure_2q(diag_rho(truth), 8192, 5);
+        ASSERT_EQ(c.histogram.size(), 1u) << kLabels[k];
+        EXPECT_EQ(c.histogram.at(kLabels[k]), 8192) << kLabels[k];
+    }
+}
+
+TEST(Readout, NonFinitePopulationsThrow) {
+    // A NaN or Inf population must not read out as plausible counts.
+    const PulseExecutor exec(ibmq_montreal());
+    for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+        Mat rho2 = diag_rho({0.9, 0.05, 0.05, 0.0});
+        rho2(0, 0) = bad;
+        EXPECT_THROW(exec.measure_2q(rho2, 8192, 1), std::domain_error) << bad;
+        EXPECT_THROW(exec.measure_2q_vec(linalg::vec(rho2), 8192, 1), std::domain_error)
+            << bad;
+
+        Mat rho1 = exec.ground_state_1q();
+        rho1(1, 1) = bad;
+        EXPECT_THROW(exec.measure_1q(rho1, 0, 8192, 1), std::domain_error) << bad;
+    }
+}
+
+TEST(Readout, Measure1qClampsRoundoff) {
+    // Populations a rounding step outside [0, 1] read out as the nearest
+    // certain outcome.
+    const PulseExecutor exec(clean_device());
+    Mat rho(exec.config().levels, exec.config().levels);
+    rho(0, 0) = -1e-15;
+    rho(1, 1) = 1.0 + 1e-15;
+    const Counts c = exec.measure_1q(rho, 0, 4096, 9);
+    EXPECT_EQ(c.histogram.size(), 1u);
+    EXPECT_EQ(c.histogram.at("1"), 4096);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
@@ -117,6 +118,48 @@ TEST(ObsDeterminism, Rb1qBitIdenticalWithObsOn) {
     }
     EXPECT_EQ(off.alpha, on.alpha);
     EXPECT_EQ(off.epc, on.epc);
+}
+
+TEST(ObsDeterminism, Irb2qBitIdenticalWithObsOnAndReplayed) {
+    // The 2Q engine's layered superop builds and multinomial readout under
+    // obs on vs off, and on a replay with a fresh gate set.
+    device::PulseExecutor exec{device::ibmq_montreal()};
+    const pulse::InstructionScheduleMap defaults = device::build_default_gates(exec);
+    const rb::Clifford1Q c1;
+    const rb::Clifford2Q c2(c1);
+    const linalg::Mat cx_super = exec.schedule_superop_2q(defaults.get("cx", {0, 1}));
+    const std::size_t cx_index = c2.find(quantum::gates::cx());
+    rb::RbOptions opts;
+    opts.lengths = {1, 4, 8};
+    opts.seeds_per_length = 6;
+    opts.shots = 1024;
+    const auto run = [&] {
+        const rb::GateSet2Q gates(exec, defaults, c2);
+        return rb::run_irb_2q(exec, gates, cx_super, cx_index, opts);
+    };
+
+    obs::reset_for_testing();
+    const rb::IrbResult off = run();
+    const rb::IrbResult replay = run();
+    rb::IrbResult on;
+    {
+        ObsOnScope scope;
+        on = run();
+    }
+
+    for (const rb::IrbResult* other : {&replay, static_cast<const rb::IrbResult*>(&on)}) {
+        for (const auto& [a, b] : {std::pair{&off.reference, &other->reference},
+                                   std::pair{&off.interleaved, &other->interleaved}}) {
+            ASSERT_EQ(a->points.size(), b->points.size());
+            for (std::size_t i = 0; i < a->points.size(); ++i) {
+                EXPECT_EQ(a->points[i].mean_survival, b->points[i].mean_survival) << "i=" << i;
+                EXPECT_EQ(a->points[i].sem, b->points[i].sem) << "i=" << i;
+            }
+            EXPECT_EQ(a->alpha, b->alpha);
+        }
+        EXPECT_EQ(off.gate_error, other->gate_error);
+        EXPECT_EQ(off.gate_error_err, other->gate_error_err);
+    }
 }
 
 }  // namespace
