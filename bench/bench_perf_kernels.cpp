@@ -163,6 +163,31 @@ void BM_LuFactorSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LuFactorSolve)->Arg(4)->Arg(9);
 
+linalg::RMat random_general_real(std::size_t n, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    linalg::RMat m(n, n);
+    for (double& v : m.data()) v = dist(rng);
+    for (std::size_t i = 0; i < n; ++i) m(i, i) += static_cast<double>(n);
+    return m;
+}
+
+/// `BM_LuFactorSolve` on the real `RLu`: the denominator solve of the
+/// open-system slots, which run in the real Hermitian operator basis.
+void BM_LuFactorSolveReal(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const linalg::RMat a = random_general_real(n, 11);
+    const linalg::RMat b = random_general_real(n, 12);
+    linalg::RLu lu;
+    linalg::RMat x;
+    for (auto _ : state) {
+        lu.factor(a);
+        lu.solve_into(b, x);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_LuFactorSolveReal)->Arg(4)->Arg(9);
+
 /// One GRAPE open-system slot of the Pade engine: `expm_prepare` at order 13
 /// with one squaring (||A||_1 = 1.5 theta_13) plus the single adjoint
 /// `expm_direction` the evaluator takes per slot.
@@ -182,6 +207,25 @@ void BM_ExpmPrepareDirection(benchmark::State& state) {
     if (ws.order != 13 || ws.squarings < 1) state.SkipWithError("not a Pade-13 slot with s >= 1");
 }
 BENCHMARK(BM_ExpmPrepareDirection)->Arg(9);
+
+/// `BM_ExpmPrepareDirection` on the real Pade engine (`RMat`): one
+/// open-system GRAPE slot as the evaluator now runs it.
+void BM_ExpmPrepareDirectionReal(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    linalg::RMat a = random_general_real(n, 13);
+    a *= 1.5 * 5.371920351148152 / a.norm_1();
+    const linalg::RMat e = random_general_real(n, 14);
+    linalg::PadeWorkspace<linalg::RMat> ws;
+    linalg::RMat ea, l;
+    for (auto _ : state) {
+        linalg::pade_prepare(a, ea, ws);
+        linalg::pade_direction(ws, e, l);
+        benchmark::DoNotOptimize(ea);
+        benchmark::DoNotOptimize(l);
+    }
+    if (ws.order != 13 || ws.squarings < 1) state.SkipWithError("not a Pade-13 slot with s >= 1");
+}
+BENCHMARK(BM_ExpmPrepareDirectionReal)->Arg(9);
 
 void BM_GrapeObjectiveClosed(benchmark::State& state) {
     control::GrapeProblem prob;
@@ -548,8 +592,8 @@ BENCHMARK(BM_DesignPipelineSequential)->Unit(benchmark::kMillisecond);
 // pair.  State is reset afterwards so the remaining benchmarks always run
 // with obs off.
 void BM_ObsOverhead(benchmark::State& state) {
-    // When QOC_TRACE/QOC_METRICS already activated obs (run_perf_baseline.sh
-    // does), leave that state alone -- resetting would close the live
+    // When QOC_TRACE/QOC_METRICS already activated obs (set in the
+    // environment), leave that state alone -- resetting would close the live
     // telemetry file.  Both args then measure the externally-enabled path.
     const bool externally_enabled =
         obs::g_obs_state.load(std::memory_order_relaxed) != 0;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "contracts/matrix_checks.hpp"
 #include "obs/obs.hpp"
@@ -12,7 +14,38 @@ namespace qoc::control {
 namespace {
 
 using linalg::cplx;
+using linalg::RMat;
 constexpr cplx kI{0.0, 1.0};
+
+/// Largest |Im| of V^dag X V allowed, relative to ||X||_max: roundoff of the
+/// four-term basis sums, far below any physical non-Hermiticity.
+constexpr double kRealBasisTol = 1e-12;
+
+/// V for d x d operators under column stacking (vec index i + j d): column
+/// i + j d is vec(E_ii) on the diagonal, vec((E_ij + E_ji)/sqrt2) for
+/// i < j and vec(i(E_ij - E_ji)/sqrt2) for i > j.  Orthonormal, so V is
+/// unitary.
+Mat hermitian_basis(std::size_t d) {
+    const std::size_t n = d * d;
+    const double h = 1.0 / std::sqrt(2.0);
+    Mat v(n, n);
+    for (std::size_t i = 0; i < d; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+            const std::size_t col = i + j * d;
+            const std::size_t ij = i + j * d, ji = j + i * d;
+            if (i == j) {
+                v(ij, col) = 1.0;
+            } else if (i < j) {
+                v(ij, col) = h;
+                v(ji, col) = h;
+            } else {
+                v(ij, col) = cplx{0.0, h};
+                v(ji, col) = cplx{0.0, -h};
+            }
+        }
+    }
+    return v;
+}
 
 }  // namespace
 
@@ -90,6 +123,13 @@ ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
         norm_dim_ = static_cast<double>(prob_.target.rows());
     }
 
+    if (open_) {
+        to_open_real_basis();
+    } else {
+        // Pre-scale control generators into exponent directions.
+        for (const Mat& c : prob_.system.ctrls) exp_dirs_.push_back((-kI * dt_) * c);
+    }
+
     // Model invariants (checked builds only): Hermitian generators,
     // unitary gate targets / trace-preserving superoperator targets,
     // normalized transfer kets.
@@ -111,30 +151,70 @@ ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
             contracts::check_trace_preserving(prob_.target, "GRAPE: target superop", 1e-6);
         }
     }
+}
 
-    // Pre-scale control generators into exponent directions.
-    const cplx scale = open_ ? cplx{dt_, 0.0} : (-kI * dt_);
-    for (const Mat& c : prob_.system.ctrls) exp_dirs_.push_back(scale * c);
+void ControlProblem::to_open_real_basis() {
+    const Mat& drift = prob_.system.drift;
+    const std::size_t dim = drift.rows();
+    const auto d = static_cast<std::size_t>(std::llround(std::sqrt(static_cast<double>(dim))));
+    if (dim == 0 || !drift.is_square() || d * d != dim) {
+        throw std::invalid_argument(
+            "GRAPE (open): superoperator dimension must be a perfect square d^2");
+    }
+    basis_ = hermitian_basis(d);
+    rdrift_ = to_real_basis(drift, "drift");
+    for (const Mat& c : prob_.system.ctrls) {
+        if (c.rows() != dim || c.cols() != dim) {
+            throw std::invalid_argument("GRAPE (open): control shape mismatch");
+        }
+        rctrls_.push_back(to_real_basis(c, "control"));
+        rexp_dirs_.push_back(rctrls_.back());
+        rexp_dirs_.back() *= dt_;
+    }
+    rtarget_ = to_real_basis(prob_.target, "target");
+}
 
-    // Shared-Pade for both systems.  Closed-system slot exponents are
-    // anti-Hermitian and *could* take the Daleckii-Krein spectral path
-    // (kAuto), but the optimizer trajectory is chaotic in the last few
-    // digits: switching the arithmetic shifts converged design errors at
-    // the ~1e-6 level on the CX benchmark, so that switch needs its own
-    // A/B against the EXPERIMENTS.md tables and the design bounds.  The
-    // spectral path stays available to propagator builders, where no
-    // optimizer feeds back on the result.
-    method_ = linalg::ExpmMethod::kPade;
+RMat ControlProblem::to_real_basis(const Mat& x, const char* what) const {
+    const Mat y = basis_.adjoint() * x * basis_;
+    const double tol = kRealBasisTol * x.max_abs();
+    RMat out(y.rows(), y.cols());
+    for (std::size_t i = 0; i < y.rows(); ++i) {
+        for (std::size_t j = 0; j < y.cols(); ++j) {
+            const cplx v = y(i, j);
+            if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
+                throw std::invalid_argument(std::string("GRAPE (open): non-finite ") + what);
+            }
+            if (std::abs(v.imag()) > tol) {
+                throw std::invalid_argument(std::string("GRAPE (open): ") + what +
+                                            " does not preserve Hermiticity");
+            }
+            out(i, j) = v.real();
+        }
+    }
+    return out;
 }
 
 ControlAmplitudes ControlProblem::unflatten(const std::vector<double>& x) const {
+    if (x.size() != n_params()) {
+        throw std::invalid_argument("ControlProblem::unflatten: parameter count mismatch");
+    }
     ControlAmplitudes amps(n_ts_, std::vector<double>(n_ctrl_));
     for (std::size_t k = 0; k < n_ts_; ++k)
         for (std::size_t j = 0; j < n_ctrl_; ++j) amps[k][j] = x[k * n_ctrl_ + j];
     return amps;
 }
 
+void ControlProblem::check_amps(const ControlAmplitudes& amps, const char* who) const {
+    bool ok = amps.size() == n_ts_;
+    for (std::size_t k = 0; ok && k < n_ts_; ++k) ok = amps[k].size() == n_ctrl_;
+    if (!ok) {
+        throw std::invalid_argument(std::string("ControlProblem::") + who +
+                                    ": amplitude table is not n_ts x n_ctrl");
+    }
+}
+
 std::vector<double> ControlProblem::flatten(const ControlAmplitudes& amps) const {
+    check_amps(amps, "flatten");
     std::vector<double> x(n_params());
     for (std::size_t k = 0; k < n_ts_; ++k)
         for (std::size_t j = 0; j < n_ctrl_; ++j) x[k * n_ctrl_ + j] = amps[k][j];
@@ -154,22 +234,75 @@ void ControlProblem::slot_exponent_into(const double* amps, Mat& out) const {
 }
 
 Mat ControlProblem::slot_exponent(const std::vector<double>& amps) const {
+    if (amps.size() != n_ctrl_) {
+        throw std::invalid_argument("ControlProblem::slot_exponent: control count mismatch");
+    }
     Mat out;
     slot_exponent_into(amps.data(), out);
     return out;
 }
 
-Mat ControlProblem::evolution(const ControlAmplitudes& amps) const {
-    auto lease = scratch_pool_.acquire();
-    EvalScratch& sc = *lease;
-    Mat total = Mat::identity(prob_.system.drift.rows());
+void ControlProblem::slot_generator(const double* amps, Mat& out) const {
+    slot_exponent_into(amps, out);
+}
+
+void ControlProblem::slot_generator(const double* amps, RMat& out) const {
+    out = rdrift_;
+    for (std::size_t j = 0; j < n_ctrl_; ++j) linalg::add_scaled(out, amps[j], rctrls_[j]);
+    out *= dt_;
+}
+
+template <class M>
+ControlProblem::Engine<M>& ControlProblem::engine() const {
+    if constexpr (std::is_same_v<M, RMat>) {
+        return open_engine_;
+    } else {
+        return closed_engine_;
+    }
+}
+
+// Shared-Pade for both systems.  Closed-system slot exponents are
+// anti-Hermitian and *could* take the Daleckii-Krein spectral path, but the
+// optimizer trajectory is chaotic in the last few digits: switching the
+// arithmetic shifts converged design errors at the ~1e-6 level on the CX
+// benchmark, so that switch needs its own A/B against the EXPERIMENTS.md
+// tables and the design bounds.  The spectral path stays available to
+// propagator builders, where no optimizer feeds back on the result.
+template <class M>
+M ControlProblem::propagate(const ControlAmplitudes& amps) const {
+    auto lease = engine<M>().scratch.acquire();
+    auto& sc = *lease;
+    M total = M::identity(prob_.system.drift.rows());
     for (std::size_t k = 0; k < n_ts_; ++k) {
-        slot_exponent_into(amps[k].data(), sc.gen);
-        linalg::expm_into(sc.gen, sc.prop, sc.ws, method_);
+        slot_generator(amps[k].data(), sc.gen);
+        linalg::pade_prepare(sc.gen, sc.prop, sc.ws);
         linalg::gemm_into(sc.prop, total, sc.tmp);
         std::swap(total, sc.tmp);
     }
     return total;
+}
+
+Mat ControlProblem::evolution(const ControlAmplitudes& amps) const {
+    check_amps(amps, "evolution");
+    if (!open_) return propagate<Mat>(amps);
+    // Back to the standard basis: V E V^dag.
+    const RMat e = propagate<RMat>(amps);
+    Mat ec(e.rows(), e.cols());
+    for (std::size_t i = 0; i < e.size(); ++i) ec.data()[i] = e.data()[i];
+    return basis_ * ec * basis_.adjoint();
+}
+
+double ControlProblem::fid_err(const ControlAmplitudes& amps) const {
+    check_amps(amps, "fid_err");
+    return open_ ? trace_diff_cost(propagate<RMat>(amps)) : fid_err_of(propagate<Mat>(amps));
+}
+
+double ControlProblem::trace_diff_cost(const RMat& evo) const {
+    const auto& t = rtarget_.data();
+    const auto& e = evo.data();
+    double fro2 = 0.0;
+    for (std::size_t i = 0; i < e.size(); ++i) fro2 += (t[i] - e[i]) * (t[i] - e[i]);
+    return 0.5 * fro2 / static_cast<double>(evo.rows());
 }
 
 double ControlProblem::fid_err_of(const Mat& evo) const {
@@ -195,12 +328,12 @@ double ControlProblem::fid_err_of(const Mat& evo) const {
 }
 
 /// Zero-alloc contract: per-slot propagators, partial products and all
-/// expm factors live in evaluator-owned storage (the per-slot expm
-/// workspaces, plus scratch leased per task from the workspace pool) that
-/// is reused across the thousands of L-BFGS-B evaluations; after the first
-/// call at a given problem shape the hot loop performs no heap allocation.
-/// Results are bit-identical for any pool size: every slot's computation
-/// is independent, reads only its own workspace and writes to disjoint
+/// Pade factors live in evaluator-owned storage (the per-slot workspaces,
+/// plus scratch leased per task from the workspace pool) that is reused
+/// across the thousands of L-BFGS-B evaluations; after the first call at a
+/// given problem shape the hot loop performs no heap allocation.  Results
+/// are bit-identical for any pool size: every slot's computation is
+/// independent, reads only its own workspace and writes to disjoint
 /// storage.
 ///
 /// Gradient (adjoint direction): with the co-state bwd_k = C P_{N-1} ...
@@ -210,42 +343,46 @@ double ControlProblem::fid_err_of(const Mat& evo) const {
 /// every control's gradient entry as an O(N^2) trace.  Folding C into the
 /// backward recursion (run once the fidelity is known) costs no gemm more
 /// than the plain products P_{N-1} ... P_{k+1} and saves the per-slot C
-/// product.
-double ControlProblem::objective(const std::vector<double>& x,
-                                 std::vector<double>& grad) const {
-    obs::Span span("grape.objective");
-    props_.resize(n_ts_);
-    slot_ws_.resize(n_ts_);
+/// product.  Open systems run all of it on real matrices, where C is the
+/// transpose (not the adjoint) of T - E.
+template <class M>
+double ControlProblem::cost_and_gradient(const std::vector<double>& x,
+                                         std::vector<double>& grad) const {
+    constexpr bool kOpen = std::is_same_v<M, RMat>;
+    Engine<M>& eng = engine<M>();
+    eng.props.resize(n_ts_);
+    eng.slot_ws.resize(n_ts_);
 
-    // Factor every slot exponent once: the propagator goes to props_[k],
-    // the factors stay in slot_ws_[k] for the adjoint pass below.
+    // Factor every slot exponent once: the propagator goes to props[k],
+    // the factors stay in slot_ws[k] for the adjoint pass below.
     runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
-        auto lease = scratch_pool_.acquire();
-        EvalScratch& sc = *lease;
-        slot_exponent_into(&x[k * n_ctrl_], sc.gen);
-        linalg::expm_prepare(sc.gen, props_[k], slot_ws_[k], method_);
+        auto lease = eng.scratch.acquire();
+        slot_generator(&x[k * n_ctrl_], lease->gen);
+        linalg::pade_prepare(lease->gen, eng.props[k], eng.slot_ws[k]);
     });
 
     // Forward partial products fwd[k] = P_k ... P_0, into reused storage.
-    fwd_.resize(n_ts_);
-    fwd_[0] = props_[0];
-    for (std::size_t k = 1; k < n_ts_; ++k) linalg::gemm_into(props_[k], fwd_[k - 1], fwd_[k]);
-
-    const Mat& evo = fwd_.back();
-    const double err = fid_err_of(evo);
-    const std::size_t dim = prob_.system.drift.rows();
+    eng.fwd.resize(n_ts_);
+    eng.fwd[0] = eng.props[0];
+    for (std::size_t k = 1; k < n_ts_; ++k) {
+        linalg::gemm_into(eng.props[k], eng.fwd[k - 1], eng.fwd[k]);
+    }
+    const M& evo = eng.fwd.back();
+    const std::size_t dim = evo.rows();
 
     // Co-states bwd[k] = C P_{N-1} ... P_{k+1}, seeded with the cost-side
     // matrix C (bwd[N-1] = C): d(val)/du = Tr(bwd_k dP_k fwd_{k-1}).
-    bwd_.resize(n_ts_);
-    Mat& c_adj = bwd_[n_ts_ - 1];
+    eng.bwd.resize(n_ts_);
+    M& c_adj = eng.bwd[n_ts_ - 1];
+    double err = 0.0;
     cplx g_overlap{0.0, 0.0};
-    if (prob_.fidelity == FidelityType::kTraceDiff) {
+    if constexpr (kOpen) {
+        err = trace_diff_cost(evo);
         c_adj.resize(dim, dim);
         for (std::size_t i = 0; i < dim; ++i)
-            for (std::size_t j = 0; j < dim; ++j)
-                c_adj(j, i) = std::conj(prob_.target(i, j) - evo(i, j));
+            for (std::size_t j = 0; j < dim; ++j) c_adj(j, i) = rtarget_(i, j) - evo(i, j);
     } else {
+        err = fid_err_of(evo);
         g_overlap = linalg::hs_inner(overlap_target_, evo);
         c_adj.resize(overlap_target_.cols(), overlap_target_.rows());
         for (std::size_t i = 0; i < overlap_target_.rows(); ++i)
@@ -253,39 +390,47 @@ double ControlProblem::objective(const std::vector<double>& x,
                 c_adj(j, i) = std::conj(overlap_target_(i, j));
     }
     for (std::size_t k = n_ts_ - 1; k-- > 0;) {
-        linalg::gemm_into(bwd_[k + 1], props_[k + 1], bwd_[k]);
+        linalg::gemm_into(eng.bwd[k + 1], eng.props[k + 1], eng.bwd[k]);
     }
 
     grad.assign(n_params(), 0.0);
     runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
-        auto lease = scratch_pool_.acquire();
-        EvalScratch& sc = *lease;
+        auto lease = eng.scratch.acquire();
+        auto& sc = *lease;
         // R_k = fwd_{k-1} * bwd_k  (so Tr(bwd_k dP_k fwd_{k-1}) = Tr(R_k dP_k)).
-        const Mat* r = &bwd_[k];
+        const M* r = &eng.bwd[k];
         if (k > 0) {
-            linalg::gemm_into(fwd_[k - 1], bwd_[k], sc.prop);
+            linalg::gemm_into(eng.fwd[k - 1], eng.bwd[k], sc.prop);
             r = &sc.prop;
         }
         // L(A_k, R_k) into sc.gen (free once the slot is prepared).
-        linalg::expm_direction(slot_ws_[k], *r, sc.gen);
+        linalg::pade_direction(eng.slot_ws[k], *r, sc.gen);
         for (std::size_t j = 0; j < n_ctrl_; ++j) {
-            const cplx dg = linalg::trace_of_product(sc.gen, exp_dirs_[j]);
             double derr = 0.0;
-            switch (prob_.fidelity) {
-                case FidelityType::kPsu:
-                    derr = -2.0 * (std::conj(g_overlap) * dg).real() /
-                           (norm_dim_ * norm_dim_);
-                    break;
-                case FidelityType::kSu:
+            if constexpr (kOpen) {
+                derr = -linalg::trace_of_product(sc.gen, rexp_dirs_[j]) /
+                       static_cast<double>(dim);
+            } else {
+                const cplx dg = linalg::trace_of_product(sc.gen, exp_dirs_[j]);
+                if (prob_.fidelity == FidelityType::kPsu) {
+                    derr = -2.0 * (std::conj(g_overlap) * dg).real() / (norm_dim_ * norm_dim_);
+                } else {
                     derr = -dg.real() / norm_dim_;
-                    break;
-                case FidelityType::kTraceDiff:
-                    derr = -dg.real() / static_cast<double>(dim);
-                    break;
+                }
             }
             grad[k * n_ctrl_ + j] = derr;
         }
     });
+    return err;
+}
+
+double ControlProblem::objective(const std::vector<double>& x,
+                                 std::vector<double>& grad) const {
+    if (x.size() != n_params()) {
+        throw std::invalid_argument("ControlProblem::objective: parameter count mismatch");
+    }
+    obs::Span span("grape.objective");
+    const double err = open_ ? cost_and_gradient<RMat>(x, grad) : cost_and_gradient<Mat>(x, grad);
     double total = err;
     if (prob_.energy_penalty > 0.0) {
         const double w = prob_.energy_penalty / static_cast<double>(n_params());

@@ -131,17 +131,21 @@ bool is_anti_hermitian(const Mat& a, double tol) {
 void add_diag(Mat& m, double c) {
     for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += cplx{c, 0.0};
 }
+void add_diag(RMat& m, double c) {
+    for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += c;
+}
 
 /// `out = c * x`, reusing out's storage.
-void set_scaled(Mat& out, const Mat& x, double c) {
+template <class M>
+void set_scaled(M& out, const M& x, double c) {
     out = x;
     out *= c;
 }
 
-/// Shared-Pade factorization (see expm.hpp): the scaled generator, its even
-/// powers, the factored polynomials, one LU of V - U and the squaring
-/// ladder r^(2^j), all kept in `ws` for `pade_direction`.
-void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
+}  // namespace
+
+template <class M>
+void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws) {
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -152,14 +156,13 @@ void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
         case 9: obs::count(obs::Cnt::kExpmPade9); break;
         default: obs::count(obs::Cnt::kExpmPade13); break;
     }
-    ws.prepared = ExpmMethod::kPade;
     ws.order = m;
     ws.squarings = s;
     const double* b = pade_table(m);
 
     ws.as = a;
     if (s > 0) ws.as *= std::ldexp(1.0, -s);
-    const Mat& as = ws.as;
+    const M& as = ws.as;
 
     // Shared even powers: pows[k] = As^{2k}.  Order 13 needs A^2/A^4/A^6 for
     // the factored polynomials; orders 3..9 need A^2 .. A^{m-1} directly.
@@ -170,9 +173,9 @@ void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
 
     // Shared U = A * (odd poly), V = even poly.
     if (m == 13) {
-        const Mat& a2 = ws.pows[1];
-        const Mat& a4 = ws.pows[2];
-        const Mat& a6 = ws.pows[3];
+        const M& a2 = ws.pows[1];
+        const M& a4 = ws.pows[2];
+        const M& a6 = ws.pows[3];
         // w1 = b13 A6 + b11 A4 + b9 A2 ; w = A6 w1 + b7 A6 + b5 A4 + b3 A2 + b1 I
         set_scaled(ws.w1, a6, b[13]);
         add_scaled(ws.w1, b[11], a4);
@@ -221,25 +224,25 @@ void pade_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
     exp_out = ws.ladder[rungs - 1];
 }
 
-/// One derivative L(A, E) against the factors `pade_prepare` kept.
-void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
+template <class M>
+void pade_direction(PadeWorkspace<M>& ws, const M& e, M& out) {
     const std::size_t n = ws.as.rows();
     const int m = ws.order;
     const int s = ws.squarings;
     const double* b = pade_table(m);
     const std::size_t kmax = (m == 13) ? 3 : static_cast<std::size_t>(m - 1) / 2;
-    const Mat& as = ws.as;
+    const M& as = ws.as;
 
     ws.es = e;
     if (s > 0) ws.es *= std::ldexp(1.0, -s);
-    const Mat& es = ws.es;
+    const M& es = ws.es;
     // M2 = A E + E A (all in the scaled variables).
     gemm_into(as, es, ws.m2);
     gemm_acc(es, as, ws.m2);
     if (m == 13) {
-        const Mat& a2 = ws.pows[1];
-        const Mat& a4 = ws.pows[2];
-        const Mat& a6 = ws.pows[3];
+        const M& a2 = ws.pows[1];
+        const M& a4 = ws.pows[2];
+        const M& a6 = ws.pows[3];
         // M4 = A2 M2 + M2 A2 ; M6 = M4 A2 + A4 M2.
         gemm_into(a2, ws.m2, ws.m4);
         gemm_acc(ws.m2, a2, ws.m4);
@@ -302,6 +305,13 @@ void pade_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
         std::swap(out, ws.t1);
     }
 }
+
+template void pade_prepare<Mat>(const Mat&, Mat&, PadeWorkspace<Mat>&);
+template void pade_prepare<RMat>(const RMat&, RMat&, PadeWorkspace<RMat>&);
+template void pade_direction<Mat>(PadeWorkspace<Mat>&, const Mat&, Mat&);
+template void pade_direction<RMat>(PadeWorkspace<RMat>&, const RMat&, RMat&);
+
+namespace {
 
 /// Daleckii-Krein spectral factorization for anti-Hermitian A = -iS (see
 /// expm.hpp): keeps the eigenvectors, eigenvalues and phases e^{-i lam}.
@@ -416,6 +426,7 @@ void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws, ExpmMethod meth
         spectral_prepare(a, exp_out, ws);
     } else {
         pade_prepare(a, exp_out, ws);
+        ws.prepared = ExpmMethod::kPade;
     }
 }
 

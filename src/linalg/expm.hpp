@@ -5,11 +5,13 @@
 
 #pragma once
 
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/real_matrix.hpp"
 
 namespace qoc::linalg {
 
@@ -44,36 +46,67 @@ enum class ExpmMethod {
                 ///  requires an anti-Hermitian `A = -i S`, S Hermitian
 };
 
-/// Reusable scratch for `expm_into` / `expm_prepare` / `expm_direction`.
-/// `expm_prepare` leaves the factors of its A here
-/// (the Pade intermediates and squaring ladder, or the eigenbasis), and
-/// every later `expm_direction` reads them until the next prepare; all
-/// other buffers are scratch whose contents are unspecified between calls.
-/// Repeated calls at the same matrix size perform no heap allocation on
-/// either path (the spectral path runs the no-alloc `eig_hermitian_into`).
-/// One workspace must not be shared between threads.  The GRAPE evaluator
-/// keeps one per timeslot, since each slot's factors must survive from
-/// its prepare to its adjoint direction.
-class ExpmWorkspace {
+/// The shared-Pade factors of one A and the per-direction scratch, for the
+/// complex `Mat` or the real `RMat`.  `pade_prepare` leaves the factors
+/// here and every later `pade_direction` reads them until the next
+/// prepare; all other buffers are scratch whose contents are unspecified
+/// between calls.  Repeated calls at the same matrix size perform no heap
+/// allocation.  One workspace must not be shared between threads.
+template <class M>
+struct PadeWorkspace {
+    // the Pade order m and squarings s of the last prepare
+    int order = 0;
+    int squarings = 0;
+    // shared Pade intermediates (one set per A, reused across directions)
+    M as;                     ///< scaled generator A / 2^s
+    std::vector<M> pows;      ///< pows[k] = (A/2^s)^{2k}, k >= 1
+    M usum;                   ///< odd-coefficient polynomial (orders 3..9)
+    M u, v;                   ///< Pade numerator/denominator halves
+    M w1, z1, w;              ///< Higham order-13 factored polynomials
+    /// LU of (V - U), shared across directions
+    std::conditional_t<std::is_same_v<M, Mat>, Lu, RLu> fact;
+    std::vector<M> ladder;    ///< ladder[j] = r^(2^j), j = 0..s, r the Pade approximant
+    // per-direction scratch
+    M es, m2, m4, m6, mcur, mprev, lw1, lw, lusum, lu_m, lv_m, rhs;
+    M t1, t2;
+};
+
+/// Shared-Pade factorization of A (Higham 2005 order choice from
+/// `||A||_1`): the scaled generator, its even powers, the factored
+/// polynomials, one LU of V - U and the squaring ladder r^(2^j), all kept
+/// in `ws`; writes `exp_out = e^A`.  `exp_out` must not alias `a`.
+/// Instantiated for `Mat` and `RMat`; both count `kExpmPade<m>`, their
+/// products `kGemmCalls` and their factorization `kLuFactorizations`.
+template <class M>
+void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws);
+
+/// `out = L(A, E)` for the A of the last `pade_prepare` on `ws`: the
+/// derivative polynomials, one back-substitution against the shared LU and
+/// two products per squaring step.  `E` must have the shape of A and not
+/// alias `out`.
+template <class M>
+void pade_direction(PadeWorkspace<M>& ws, const M& e, M& out);
+
+extern template void pade_prepare<Mat>(const Mat&, Mat&, PadeWorkspace<Mat>&);
+extern template void pade_prepare<RMat>(const RMat&, RMat&, PadeWorkspace<RMat>&);
+extern template void pade_direction<Mat>(PadeWorkspace<Mat>&, const Mat&, Mat&);
+extern template void pade_direction<RMat>(PadeWorkspace<RMat>&, const RMat&, RMat&);
+
+/// Reusable scratch for `expm_into` / `expm_prepare` / `expm_direction`:
+/// the complex Pade workspace plus the spectral path's factors.
+/// `expm_prepare` leaves the factors of its A here (the Pade intermediates
+/// and squaring ladder, or the eigenbasis), and every later
+/// `expm_direction` reads them until the next prepare.  Repeated calls at
+/// the same matrix size perform no heap allocation on either path (the
+/// spectral path runs the no-alloc `eig_hermitian_into`).  One workspace
+/// must not be shared between threads.
+class ExpmWorkspace : public PadeWorkspace<Mat> {
 public:
     ExpmWorkspace() = default;
 
     // what the last expm_prepare factored: kPade or kSpectral (kAuto until
-    // the first prepare), and on the Pade path the order m and squarings s
+    // the first prepare)
     ExpmMethod prepared = ExpmMethod::kAuto;
-    int order = 0;
-    int squarings = 0;
-    // shared Pade intermediates (one set per A, reused across directions)
-    Mat as;                   ///< scaled generator A / 2^s
-    std::vector<Mat> pows;    ///< pows[k] = (A/2^s)^{2k}, k >= 1
-    Mat usum;                 ///< odd-coefficient polynomial (orders 3..9)
-    Mat u, v;                 ///< Pade numerator/denominator halves
-    Mat w1, z1, w;            ///< Higham order-13 factored polynomials
-    Lu fact;                  ///< LU of (V - U), shared across directions
-    std::vector<Mat> ladder;  ///< ladder[j] = r^(2^j), j = 0..s, r the Pade approximant
-    // per-direction scratch
-    Mat es, m2, m4, m6, mcur, mprev, lw1, lw, lusum, lu_m, lv_m, rhs;
-    Mat t1, t2;
     // spectral-path factors (eigenvectors, their adjoint, eigenvalues,
     // phases e^{-i lam}) and scratch
     Mat vt, g, evec, ework;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
@@ -135,6 +136,27 @@ void Lu::solve_into(const Mat& b, Mat& x) const {
 }
 
 Mat Lu::inverse() const { return solve(Mat::identity(lu_.rows())); }
+
+void RLu::factor(const RMat& a) {
+    if (a.rows() != a.cols()) throw std::invalid_argument("RLu: non-square matrix");
+    obs::count(obs::Cnt::kLuFactorizations);
+    lu_ = a;  // vector copy-assign: reuses capacity on same-size refactor
+    const std::size_t n = a.rows();
+    piv_.resize(n);
+    inv_diag_.resize(n);
+    singular_ = !simd::dlu_factor(lu_.data().data(), n, piv_.data(), inv_diag_.data());
+}
+
+void RLu::solve_into(const RMat& b, RMat& x) const {
+    if (singular_) throw std::runtime_error("RLu::solve: singular matrix");
+    const std::size_t n = lu_.rows();
+    if (b.rows() != n) throw std::invalid_argument("RLu::solve: rhs shape mismatch");
+    assert(&x != &b);
+    // The solve overwrites every entry, so a same-shape `x` skips the zero fill.
+    if (x.rows() != n || x.cols() != b.cols()) x.resize(n, b.cols());
+    simd::dlu_solve(lu_.data().data(), piv_.data(), inv_diag_.data(), n, b.data().data(),
+                    x.data().data(), b.cols());
+}
 
 Mat solve(const Mat& a, const Mat& b) { return Lu(a).solve(b); }
 Mat inverse(const Mat& a) { return Lu(a).inverse(); }

@@ -1,11 +1,13 @@
 /// \file lu.hpp
-/// \brief LU decomposition with partial pivoting for complex dense matrices.
+/// \brief LU decomposition with partial pivoting for complex and real dense
+///        matrices.
 
 #pragma once
 
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/real_matrix.hpp"
 
 namespace qoc::linalg {
 
@@ -65,6 +67,31 @@ private:
     std::vector<std::size_t> piv_; // row permutation
     std::vector<cplx> inv_diag_;   // 1 / U(k, k), read by solve_into
     int pivot_sign_ = 1;
+    bool singular_ = false;
+};
+
+/// LU factorization `P A = L U` of a square real matrix, the denominator
+/// solve of the real Pade engine.  Factor and substitutions run in
+/// `simd::dlu_factor` / `simd::dlu_solve` (see simd_kernels.hpp for the
+/// pivot rule and the fma row updates).  Same calling pattern as `Lu`:
+/// refactoring a same-size matrix and `solve_into` on a same-shape
+/// destination allocate nothing.
+class RLu {
+public:
+    /// (Re)factorizes `a`.  Throws `std::invalid_argument` for non-square input.
+    void factor(const RMat& a);
+
+    /// True when a pivot underflowed (matrix numerically singular).
+    bool singular() const noexcept { return singular_; }
+
+    /// Solves `A x = b` into `x` (resized; must not alias `b`).  Throws
+    /// `std::runtime_error` when the factorization is singular.
+    void solve_into(const RMat& b, RMat& x) const;
+
+private:
+    RMat lu_;
+    std::vector<std::size_t> piv_;
+    std::vector<double> inv_diag_;
     bool singular_ = false;
 };
 

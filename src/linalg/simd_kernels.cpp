@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define QOC_HAVE_AVX2_PATH 1
@@ -84,6 +85,106 @@ void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
             for (std::size_t j = 0; j < n; ++j) cfma(crow[j], v, brow[j]);
         }
     }
+}
+
+// --- real kernels ------------------------------------------------------------
+
+void dgemm_raw_scalar(const double* a, const double* b, double* c, std::size_t m,
+                      std::size_t k, std::size_t n, bool accumulate) noexcept {
+    for (std::size_t i = 0; i < m; ++i) {
+        double* crow = c + i * n;
+        if (!accumulate) {
+            for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
+        }
+        const double* arow = a + i * k;
+        for (std::size_t p = 0; p < k; ++p) {
+            const double aip = arow[p];
+            const double* brow = b + p * n;
+            for (std::size_t j = 0; j < n; ++j) crow[j] = std::fma(aip, brow[j], crow[j]);
+        }
+    }
+}
+
+// The LU bodies are written once and compiled twice: into the portable
+// functions below and, inlined, into the fma-target variants, where
+// std::fma becomes vfmadd.  The correctly rounded fma makes both bitwise
+// identical.
+
+/// `y[j] = fma(-l, x[j], y[j])` over `m` entries.
+[[gnu::always_inline]] inline void drow_update(double* y, const double* x, double l,
+                                               std::size_t m) noexcept {
+    for (std::size_t j = 0; j < m; ++j) y[j] = std::fma(-l, x[j], y[j]);
+}
+
+[[gnu::always_inline]] inline bool dlu_factor_body(double* lu, std::size_t n,
+                                                   std::size_t* piv,
+                                                   double* inv_diag) noexcept {
+    bool regular = true;
+    for (std::size_t i = 0; i < n; ++i) piv[i] = i;
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t p = k;
+        double best = std::abs(lu[k * n + k]);
+        for (std::size_t i = k + 1; i < n; ++i) {
+            const double v = std::abs(lu[i * n + k]);
+            if (v > best) {
+                best = v;
+                p = i;
+            }
+        }
+        if (p != k) {
+            for (std::size_t j = 0; j < n; ++j) std::swap(lu[k * n + j], lu[p * n + j]);
+            std::swap(piv[k], piv[p]);
+        }
+        const double pivot = lu[k * n + k];
+        if (std::abs(pivot) < 1e-300) {
+            regular = false;
+            continue;
+        }
+        const double inv = 1.0 / pivot;
+        inv_diag[k] = inv;
+        for (std::size_t i = k + 1; i < n; ++i) {
+            const double lik = lu[i * n + k];
+            if (lik == 0.0) continue;
+            const double l = lik * inv;
+            lu[i * n + k] = l;
+            drow_update(lu + i * n + k + 1, lu + k * n + k + 1, l, n - k - 1);
+        }
+    }
+    return regular;
+}
+
+[[gnu::always_inline]] inline void dlu_solve_body(const double* lu, const std::size_t* piv,
+                                                  const double* inv_diag, std::size_t n,
+                                                  const double* b, double* x,
+                                                  std::size_t m) noexcept {
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < m; ++j) x[i * m + j] = b[piv[i] * m + j];
+    for (std::size_t i = 1; i < n; ++i)
+        for (std::size_t k = 0; k < i; ++k) {
+            const double lik = lu[i * n + k];
+            if (lik == 0.0) continue;
+            drow_update(x + i * m, x + k * m, lik, m);
+        }
+    for (std::size_t ii = n; ii-- > 0;) {
+        double* xi = x + ii * m;
+        for (std::size_t k = ii + 1; k < n; ++k) {
+            const double uik = lu[ii * n + k];
+            if (uik == 0.0) continue;
+            drow_update(xi, x + k * m, uik, m);
+        }
+        const double inv = inv_diag[ii];
+        for (std::size_t j = 0; j < m; ++j) xi[j] *= inv;
+    }
+}
+
+bool dlu_factor_scalar(double* lu, std::size_t n, std::size_t* piv,
+                       double* inv_diag) noexcept {
+    return dlu_factor_body(lu, n, piv, inv_diag);
+}
+
+void dlu_solve_scalar(const double* lu, const std::size_t* piv, const double* inv_diag,
+                      std::size_t n, const double* b, double* x, std::size_t m) noexcept {
+    dlu_solve_body(lu, piv, inv_diag, n, b, x, m);
 }
 
 #if defined(QOC_HAVE_AVX2_PATH)
@@ -365,6 +466,119 @@ __attribute__((target("avx2,fma"))) void csr_gemm_raw_avx2(const cplx* vals, con
     }
 }
 
+// Real register tile: R rows x V vectors of 4 doubles, the last vector of
+// every row loaded and stored through `mask` (all lanes for a full
+// vector).  Each lane runs the scalar replay's fma chain over ascending p.
+template <int R, int V>
+[[gnu::always_inline]] __attribute__((target("avx2,fma"))) inline void dgemm_tile(
+    const double* a, const double* b,
+                                                    double* c, std::size_t k, std::size_t n,
+                                                    std::size_t i0, std::size_t j0,
+                                                    __m256i mask, bool accumulate) noexcept {
+    __m256d acc[R][V];
+    for (int r = 0; r < R; ++r) {
+        double* crow = c + (i0 + r) * n + j0;
+        for (int v = 0; v < V; ++v) {
+            if (!accumulate) {
+                acc[r][v] = _mm256_setzero_pd();
+            } else if (v + 1 < V) {
+                acc[r][v] = _mm256_loadu_pd(crow + 4 * v);
+            } else {
+                acc[r][v] = _mm256_maskload_pd(crow + 4 * v, mask);
+            }
+        }
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+        const double* brow = b + p * n + j0;
+        __m256d bv[V];
+        for (int v = 0; v + 1 < V; ++v) bv[v] = _mm256_loadu_pd(brow + 4 * v);
+        bv[V - 1] = _mm256_maskload_pd(brow + 4 * (V - 1), mask);
+        for (int r = 0; r < R; ++r) {
+            const __m256d ar = _mm256_broadcast_sd(a + (i0 + r) * k + p);
+            for (int v = 0; v < V; ++v) acc[r][v] = _mm256_fmadd_pd(ar, bv[v], acc[r][v]);
+        }
+    }
+    for (int r = 0; r < R; ++r) {
+        double* crow = c + (i0 + r) * n + j0;
+        for (int v = 0; v + 1 < V; ++v) _mm256_storeu_pd(crow + 4 * v, acc[r][v]);
+        _mm256_maskstore_pd(crow + 4 * (V - 1), mask, acc[r][V - 1]);
+    }
+}
+
+template <int R>
+[[gnu::always_inline]] __attribute__((target("avx2,fma"))) inline void dgemm_tile_rows(
+    const double* a, const double* b,
+                                                         double* c, std::size_t k,
+                                                         std::size_t n, std::size_t i0,
+                                                         std::size_t j0, int vecs,
+                                                         __m256i mask,
+                                                         bool accumulate) noexcept {
+    switch (vecs) {
+        case 1: dgemm_tile<R, 1>(a, b, c, k, n, i0, j0, mask, accumulate); break;
+        case 2: dgemm_tile<R, 2>(a, b, c, k, n, i0, j0, mask, accumulate); break;
+        default: dgemm_tile<R, 3>(a, b, c, k, n, i0, j0, mask, accumulate); break;
+    }
+}
+
+constexpr std::size_t kRealTileRows = 3;
+constexpr std::size_t kRealTileCols = 12;  // 3 vectors of 4 doubles
+
+[[gnu::always_inline]] __attribute__((target("avx2,fma"))) inline void dgemm_avx2_body(
+    const double* a, const double* b, double* c, std::size_t m, std::size_t k, std::size_t n,
+    bool accumulate) noexcept {
+    for (std::size_t j0 = 0; j0 < n; j0 += kRealTileCols) {
+        const std::size_t jn = std::min(kRealTileCols, n - j0);
+        const int vecs = static_cast<int>((jn + 3) / 4);
+        const auto live = static_cast<long long>(jn - 4 * static_cast<std::size_t>(vecs - 1));
+        const __m256i mask = _mm256_set_epi64x(live > 3 ? -1 : 0, live > 2 ? -1 : 0,
+                                               live > 1 ? -1 : 0, -1);
+        for (std::size_t i0 = 0; i0 < m; i0 += kRealTileRows) {
+            switch (std::min(kRealTileRows, m - i0)) {
+                case 1: dgemm_tile_rows<1>(a, b, c, k, n, i0, j0, vecs, mask, accumulate); break;
+                case 2: dgemm_tile_rows<2>(a, b, c, k, n, i0, j0, vecs, mask, accumulate); break;
+                default: dgemm_tile_rows<3>(a, b, c, k, n, i0, j0, vecs, mask, accumulate); break;
+            }
+        }
+    }
+}
+
+// The open-system slot algebra runs at n = d^2 = 9 (transmon) and 4
+// (qubit): fixed-size copies of the real gemm and LU let the compiler
+// resolve the tiling and unroll the loops.  Same operations, same bits.
+__attribute__((target("avx2,fma"))) void dgemm_raw_avx2(const double* a, const double* b,
+                                                        double* c, std::size_t m,
+                                                        std::size_t k, std::size_t n,
+                                                        bool accumulate) noexcept {
+    if (m == 9 && k == 9 && n == 9) {
+        dgemm_avx2_body(a, b, c, 9, 9, 9, accumulate);
+    } else if (m == 4 && k == 4 && n == 4) {
+        dgemm_avx2_body(a, b, c, 4, 4, 4, accumulate);
+    } else {
+        dgemm_avx2_body(a, b, c, m, k, n, accumulate);
+    }
+}
+
+__attribute__((target("avx2,fma"))) bool dlu_factor_hw(double* lu, std::size_t n,
+                                                       std::size_t* piv,
+                                                       double* inv_diag) noexcept {
+    if (n == 9) return dlu_factor_body(lu, 9, piv, inv_diag);
+    if (n == 4) return dlu_factor_body(lu, 4, piv, inv_diag);
+    return dlu_factor_body(lu, n, piv, inv_diag);
+}
+
+__attribute__((target("avx2,fma"))) void dlu_solve_hw(const double* lu, const std::size_t* piv,
+                                                      const double* inv_diag, std::size_t n,
+                                                      const double* b, double* x,
+                                                      std::size_t m) noexcept {
+    if (n == 9 && m == 9) {
+        dlu_solve_body(lu, piv, inv_diag, 9, b, x, 9);
+    } else if (n == 4 && m == 4) {
+        dlu_solve_body(lu, piv, inv_diag, 4, b, x, 4);
+    } else {
+        dlu_solve_body(lu, piv, inv_diag, n, b, x, m);
+    }
+}
+
 bool detect_avx2() noexcept {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -439,6 +653,35 @@ void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::siz
     }
 #endif
     csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
+}
+
+void dgemm_raw(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
+               std::size_t n, bool accumulate) noexcept {
+#if defined(QOC_HAVE_AVX2_PATH)
+    if (use_avx2()) {
+        dgemm_raw_avx2(a, b, c, m, k, n, accumulate);
+        return;
+    }
+#endif
+    dgemm_raw_scalar(a, b, c, m, k, n, accumulate);
+}
+
+bool dlu_factor(double* lu, std::size_t n, std::size_t* piv, double* inv_diag) noexcept {
+#if defined(QOC_HAVE_AVX2_PATH)
+    if (use_avx2()) return dlu_factor_hw(lu, n, piv, inv_diag);
+#endif
+    return dlu_factor_scalar(lu, n, piv, inv_diag);
+}
+
+void dlu_solve(const double* lu, const std::size_t* piv, const double* inv_diag, std::size_t n,
+               const double* b, double* x, std::size_t m) noexcept {
+#if defined(QOC_HAVE_AVX2_PATH)
+    if (use_avx2()) {
+        dlu_solve_hw(lu, piv, inv_diag, n, b, x, m);
+        return;
+    }
+#endif
+    dlu_solve_scalar(lu, piv, inv_diag, n, b, x, m);
 }
 
 }  // namespace qoc::linalg::simd

@@ -26,6 +26,11 @@
 ///
 /// Dispatch: resolved once per process from CPUID (AVX2+FMA), overridable
 /// for tests via `force_scalar`.
+///
+/// The real kernels (`dgemm_raw`, `dlu_factor`, `dlu_solve`) back `RMat`
+/// and `RLu`, the real-arithmetic Pade engine of open-system GRAPE.  Their
+/// contract is the real analogue: every product term is committed as one
+/// `acc = fma(a, b, acc)` over ascending inner index, on both paths.
 
 #pragma once
 
@@ -84,5 +89,31 @@ void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
 /// the contiguous batch dimension with one broadcast per stored nonzero.
 void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
                   const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept;
+
+// --- real kernels (row-major double, contiguous) ----------------------------
+
+/// `c = a * b` (accumulate: `c += a * b`) for row-major `m x k` times
+/// `k x n`: every element runs `c_ij = fma(a_ip, b_pj, c_ij)` over
+/// ascending p, starting from +0 (or c_ij when accumulating).  Zero entries
+/// are not skipped.  The AVX2 path keeps a tile of up to 3 rows x 12
+/// columns in registers (the last vector of a row masked), which changes
+/// no bit.  `c` must not alias `a` or `b`.
+void dgemm_raw(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
+               std::size_t n, bool accumulate) noexcept;
+
+/// In-place LU with partial pivoting of the row-major `n x n` matrix `lu`:
+/// packed unit-lower L and U on return, `piv` the row permutation and
+/// `inv_diag[k] = 1 / U(k, k)`.  The pivot of column k is the largest
+/// `|a_ik|` at/below the diagonal (ties keep the upper row).  Multipliers
+/// are `a_ik * inv_diag[k]`; row updates run `a_ij = fma(-l_ik, u_kj, a_ij)`.
+/// Returns false when a pivot magnitude is below 1e-300 (singular).
+bool dlu_factor(double* lu, std::size_t n, std::size_t* piv, double* inv_diag) noexcept;
+
+/// Solves `A x = b` for the `n x m` row-major `b` against the factors of
+/// `dlu_factor`: permute, unit-lower forward and upper back substitution
+/// with the same fma row update, the diagonal step multiplying by
+/// `inv_diag`.  `x` must not alias `b`.
+void dlu_solve(const double* lu, const std::size_t* piv, const double* inv_diag, std::size_t n,
+               const double* b, double* x, std::size_t m) noexcept;
 
 }  // namespace qoc::linalg::simd
