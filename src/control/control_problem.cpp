@@ -242,11 +242,7 @@ Mat ControlProblem::slot_exponent(const std::vector<double>& amps) const {
     return out;
 }
 
-void ControlProblem::slot_generator(const double* amps, Mat& out) const {
-    slot_exponent_into(amps, out);
-}
-
-void ControlProblem::slot_generator(const double* amps, RMat& out) const {
+void ControlProblem::slot_exponent_into(const double* amps, RMat& out) const {
     out = rdrift_;
     for (std::size_t j = 0; j < n_ctrl_; ++j) linalg::add_scaled(out, amps[j], rctrls_[j]);
     out *= dt_;
@@ -274,7 +270,7 @@ M ControlProblem::propagate(const ControlAmplitudes& amps) const {
     auto& sc = *lease;
     M total = M::identity(prob_.system.drift.rows());
     for (std::size_t k = 0; k < n_ts_; ++k) {
-        slot_generator(amps[k].data(), sc.gen);
+        slot_exponent_into(amps[k].data(), sc.gen);
         linalg::pade_prepare(sc.gen, sc.prop, sc.ws);
         linalg::gemm_into(sc.prop, total, sc.tmp);
         std::swap(total, sc.tmp);
@@ -357,7 +353,7 @@ double ControlProblem::cost_and_gradient(const std::vector<double>& x,
     // the factors stay in slot_ws[k] for the adjoint pass below.
     runtime::TaskPool::global().parallel_for(0, n_ts_, [&](std::size_t k) {
         auto lease = eng.scratch.acquire();
-        slot_generator(&x[k * n_ctrl_], lease->gen);
+        slot_exponent_into(&x[k * n_ctrl_], lease->gen);
         linalg::pade_prepare(lease->gen, eng.props[k], eng.slot_ws[k]);
     });
 

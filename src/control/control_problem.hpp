@@ -143,9 +143,8 @@ private:
 
     template <class M>
     Engine<M>& engine() const;
-    /// Slot exponent in the engine's basis.
-    void slot_generator(const double* amps, Mat& out) const;
-    void slot_generator(const double* amps, linalg::RMat& out) const;
+    /// Slot exponent of an open problem in the real Hermitian basis.
+    void slot_exponent_into(const double* amps, linalg::RMat& out) const;
     void check_amps(const ControlAmplitudes& amps, const char* who) const;
     template <class M>
     M propagate(const ControlAmplitudes& amps) const;

@@ -146,6 +146,7 @@ void set_scaled(M& out, const M& x, double c) {
 
 template <class M>
 void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws) {
+    if (a.rows() != a.cols()) throw std::invalid_argument("pade_prepare: non-square matrix");
     const std::size_t n = a.rows();
     int s = 0;
     const int m = choose_pade_order(a.norm_1(), s);
@@ -226,7 +227,11 @@ void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws) {
 
 template <class M>
 void pade_direction(PadeWorkspace<M>& ws, const M& e, M& out) {
+    if (ws.order == 0) throw std::logic_error("pade_direction: workspace not prepared");
     const std::size_t n = ws.as.rows();
+    if (e.rows() != n || e.cols() != n) {
+        throw std::invalid_argument("pade_direction: direction shape mismatch");
+    }
     const int m = ws.order;
     const int s = ws.squarings;
     const double* b = pade_table(m);

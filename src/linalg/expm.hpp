@@ -74,7 +74,9 @@ struct PadeWorkspace {
 /// Shared-Pade factorization of A (Higham 2005 order choice from
 /// `||A||_1`): the scaled generator, its even powers, the factored
 /// polynomials, one LU of V - U and the squaring ladder r^(2^j), all kept
-/// in `ws`; writes `exp_out = e^A`.  `exp_out` must not alias `a`.
+/// in `ws`; writes `exp_out = e^A`.  `exp_out` must not alias `a`.  Throws
+/// `std::invalid_argument` on a non-square A and `std::domain_error` on a
+/// non-finite one.
 /// Instantiated for `Mat` and `RMat`; both count `kExpmPade<m>`, their
 /// products `kGemmCalls` and their factorization `kLuFactorizations`.
 template <class M>
@@ -82,8 +84,9 @@ void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws);
 
 /// `out = L(A, E)` for the A of the last `pade_prepare` on `ws`: the
 /// derivative polynomials, one back-substitution against the shared LU and
-/// two products per squaring step.  `E` must have the shape of A and not
-/// alias `out`.
+/// two products per squaring step.  `E` must not alias `out`.  Throws
+/// `std::logic_error` if `ws` was never prepared and
+/// `std::invalid_argument` unless `E` has the shape of A.
 template <class M>
 void pade_direction(PadeWorkspace<M>& ws, const M& e, M& out);
 

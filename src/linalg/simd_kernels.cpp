@@ -542,17 +542,15 @@ constexpr std::size_t kRealTileCols = 12;  // 3 vectors of 4 doubles
     }
 }
 
-// The open-system slot algebra runs at n = d^2 = 9 (transmon) and 4
-// (qubit): fixed-size copies of the real gemm and LU let the compiler
-// resolve the tiling and unroll the loops.  Same operations, same bits.
+// The open-system slot algebra of a transmon runs at n = d^2 = 9: a
+// fixed-size copy of the real gemm and LU lets the compiler resolve the
+// tiling and unroll the loops.  Same operations, same bits.
 __attribute__((target("avx2,fma"))) void dgemm_raw_avx2(const double* a, const double* b,
                                                         double* c, std::size_t m,
                                                         std::size_t k, std::size_t n,
                                                         bool accumulate) noexcept {
     if (m == 9 && k == 9 && n == 9) {
         dgemm_avx2_body(a, b, c, 9, 9, 9, accumulate);
-    } else if (m == 4 && k == 4 && n == 4) {
-        dgemm_avx2_body(a, b, c, 4, 4, 4, accumulate);
     } else {
         dgemm_avx2_body(a, b, c, m, k, n, accumulate);
     }
@@ -562,7 +560,6 @@ __attribute__((target("avx2,fma"))) bool dlu_factor_hw(double* lu, std::size_t n
                                                        std::size_t* piv,
                                                        double* inv_diag) noexcept {
     if (n == 9) return dlu_factor_body(lu, 9, piv, inv_diag);
-    if (n == 4) return dlu_factor_body(lu, 4, piv, inv_diag);
     return dlu_factor_body(lu, n, piv, inv_diag);
 }
 
@@ -572,8 +569,6 @@ __attribute__((target("avx2,fma"))) void dlu_solve_hw(const double* lu, const st
                                                       std::size_t m) noexcept {
     if (n == 9 && m == 9) {
         dlu_solve_body(lu, piv, inv_diag, 9, b, x, 9);
-    } else if (n == 4 && m == 4) {
-        dlu_solve_body(lu, piv, inv_diag, 4, b, x, 4);
     } else {
         dlu_solve_body(lu, piv, inv_diag, n, b, x, m);
     }

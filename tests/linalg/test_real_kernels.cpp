@@ -180,5 +180,23 @@ TEST(RealPade, MatchesComplexEngineOnRealGenerator) {
     }
 }
 
+TEST(RealPade, UnpreparedMismatchedOrNonSquareInputThrows) {
+    PadeWorkspace<RMat> rws;
+    RMat out;
+    EXPECT_THROW(pade_direction(rws, RMat(0, 0), out), std::logic_error);
+    EXPECT_THROW(pade_direction(rws, RMat(3, 3), out), std::logic_error);
+    EXPECT_THROW(pade_prepare(RMat(3, 4), out, rws), std::invalid_argument);
+    pade_prepare(random_rmat(3, 3, 7), out, rws);
+    EXPECT_THROW(pade_direction(rws, RMat(4, 4), out), std::invalid_argument);
+    EXPECT_THROW(pade_direction(rws, RMat(3, 4), out), std::invalid_argument);
+
+    PadeWorkspace<Mat> cws;
+    Mat cexp;
+    EXPECT_THROW(pade_direction(cws, Mat(0, 0), cexp), std::logic_error);
+    EXPECT_THROW(pade_prepare(Mat(2, 3), cexp, cws), std::invalid_argument);
+    pade_prepare(Mat::identity(2), cexp, cws);
+    EXPECT_THROW(pade_direction(cws, Mat(3, 3), cexp), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace qoc::linalg
