@@ -110,7 +110,7 @@ int main() {
         rows.push_back({name, err, iters, evals, optim::to_string(res.reason)});
     };
     add_row("L-BFGS-B (2nd-order GRAPE)",
-            control::grape_unitary(hard, {.max_iterations = 200, .target_f = 1e-10}));
+            control::grape_lbfgsb(hard, {.max_iterations = 200, .target_f = 1e-10}));
     add_row("gradient descent, 200 iters",
             control::grape_gradient_descent(hard, {.max_iterations = 200, .step = 0.1}));
     add_row("gradient descent, 2000 iters",
@@ -148,7 +148,7 @@ int main() {
     };
     const GateCase gates[] = {{"x", g::x()}, {"sx", g::sx()}, {"h", g::h()}};
     using M = control::OptimMethod;
-    const M methods[] = {M::kLbfgsB, M::kGradientDescent, M::kKrotov, M::kCrab, M::kGoat};
+    const M methods[] = {M::kLbfgsB, M::kGradientDescent, M::kKrotov, M::kCrab};
     auto wall_ms = [](const control::GrapeResult& res) {
         char ms[32];
         std::snprintf(ms, sizeof(ms), "%.1f",

@@ -38,7 +38,7 @@ int main() {
         prob.initial_amps[k][0] = env[k] * std::numbers::pi / area;
     }
 
-    const auto nominal_design = control::grape_unitary(prob, {.max_iterations = 400});
+    const auto nominal_design = control::grape_lbfgsb(prob, {.max_iterations = 400});
 
     // Ensemble over a +-240 kHz detuning spread (a bad calibration week).
     const double delta = 1.5e-3;  // rad/ns

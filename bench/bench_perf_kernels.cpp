@@ -312,59 +312,10 @@ void BM_GrapeObjectiveCx(benchmark::State& state) {
 }
 BENCHMARK(BM_GrapeObjectiveCx)->Arg(16)->Arg(48);
 
-// --- structured superoperator apply: dense matvec vs factored/CSR -----------
-//
-// Args are (d, path): Hilbert dimension and 0 = dense d^2 x d^2 matvec
-// (StructuredSuperOp pinned to its dense kind), 1 = Kronecker-factored apply
-// (O((2+n_c) d^3)), 2 = StructuredSuperOp dispatch (CSR when sparse enough,
-// SIMD dense gemv otherwise).  d = 3 and d = 9 are the paper's transmon and
-// pair sizes.
+// --- structured superoperator apply -----------------------------------------
 
-void BM_SuperopApply(benchmark::State& state) {
-    const auto d = static_cast<std::size_t>(state.range(0));
-    const linalg::Mat h = random_hermitian(d, 11);
-    const std::vector<linalg::Mat> c_ops = {0.1 * quantum::annihilation(d),
-                                            0.05 * quantum::number_op(d)};
-    const linalg::Mat dense = quantum::liouvillian(h, c_ops);
-    const quantum::KronSuperOp kron = quantum::KronSuperOp::liouvillian(h, c_ops);
-    const auto dense_only = quantum::StructuredSuperOp::from_dense(dense, 0.0);
-    const auto structured = quantum::StructuredSuperOp::from_dense(dense);
-
-    linalg::Mat rho(d, d);
-    rho(0, 0) = 1.0;
-    linalg::Mat v(d * d, 1);
-    for (std::size_t i = 0; i < d; ++i) {
-        for (std::size_t j = 0; j < d; ++j) v(j * d + i, 0) = rho(i, j);
-    }
-    linalg::Mat out, scratch;
-    switch (state.range(1)) {
-        case 0:
-            for (auto _ : state) {
-                dense_only.apply_into(v, out);
-                benchmark::DoNotOptimize(out);
-            }
-            break;
-        case 1:
-            for (auto _ : state) {
-                kron.apply_vec_into(v, out, scratch);
-                benchmark::DoNotOptimize(out);
-            }
-            break;
-        default:
-            for (auto _ : state) {
-                structured.apply_into(v, out);
-                benchmark::DoNotOptimize(out);
-            }
-            break;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SuperopApply)
-    ->Args({3, 0})->Args({3, 1})->Args({3, 2})
-    ->Args({9, 0})->Args({9, 1})->Args({9, 2});
-
-/// Batched SoA apply: one d^2 x B gemm vs B strided single-column applies
-/// of the same structured superop -- the RB seed-block engine's two paths.
+/// Batched SoA apply: one d^2 x B sweep of a structured superop, the RB
+/// seed-block engine's broadcast step.
 void BM_SuperopApplyBatched(benchmark::State& state) {
     const auto d = static_cast<std::size_t>(state.range(0));
     const auto batch = static_cast<std::size_t>(state.range(1));

@@ -152,39 +152,6 @@ inline void check_trace_annihilating(const linalg::Mat& l, const char* what, dou
                      std::to_string(resid) + ")");
 }
 
-/// Trace checks in ACTION form, for factored superoperators that never
-/// materialize the d^2 x d^2 matrix.  For `S rho = sum_t A_t rho B_t` the
-/// trace of the output is `tr(S(rho)) = tr(T rho)` with the d x d
-/// trace-action matrix `T = sum_t B_t A_t`; the factored path computes T in
-/// O(k d^3) and passes it here.  Trace preservation <=> T == I.
-inline void check_trace_preserving_action(const linalg::Mat& t, const char* what,
-                                          double tol = 1e-9) {
-    if (!enabled()) return;
-    QOC_CONTRACT(t.is_square(), std::string(what) + ": trace-action matrix is not square");
-    double worst = 0.0;
-    for (std::size_t i = 0; i < t.rows(); ++i) {
-        for (std::size_t j = 0; j < t.cols(); ++j) {
-            const linalg::cplx want = (i == j) ? linalg::cplx{1.0, 0.0} : linalg::cplx{0.0, 0.0};
-            worst = std::max(worst, std::abs(t(i, j) - want));
-        }
-    }
-    QOC_CONTRACT(worst <= detail::scaled_tol(t, tol),
-                 std::string(what) + ": factored map not trace preserving (|T - I|_max = " +
-                     std::to_string(worst) + ")");
-}
-
-/// Action form of `check_trace_annihilating`: the generator's trace-action
-/// matrix `T = sum_t B_t A_t` must vanish (d/dt Tr rho = 0).
-inline void check_trace_annihilating_action(const linalg::Mat& t, const char* what,
-                                            double tol = 1e-9) {
-    if (!enabled()) return;
-    QOC_CONTRACT(t.is_square(), std::string(what) + ": trace-action matrix is not square");
-    const double worst = t.max_abs();
-    QOC_CONTRACT(worst <= tol,
-                 std::string(what) + ": factored generator does not annihilate trace " +
-                     "(|sum_t B_t A_t|_max = " + std::to_string(worst) + ")");
-}
-
 /// Superoperator `s` must be completely positive: its Choi matrix is
 /// Hermitian with eigenvalues >= `-tol * max(1, |S|_max)`.  O(d^6): reserve
 /// for channel constructors and test assertions, not propagation loops.

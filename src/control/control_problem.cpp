@@ -49,8 +49,8 @@ Mat hermitian_basis(std::size_t d) {
 
 }  // namespace
 
-ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
-    : prob_(problem), open_(open_system) {
+ControlProblem::ControlProblem(const GrapeProblem& problem)
+    : prob_(problem), open_(is_open(problem)) {
     n_ctrl_ = prob_.system.ctrls.size();
     n_ts_ = prob_.n_timeslots;
     if (n_ts_ == 0) throw std::invalid_argument("GRAPE: n_timeslots must be positive");
@@ -78,13 +78,6 @@ ControlProblem::ControlProblem(const GrapeProblem& problem, bool open_system)
             }
         }
     }
-    if (open_ && prob_.fidelity != FidelityType::kTraceDiff) {
-        throw std::invalid_argument("GRAPE (open): fidelity must be kTraceDiff");
-    }
-    if (!open_ && prob_.fidelity == FidelityType::kTraceDiff) {
-        throw std::invalid_argument("GRAPE (closed): use kPsu or kSu");
-    }
-
     // Comparison matrix for the trace overlap: plain target, the target
     // sandwiched into the big space by the subspace isometry, or the
     // rank-one |psi_t><psi_0| operator for state transfer.

@@ -1,6 +1,6 @@
 /// \file control_problem.hpp
 /// \brief `control::ControlProblem` -- the ONE piecewise-constant control
-///        evaluator every optimizer front end (GRAPE, Krotov, CRAB, GOAT)
+///        evaluator every optimizer front end (GRAPE, Krotov, CRAB)
 ///        dispatches through.
 ///
 /// Wraps a `GrapeProblem` (the common PWC problem statement) and exposes the
@@ -53,14 +53,11 @@ public:
     /// spec, including per-control bounds whose size is not the control
     /// count, and an open problem the real basis cannot carry) and
     /// precomputes the box, overlap target and exponent directions.
-    ControlProblem(const GrapeProblem& problem, bool open_system);
+    /// Open vs closed follows the fidelity type (`is_open`).
+    explicit ControlProblem(const GrapeProblem& problem);
 
-    /// Convenience: infers open vs closed from the fidelity type.
-    explicit ControlProblem(const GrapeProblem& problem)
-        : ControlProblem(problem, is_open(problem)) {}
-
-    /// The convention every front end uses: kTraceDiff marks an open-system
-    /// (superoperator) problem, kPsu/kSu a closed-system one.
+    /// kTraceDiff marks an open-system (superoperator) problem, kPsu/kSu a
+    /// closed-system one.
     static bool is_open(const GrapeProblem& problem) {
         return problem.fidelity == FidelityType::kTraceDiff;
     }

@@ -53,14 +53,8 @@ GrapeResult grape_solve(const ControlProblem& cp, optim::Minimizer solver,
     return result;
 }
 
-GrapeResult grape_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts) {
-    return grape_solve(ControlProblem(problem, /*open_system=*/false), optim::lbfgsb_minimize,
-                       opts);
-}
-
-GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::SolverOptions& opts) {
-    return grape_solve(ControlProblem(problem, /*open_system=*/true), optim::lbfgsb_minimize,
-                       opts);
+GrapeResult grape_lbfgsb(const GrapeProblem& problem, const optim::SolverOptions& opts) {
+    return grape_solve(ControlProblem(problem), optim::lbfgsb_minimize, opts);
 }
 
 GrapeResult grape_gradient_descent(const GrapeProblem& problem,
@@ -88,7 +82,7 @@ RobustGrapeResult grape_robust(const GrapeProblem& problem,
         GrapeProblem member = problem;
         member.system.drift = problem.system.drift + ensemble_drifts[i];
         member.energy_penalty = 0.0;  // applied once, below
-        evals.push_back(std::make_unique<ControlProblem>(member, false));
+        evals.push_back(std::make_unique<ControlProblem>(member));
     }
 
     RobustGrapeResult result;
@@ -133,26 +127,6 @@ RobustGrapeResult grape_robust(const GrapeProblem& problem,
     result.final_fid_err = werr;
     result.final_evolution = evals[0]->evolution(result.final_amps);
     return result;
-}
-
-double evaluate_fid_err(const GrapeProblem& problem, const ControlAmplitudes& amps) {
-    GrapeProblem p = problem;
-    p.initial_amps = amps;
-    return ControlProblem(p).fid_err(amps);
-}
-
-double evaluate_fid_err_and_grad(const GrapeProblem& problem, const ControlAmplitudes& amps,
-                                 std::vector<double>& grad) {
-    GrapeProblem p = problem;
-    p.initial_amps = amps;
-    const ControlProblem cp(p);
-    return cp.objective(cp.flatten(amps), grad);
-}
-
-Mat evaluate_evolution(const GrapeProblem& problem, const ControlAmplitudes& amps) {
-    GrapeProblem p = problem;
-    p.initial_amps = amps;
-    return ControlProblem(p).evolution(amps);
 }
 
 }  // namespace qoc::control

@@ -74,7 +74,7 @@ struct GrapeProblem {
 };
 
 /// The one result every pulse-optimization method returns (GRAPE through
-/// any gradient solver, Krotov, CRAB, GOAT, robust GRAPE).
+/// any gradient solver, Krotov, CRAB, robust GRAPE).
 struct GrapeResult {
     ControlAmplitudes initial_amps;
     ControlAmplitudes final_amps;
@@ -104,12 +104,10 @@ optim::SolverOptions record_iterations(GrapeResult& result, optim::SolverOptions
 GrapeResult grape_solve(const ControlProblem& cp, optim::Minimizer solver,
                         const optim::SolverOptions& opts = {});
 
-/// Closed-system GRAPE with L-BFGS-B (the paper's method).
-GrapeResult grape_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts = {});
-
-/// Open-system (Lindblad) GRAPE: `system` holds Liouvillian generators and
-/// `target` the target superoperator; fidelity must be kTraceDiff.
-GrapeResult grape_lindblad(const GrapeProblem& problem, const optim::SolverOptions& opts = {});
+/// GRAPE with L-BFGS-B (the paper's method).  Open or closed, by the
+/// problem's fidelity type: kTraceDiff takes Liouvillian generators in
+/// `system` and the target superoperator in `target`.
+GrapeResult grape_lbfgsb(const GrapeProblem& problem, const optim::SolverOptions& opts = {});
 
 /// First-order GRAPE baseline: projected gradient descent (learning rate =
 /// `opts.step`, default 0.1) for the convergence-comparison ablation; the
@@ -135,18 +133,5 @@ RobustGrapeResult grape_robust(const GrapeProblem& problem,
                                const std::vector<Mat>& ensemble_drifts,
                                const std::vector<double>& weights,
                                const optim::SolverOptions& opts = {});
-
-/// Evaluates the fidelity error (no gradient) of a given amplitude table for
-/// the problem -- used by CRAB and by diagnostics.
-double evaluate_fid_err(const GrapeProblem& problem, const ControlAmplitudes& amps);
-
-/// Evaluates the fidelity error AND its exact gradient with respect to the
-/// flattened amplitudes (slot-major, control-minor) -- the building block
-/// for optimizers over alternative pulse parameterizations (GOAT).
-double evaluate_fid_err_and_grad(const GrapeProblem& problem, const ControlAmplitudes& amps,
-                                 std::vector<double>& grad);
-
-/// Computes the final evolution operator of an amplitude table.
-Mat evaluate_evolution(const GrapeProblem& problem, const ControlAmplitudes& amps);
 
 }  // namespace qoc::control

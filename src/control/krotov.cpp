@@ -145,7 +145,7 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
 
 GrapeResult krotov_unitary(const GrapeProblem& problem, const optim::SolverOptions& opts,
                            const KrotovOptions& knobs) {
-    return krotov_unitary(ControlProblem(problem, /*open_system=*/false), opts, knobs);
+    return krotov_unitary(ControlProblem(problem), opts, knobs);
 }
 
 }  // namespace qoc::control

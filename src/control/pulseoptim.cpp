@@ -5,7 +5,6 @@
 
 #include "control/control_problem.hpp"
 #include "control/crab.hpp"
-#include "control/goat.hpp"
 #include "control/krotov.hpp"
 #include "control/pulse_shapes.hpp"
 #include "quantum/superop.hpp"
@@ -18,7 +17,6 @@ const char* method_name(OptimMethod method) {
         case OptimMethod::kGradientDescent: return "gradient_descent";
         case OptimMethod::kCrab: return "crab";
         case OptimMethod::kKrotov: return "krotov";
-        case OptimMethod::kGoat: return "goat";
     }
     throw std::invalid_argument("method_name: unknown OptimMethod");
 }
@@ -99,6 +97,10 @@ GrapeResult pulse_optim(const PulseOptimSpec& spec) {
     }
 
     const bool open_system = !spec.collapse_ops.empty();
+    if (!open_system && spec.closed_fidelity == FidelityType::kTraceDiff) {
+        throw std::invalid_argument(
+            "pulse_optim: kTraceDiff needs collapse operators; use kPsu or kSu");
+    }
 
     GrapeProblem prob;
     prob.n_timeslots = spec.n_timeslots;
@@ -132,7 +134,7 @@ GrapeResult pulse_optim(const PulseOptimSpec& spec) {
     }
 
     // ONE evaluator and ONE budget; every method runs on both.
-    const ControlProblem cp(prob, open_system);
+    const ControlProblem cp(prob);
     optim::SolverOptions opts;
     opts.max_iterations = spec.max_iterations;
     opts.max_evaluations = spec.max_evaluations;
@@ -144,22 +146,6 @@ GrapeResult pulse_optim(const PulseOptimSpec& spec) {
             return grape_solve(cp, optim::gradient_descent_minimize, opts);
         case OptimMethod::kCrab: return crab_optimize(cp, opts, {.seed = spec.random_seed});
         case OptimMethod::kKrotov: return krotov_unitary(cp, opts);
-        case OptimMethod::kGoat: {
-            if (open_system) throw std::invalid_argument("pulse_optim: GOAT is closed-system only");
-            if (!spec.amp_lower_per_ctrl.empty() || !spec.amp_upper_per_ctrl.empty()) {
-                throw std::invalid_argument(
-                    "pulse_optim: GOAT squashes into one symmetric box; per-control bounds "
-                    "are not supported");
-            }
-            // The spec's box becomes the tanh squash, on the spec's PWC grid.
-            GoatOptions knobs;
-            knobs.n_fine = spec.n_timeslots;
-            knobs.amp_bound = std::min(-spec.amp_lower, spec.amp_upper);
-            if (knobs.amp_bound <= 0.0) {
-                throw std::invalid_argument("pulse_optim: GOAT needs an amplitude box around 0");
-            }
-            return goat_optimize(prob, opts, knobs);
-        }
     }
     throw std::invalid_argument("pulse_optim: unknown OptimMethod");
 }

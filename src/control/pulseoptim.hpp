@@ -38,11 +38,9 @@ enum class OptimMethod {
     kGradientDescent,  ///< first-order GRAPE baseline
     kCrab,             ///< CRAB + Nelder-Mead baseline
     kKrotov,           ///< Krotov's sequential monotone update (closed only)
-    kGoat,             ///< GOAT analytic Fourier controls (closed only)
 };
 
-/// Stable key of a method ("lbfgsb", "gradient_descent", "crab", "krotov",
-/// "goat").  `CalibrationService::key_for` hashes it into `PulseStore`
+/// Stable key of a method ("lbfgsb", "gradient_descent", "crab", "krotov").  `CalibrationService::key_for` hashes it into `PulseStore`
 /// keys, so these strings must never change.
 const char* method_name(OptimMethod method);
 
@@ -70,9 +68,8 @@ struct PulseOptimSpec {
 
     double amp_lower = -1.0;
     double amp_upper = 1.0;
-    /// Optional per-control bounds (see GrapeProblem); every method except
-    /// GOAT honors them, GOAT rejects them (its tanh squash is one symmetric
-    /// bound, `min(-amp_lower, amp_upper)`).
+    /// Optional per-control bounds (see GrapeProblem); every method honors
+    /// them.
     std::vector<double> amp_lower_per_ctrl;
     std::vector<double> amp_upper_per_ctrl;
     double energy_penalty = 0.0;  ///< see GrapeProblem::energy_penalty
@@ -91,8 +88,9 @@ struct PulseOptimSpec {
 ControlAmplitudes build_initial_amps(const PulseOptimSpec& spec);
 
 /// Runs the full pipeline.  Throws `std::invalid_argument` on malformed
-/// specs (dimension mismatches, empty controls, non-unitary target), and
-/// when Krotov or GOAT get collapse operators (closed-system only).
+/// specs (dimension mismatches, empty controls, non-unitary target, a
+/// `closed_fidelity` of kTraceDiff), and when Krotov gets collapse
+/// operators (closed-system only).
 /// `final_evolution` is the achieved unitary (closed) or superoperator
 /// (open, i.e. when `collapse_ops` is non-empty).
 GrapeResult pulse_optim(const PulseOptimSpec& spec);

@@ -54,8 +54,8 @@ struct GateDesignSpec {
     std::uint64_t random_seed = 99;
     int max_iterations = 400;
     double target_fid_err = 1e-9;
-    /// Which optimizer drives the design (any OptimMethod; Krotov and GOAT
-    /// are closed-system only, so pair them with a *Closed design model).
+    /// Which optimizer drives the design (any OptimMethod; Krotov is
+    /// closed-system only, so pair it with a *Closed design model).
     control::OptimMethod method = control::OptimMethod::kLbfgsB;
 };
 
@@ -83,9 +83,6 @@ struct CxDesignSpec {
     int max_iterations = 600;
     double target_fid_err = 1e-8;
     /// Which optimizer drives the design (see GateDesignSpec::method).
-    /// The channel-faithful controls carry per-control bounds, which GOAT
-    /// cannot honor: kGoat throws std::invalid_argument unless
-    /// `idealized_controls` is set.
     control::OptimMethod method = control::OptimMethod::kLbfgsB;
     /// When true, optimize the paper's idealized three-term control set
     /// (XI, IX, ZX as independent knobs); otherwise the channel-faithful set

@@ -59,18 +59,6 @@ void gemv_mixed_scalar(const cplx* const* a, std::size_t cols, std::size_t n,
     }
 }
 
-void csr_gemv_strided_scalar(const cplx* vals, const int* cols, const int* rowptr,
-                             std::size_t n_rows, const cplx* x, cplx* out,
-                             std::size_t stride, bool accumulate) noexcept {
-    for (std::size_t i = 0; i < n_rows; ++i) {
-        cplx acc = accumulate ? out[i * stride] : cplx{0.0, 0.0};
-        for (int idx = rowptr[i]; idx < rowptr[i + 1]; ++idx) {
-            cfma(acc, vals[idx], x[static_cast<std::size_t>(cols[idx]) * stride]);
-        }
-        out[i * stride] = acc;
-    }
-}
-
 void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
                          std::size_t m, const cplx* b, cplx* c, std::size_t n,
                          bool accumulate) noexcept {
@@ -202,19 +190,6 @@ __attribute__((target("avx2,fma"))) inline __m256d cfma2(__m256d acc, __m256d ar
     return _mm256_add_pd(acc, _mm256_fmaddsub_pd(v, ar, _mm256_mul_pd(swapped, ai)));
 }
 
-// fma-target copies of the scalar replay: the baseline-ISA build lowers
-// std::fma to a libm call (x86-64 has no baseline fma instruction), which
-// dominates the strided single-column applies.  Compiled for fma these
-// collapse to vfmadd -- same correctly-rounded result, so still bitwise
-// identical to the portable scalar path.
-
-__attribute__((target("avx2,fma"))) inline void cfma_hw(cplx& acc, const cplx a,
-                                                        const cplx b) noexcept {
-    const double pr = std::fma(b.real(), a.real(), -(a.imag() * b.imag()));
-    const double pi = std::fma(b.imag(), a.real(), a.imag() * b.real());
-    acc = cplx{acc.real() + pr, acc.imag() + pi};
-}
-
 // Mixed-operator column step.  Two adjacent columns (seeds) share one
 // 256-bit vector: their x entries are contiguous in the row-major batch, and
 // the matching operator entries a_j(i, p), a_{j+1}(i, p) come from two
@@ -306,20 +281,6 @@ __attribute__((target("avx2,fma"))) void gemv_mixed_avx2(const cplx* const* a,
             gemv_mixed_rows(a[j], a1, n, i0, std::min(kMixedRows, n - i0), x + j, out + j,
                             stride);
         }
-    }
-}
-
-__attribute__((target("avx2,fma"))) void csr_gemv_strided_hw(const cplx* vals, const int* cols,
-                                                             const int* rowptr,
-                                                             std::size_t n_rows, const cplx* x,
-                                                             cplx* out, std::size_t stride,
-                                                             bool accumulate) noexcept {
-    for (std::size_t i = 0; i < n_rows; ++i) {
-        cplx acc = accumulate ? out[i * stride] : cplx{0.0, 0.0};
-        for (int idx = rowptr[i]; idx < rowptr[i + 1]; ++idx) {
-            cfma_hw(acc, vals[idx], x[static_cast<std::size_t>(cols[idx]) * stride]);
-        }
-        out[i * stride] = acc;
     }
 }
 
@@ -625,18 +586,6 @@ void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cpl
     }
 #endif
     gemv_mixed_scalar(a, cols, n, x, out, stride);
-}
-
-void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
-                      std::size_t n_rows, const cplx* x, cplx* out, std::size_t stride,
-                      bool accumulate) noexcept {
-#if defined(QOC_HAVE_AVX2_PATH)
-    if (use_avx2()) {
-        csr_gemv_strided_hw(vals, cols, rowptr, n_rows, x, out, stride, accumulate);
-        return;
-    }
-#endif
-    csr_gemv_strided_scalar(vals, cols, rowptr, n_rows, x, out, stride, accumulate);
 }
 
 void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,

@@ -76,14 +76,6 @@ void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t 
 void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cplx* x,
                 cplx* out, std::size_t stride) noexcept;
 
-/// CSR matvec on one strided column: `out[i*stride] (+)= sum over row i's
-/// nonzeros of val * x[col*stride]`.  Column indices must be ascending
-/// within each row (guaranteed by CsrMat construction).  Backs
-/// `CsrMat::spmv_into` / `apply_col`.
-void csr_gemv_strided(const cplx* vals, const int* cols, const int* rowptr,
-                      std::size_t n_rows, const cplx* x, cplx* out, std::size_t stride,
-                      bool accumulate) noexcept;
-
 /// Batched CSR apply: `c = S * b` for a CSR `m x k` superop against a
 /// row-major dense `k x n` batch (one RB seed per column).  Vectorizes over
 /// the contiguous batch dimension with one broadcast per stored nonzero.

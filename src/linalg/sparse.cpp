@@ -42,21 +42,6 @@ Mat CsrMat::to_dense() const {
     return dense;
 }
 
-void CsrMat::spmv_into(const Mat& x, Mat& out) const {
-    if (x.cols() != 1 || x.rows() != cols_) {
-        throw std::invalid_argument("CsrMat::spmv_into: shape mismatch");
-    }
-    out.resize(rows_, 1);
-    simd::csr_gemv_strided(vals_.data(), cols_idx_.data(), rowptr_.data(), rows_,
-                           x.data().data(), out.data().data(), /*stride=*/1,
-                           /*accumulate=*/false);
-}
-
-void CsrMat::apply_col(const cplx* x, cplx* out, std::size_t stride) const noexcept {
-    simd::csr_gemv_strided(vals_.data(), cols_idx_.data(), rowptr_.data(), rows_, x, out,
-                           stride, /*accumulate=*/false);
-}
-
 void CsrMat::apply_batch_into(const Mat& b, Mat& out) const {
     if (b.rows() != cols_) throw std::invalid_argument("CsrMat::apply_batch_into: shape");
     out.resize(rows_, b.cols());

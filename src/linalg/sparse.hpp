@@ -1,8 +1,8 @@
 /// \file sparse.hpp
-/// \brief Compressed-sparse-row complex matrix with no-alloc SpMV, for
-///        superoperators that are sparse but not Kronecker-factorable
-///        (memoized Clifford superops: rz-only elements are exactly
-///        diagonal, many others carry large blocks of structural zeros).
+/// \brief Compressed-sparse-row complex matrix with a no-alloc batch apply,
+///        for sparse superoperators (memoized Clifford superops: rz-only
+///        elements are exactly diagonal, many others carry large blocks of
+///        structural zeros).
 ///
 /// Construction scans a dense row-major matrix once and keeps entries with
 /// `|v| > threshold`; the default threshold 0.0 drops only exact zeros, so
@@ -37,13 +37,6 @@ public:
 
     /// Reconstructs the dense form (dropped entries become exact zeros).
     Mat to_dense() const;
-
-    /// `out = (*this) * x` for a column vector `x` (n x 1), allocation-free
-    /// on shape reuse.  `out` must not alias `x`.
-    void spmv_into(const Mat& x, Mat& out) const;
-
-    /// `out (+)= (*this) * column s of a row-major batch`, strided access.
-    void apply_col(const cplx* x, cplx* out, std::size_t stride) const noexcept;
 
     /// `out = (*this) * b` against a row-major dense batch (d^2 x B), one
     /// broadcast-fma sweep per stored nonzero.  `out` resized in place.

@@ -76,9 +76,12 @@ enum class Cnt : unsigned {
     kLuFactorizations,  ///< LU factorizations (expm denominators, solves)
     kCliffMemoHits,     ///< 2Q Clifford superop memo hits
     kCliffMemoMisses,   ///< 2Q Clifford superop memo misses (compositions)
-    kSuperopApplies,    ///< vec(rho) matvec propagation steps (dense kernel)
-    kSuperopCsrApplies,  ///< vec(rho) propagation steps through the CSR kernel
-    kSuperopKronApplies, ///< factored Kronecker-term applies (never d^2 x d^2)
+    kSuperopApplies,    ///< single-column propagation steps (dense gemv_mixed)
+    /// Never counted since the single-column CSR and Kronecker applies were
+    /// removed; kept only because the e2e benchmark's layer table still
+    /// reads both.  The next benchmark change removes them.
+    kSuperopCsrApplies,
+    kSuperopKronApplies,
     kSuperopBatchApplies, ///< batched d^2 x B applies (one per Clifford step)
     kExpmPade3,         ///< expm/Frechet calls at Pade order 3
     kExpmPade5,

@@ -48,14 +48,6 @@ Mat unitary_superop(const Mat& u) {
     return kron(u.conj(), u);
 }
 
-void apply_superop_into(const StructuredSuperOp& superop, const Mat& vec_rho, Mat& out) {
-    superop.apply_into(vec_rho, out);
-}
-
-void apply_superop_into(const KronSuperOp& superop, const Mat& vec_rho, Mat& out, Mat& scratch) {
-    superop.apply_vec_into(vec_rho, out, scratch);
-}
-
 Mat apply_superop(const Mat& superop, const Mat& rho) {
     const std::size_t n = rho.rows();
     if (superop.rows() != n * n || superop.cols() != n * n) {

@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "quantum/superop_kron.hpp"
-#include "quantum/superop_structured.hpp"
 
 namespace qoc::quantum {
 
@@ -30,19 +28,6 @@ Mat unitary_superop(const Mat& u);
 
 /// Applies a superoperator to a density matrix (vectorize, multiply, unvec).
 Mat apply_superop(const Mat& superop, const Mat& rho);
-
-/// Allocation-free superoperator action on an already-vectorized state:
-/// `out = superop * vec_rho` where `vec_rho` is a d^2 x 1 column vector.
-/// `out` must not alias `vec_rho`; it is resized in place (no allocation
-/// once it has seen the shape).  The action runs through the CSR or dense
-/// SIMD kernel the wrapped operator selected at construction
-/// (`StructuredSuperOp::kind`).
-void apply_superop_into(const StructuredSuperOp& superop, const Mat& vec_rho, Mat& out);
-
-/// Kronecker-factored overload: O(k d^3) two-sided updates on the reshaped
-/// d x d state, never materializing the d^2 x d^2 matrix.  `scratch` is
-/// caller-owned d x d workspace (see KronSuperOp::apply_vec_into).
-void apply_superop_into(const KronSuperOp& superop, const Mat& vec_rho, Mat& out, Mat& scratch);
 
 /// True when the superoperator preserves trace: vec(I)^T S = vec(I)^T.
 bool is_trace_preserving(const Mat& superop, double tol = 1e-9);

@@ -91,14 +91,14 @@ TEST_F(AllocGuardTest, GemmIntoIsAllocationFreeAfterWarmup) {
     EXPECT_EQ(m.delta(), 0u);
 }
 
-TEST_F(AllocGuardTest, ApplySuperopIntoIsAllocationFreeAfterWarmup) {
+TEST_F(AllocGuardTest, SuperopBatchApplyIsAllocationFreeAfterWarmup) {
     const auto s =
         quantum::StructuredSuperOp::from_dense(quantum::unitary_superop(quantum::gates::h()));
     const Mat v = random_like(4, 1, 5);
     Mat out;
-    quantum::apply_superop_into(s, v, out);
+    s.apply_batch_into(v, out);
     AllocMeter m;
-    for (int i = 0; i < 16; ++i) quantum::apply_superop_into(s, v, out);
+    for (int i = 0; i < 16; ++i) s.apply_batch_into(v, out);
     EXPECT_EQ(m.delta(), 0u);
 }
 
@@ -178,7 +178,7 @@ TEST_F(AllocGuardTest, GrapeSteadyStateIterationBudget) {
     opts.iter_callback = [&](const optim::IterationRecord&) {
         marks.push_back(testing::alloc_count());
     };
-    control::grape_unitary(p, opts);
+    control::grape_lbfgsb(p, opts);
     ASSERT_GE(marks.size(), 8u);
 
     // Skip the first iterations (workspace setup, history-vector growth);
@@ -228,7 +228,7 @@ TEST_F(AllocGuardTest, OpenEvaluatorObjectiveAllocationFree) {
 }
 
 TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
-    // Single-seed propagation through the structured dispatch: one superop
+    // Single-seed propagation through the mixed-column step: one superop
     // apply per Clifford.  After buffer warmup it must allocate NOTHING,
     // whatever the sequence length.
     const device::PulseExecutor exec{device::ibmq_montreal()};
@@ -238,13 +238,18 @@ TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
 
     Mat v = linalg::vec(exec.ground_state_1q());
     Mat w = v;
-    quantum::apply_superop_into(gates.clifford_structured(0), v, w);
-    quantum::apply_superop_into(gates.clifford_structured(1), w, v);
+    const auto step = [&gates](std::size_t c, const Mat& in, Mat& out) {
+        const quantum::StructuredSuperOp* op = &gates.clifford_structured(c);
+        quantum::StructuredSuperOp::apply_mixed_cols(&op, 1, in.data().data(),
+                                                     out.data().data(), /*stride=*/1);
+    };
+    step(0, v, w);
+    step(1, w, v);
 
     AllocMeter m;
     for (int rep = 0; rep < 8; ++rep) {
         for (std::size_t c = 0; c < rb::Clifford1Q::kSize; ++c) {
-            quantum::apply_superop_into(gates.clifford_structured(c), v, w);
+            step(c, v, w);
             std::swap(v, w);  // buffer ping-pong, allocation-free
         }
     }

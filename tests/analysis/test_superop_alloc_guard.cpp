@@ -1,8 +1,8 @@
-/// Allocation guards for the structured superoperator kernels: the factored
-/// Kronecker apply, the CSR SpMV and the StructuredSuperOp dispatch (single
-/// column, strided column and d^2 x B batch) must all perform EXACTLY ZERO
-/// heap allocations once their output/scratch buffers have seen the shape --
-/// they sit inside the RB per-step and GRAPE per-slot hot loops.
+/// Allocation guards for the structured superoperator kernels: the CSR
+/// batch apply and the StructuredSuperOp entry points (mixed-column step and
+/// d^2 x B batch) must all perform EXACTLY ZERO heap allocations once their
+/// output buffers have seen the shape -- they sit inside the RB per-step
+/// hot loop.
 
 #include "analysis/alloc_guard.hpp"
 
@@ -15,7 +15,6 @@
 #include "linalg/sparse.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
-#include "quantum/superop_kron.hpp"
 #include "quantum/superop_structured.hpp"
 #include "runtime/task_pool.hpp"
 
@@ -52,23 +51,6 @@ Mat deterministic_hermitian(std::size_t n, std::uint64_t seed) {
     return m;
 }
 
-TEST_F(SuperopAllocGuardTest, KronApplyIsAllocationFreeAfterWarmup) {
-    const std::size_t d = 9;
-    const quantum::KronSuperOp kron = quantum::KronSuperOp::liouvillian(
-        deterministic_hermitian(d, 3), {0.1 * quantum::annihilation(d)});
-    Mat rho = deterministic_hermitian(d, 5);
-    Mat v = linalg::vec(rho);
-    Mat out, scratch, vout, vscratch;
-    kron.apply_rho_into(rho, out, scratch);  // warmup sizes all buffers
-    kron.apply_vec_into(v, vout, vscratch);
-    AllocMeter m;
-    for (int i = 0; i < 16; ++i) {
-        kron.apply_rho_into(rho, out, scratch);
-        kron.apply_vec_into(v, vout, vscratch);
-    }
-    EXPECT_EQ(m.delta(), 0u);
-}
-
 TEST_F(SuperopAllocGuardTest, CsrSpmvIsAllocationFreeAfterWarmup) {
     const Mat dense = quantum::liouvillian(deterministic_hermitian(3, 7),
                                            {0.1 * quantum::annihilation(3)});
@@ -77,12 +59,9 @@ TEST_F(SuperopAllocGuardTest, CsrSpmvIsAllocationFreeAfterWarmup) {
     Mat x(dense.cols(), 1);
     for (std::size_t i = 0; i < x.rows(); ++i) x(i, 0) = {1.0 / static_cast<double>(i + 1), 0.1};
     Mat out;
-    csr.spmv_into(x, out);  // warmup
+    csr.apply_batch_into(x, out);  // warmup
     AllocMeter m;
-    for (int i = 0; i < 16; ++i) {
-        csr.spmv_into(x, out);
-        csr.apply_col(x.data().data(), out.data().data(), 1);
-    }
+    for (int i = 0; i < 16; ++i) csr.apply_batch_into(x, out);
     EXPECT_EQ(m.delta(), 0u);
 }
 
@@ -96,14 +75,13 @@ TEST_F(SuperopAllocGuardTest, StructuredDispatchIsAllocationFreeAfterWarmup) {
     for (std::size_t i = 0; i < d2 * batch; ++i) {
         x.data()[i] = {1.0 / static_cast<double>(i + 2), -0.3};
     }
-    Mat col(d2, 1), col_out, batch_out;
-    for (std::size_t i = 0; i < d2; ++i) col(i, 0) = x(i, 0);
-    s.apply_into(col, col_out);        // warmup all three entry points
-    s.apply_batch_into(x, batch_out);
+    const quantum::StructuredSuperOp* ops[] = {&s, &s, &s};
+    Mat batch_out;
+    s.apply_batch_into(x, batch_out);  // warmup
     AllocMeter m;
     for (int i = 0; i < 16; ++i) {
-        s.apply_into(col, col_out);
-        s.apply_col(x.data().data(), batch_out.data().data(), batch);
+        quantum::StructuredSuperOp::apply_mixed_cols(ops, 3, x.data().data(),
+                                                     batch_out.data().data(), batch);
         s.apply_batch_into(x, batch_out);
     }
     EXPECT_EQ(m.delta(), 0u);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "contracts/matrix_checks.hpp"
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
 #include "dynamics/propagator.hpp"
@@ -167,8 +168,12 @@ TEST(Contracts, GrapeRejectsNonUnitaryTarget) {
     control::GrapeProblem p = small_grape_problem();
     p.target = 2.0 * g::x();  // not unitary
     std::vector<double> grad;
-    EXPECT_THROW(control::evaluate_fid_err_and_grad(p, p.initial_amps, grad),
-                 ContractViolation);
+    EXPECT_THROW(
+        {
+            const control::ControlProblem cp(p);
+            cp.objective(cp.flatten(p.initial_amps), grad);
+        },
+        ContractViolation);
 }
 
 TEST(Contracts, RuntimeGateSilencesAndRearms) {
@@ -225,11 +230,13 @@ TEST(ContractsDeterminism, GrapeEvaluationBitIdenticalOnVsOff) {
     double err_on = 0.0, err_off = 0.0;
     {
         ArmGuard on(true);
-        err_on = control::evaluate_fid_err_and_grad(p, p.initial_amps, grad_on);
+        const control::ControlProblem cp(p);
+        err_on = cp.objective(cp.flatten(p.initial_amps), grad_on);
     }
     {
         ArmGuard off(false);
-        err_off = control::evaluate_fid_err_and_grad(p, p.initial_amps, grad_off);
+        const control::ControlProblem cp(p);
+        err_off = cp.objective(cp.flatten(p.initial_amps), grad_off);
     }
     EXPECT_EQ(std::memcmp(&err_on, &err_off, sizeof(double)), 0);
     ASSERT_EQ(grad_on.size(), grad_off.size());

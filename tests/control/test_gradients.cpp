@@ -1,11 +1,12 @@
 /// Systematic finite-difference verification of every GRAPE gradient path
-/// through the public evaluate_fid_err_and_grad API, plus an independent
+/// through `ControlProblem::objective`, plus an independent
 /// product-rule reference built from one augmented-block `expm_frechet` per
 /// slot and control.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "control/control_problem.hpp"
@@ -30,13 +31,9 @@ using quantum::sigma_y;
 namespace g = quantum::gates;
 
 optim::Objective wrap(const GrapeProblem& prob) {
-    return [prob](const std::vector<double>& x, std::vector<double>& grad) {
-        ControlAmplitudes amps(prob.n_timeslots,
-                               std::vector<double>(prob.system.ctrls.size()));
-        for (std::size_t k = 0; k < prob.n_timeslots; ++k)
-            for (std::size_t j = 0; j < prob.system.ctrls.size(); ++j)
-                amps[k][j] = x[k * prob.system.ctrls.size() + j];
-        return evaluate_fid_err_and_grad(prob, amps, grad);
+    auto cp = std::make_shared<const ControlProblem>(prob);
+    return [cp](const std::vector<double>& x, std::vector<double>& grad) {
+        return cp->objective(x, grad);
     };
 }
 

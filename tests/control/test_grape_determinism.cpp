@@ -4,6 +4,7 @@
 /// against anyone "optimizing" the evaluator with a reduction or a shared
 /// accumulator that reorders floating-point sums.
 
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 
 #include <gtest/gtest.h>
@@ -59,7 +60,8 @@ GrapeProblem open_problem(std::size_t n_ts) {
 /// size afterwards.
 double eval_with_threads(int n_threads, const GrapeProblem& p, std::vector<double>& grad) {
     runtime::ScopedPoolSize scoped(static_cast<std::size_t>(n_threads));
-    return evaluate_fid_err_and_grad(p, p.initial_amps, grad);
+    const ControlProblem cp(p);
+    return cp.objective(cp.flatten(p.initial_amps), grad);
 }
 
 TEST(GrapeDeterminism, ClosedGradientBitIdenticalAcrossThreadCounts) {
@@ -90,9 +92,11 @@ TEST(GrapeDeterminism, RepeatedEvaluationReusesWorkspaceBitIdentically) {
     // Same evaluator-facing API called twice in a row: workspace reuse must
     // be stateless (second call sees dirty buffers and must not care).
     const GrapeProblem p = transmon_problem(16);
+    const ControlProblem cp(p);
+    const std::vector<double> x = cp.flatten(p.initial_amps);
     std::vector<double> ga, gb;
-    const double ea = evaluate_fid_err_and_grad(p, p.initial_amps, ga);
-    const double eb = evaluate_fid_err_and_grad(p, p.initial_amps, gb);
+    const double ea = cp.objective(x, ga);
+    const double eb = cp.objective(x, gb);
     EXPECT_EQ(ea, eb);
     ASSERT_EQ(ga.size(), gb.size());
     for (std::size_t i = 0; i < ga.size(); ++i) EXPECT_EQ(ga[i], gb[i]);

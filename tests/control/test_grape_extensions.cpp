@@ -2,6 +2,7 @@
 
 #include <numbers>
 
+#include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
@@ -31,7 +32,7 @@ GrapeProblem base_problem(std::size_t n_ts = 16) {
 TEST(StateTransfer, ZeroToOne) {
     GrapeProblem p = base_problem();
     p.state_transfer = GrapeProblem::StateTransfer{basis_ket(2, 0), basis_ket(2, 1)};
-    const auto res = grape_unitary(p, {.max_iterations = 200});
+    const auto res = grape_lbfgsb(p, {.max_iterations = 200});
     EXPECT_LT(res.final_fid_err, 1e-9);
     // The realized unitary maps |0> to |1> (up to phase).
     const auto out = res.final_evolution * basis_ket(2, 0);
@@ -42,7 +43,7 @@ TEST(StateTransfer, ZeroToPlus) {
     GrapeProblem p = base_problem();
     const auto plus = g::h() * basis_ket(2, 0);
     p.state_transfer = GrapeProblem::StateTransfer{basis_ket(2, 0), plus};
-    const auto res = grape_unitary(p, {.max_iterations = 200});
+    const auto res = grape_lbfgsb(p, {.max_iterations = 200});
     EXPECT_LT(res.final_fid_err, 1e-9);
     const auto out = res.final_evolution * basis_ket(2, 0);
     EXPECT_NEAR(quantum::state_fidelity(quantum::ket_to_dm(out), plus), 1.0, 1e-8);
@@ -58,10 +59,10 @@ TEST(StateTransfer, EasierThanFullGate) {
     p.n_timeslots = 24;
     p.evo_time = 10.0;
     p.initial_amps.assign(24, {0.4});
-    const auto gate_res = grape_unitary(p, {.max_iterations = 300});
+    const auto gate_res = grape_lbfgsb(p, {.max_iterations = 300});
 
     p.state_transfer = GrapeProblem::StateTransfer{basis_ket(2, 0), basis_ket(2, 1)};
-    const auto st_res = grape_unitary(p, {.max_iterations = 300});
+    const auto st_res = grape_lbfgsb(p, {.max_iterations = 300});
     EXPECT_LT(st_res.final_fid_err, 1e-8);
     EXPECT_LE(st_res.final_fid_err, gate_res.final_fid_err + 1e-12);
 }
@@ -69,16 +70,16 @@ TEST(StateTransfer, EasierThanFullGate) {
 TEST(StateTransfer, Validation) {
     GrapeProblem p = base_problem();
     p.state_transfer = GrapeProblem::StateTransfer{basis_ket(3, 0), basis_ket(2, 1)};
-    EXPECT_THROW(grape_unitary(p), std::invalid_argument);
+    EXPECT_THROW(grape_lbfgsb(p), std::invalid_argument);
     p = base_problem();
     p.state_transfer = GrapeProblem::StateTransfer{basis_ket(2, 0), basis_ket(2, 1)};
     p.fidelity = FidelityType::kSu;
-    EXPECT_THROW(grape_unitary(p), std::invalid_argument);
+    EXPECT_THROW(grape_lbfgsb(p), std::invalid_argument);
 }
 
 TEST(RobustGrape, SingleMemberMatchesPlain) {
     GrapeProblem p = base_problem();
-    const auto plain = grape_unitary(p, {.max_iterations = 150});
+    const auto plain = grape_lbfgsb(p, {.max_iterations = 150});
     const auto robust = grape_robust(p, {linalg::Mat(2, 2)}, {1.0}, {.max_iterations = 150});
     EXPECT_NEAR(robust.final_fid_err, plain.final_fid_err, 1e-8);
     ASSERT_EQ(robust.member_errors.size(), 1u);
@@ -93,7 +94,7 @@ TEST(RobustGrape, RobustPulseBeatsNominalUnderDetuning) {
     p.evo_time = 14.0;
     p.initial_amps.assign(24, {0.2, 0.05});
 
-    const auto nominal = grape_unitary(p, {.max_iterations = 300});
+    const auto nominal = grape_lbfgsb(p, {.max_iterations = 300});
 
     const std::vector<linalg::Mat> ensemble = {
         (-delta / 2.0) * sigma_z(), linalg::Mat(2, 2), (delta / 2.0) * sigma_z()};
@@ -103,7 +104,7 @@ TEST(RobustGrape, RobustPulseBeatsNominalUnderDetuning) {
     auto eval_on = [&](const dynamics::ControlAmplitudes& amps, const linalg::Mat& drift_extra) {
         GrapeProblem q = p;
         q.system.drift = p.system.drift + drift_extra;
-        return evaluate_fid_err(q, amps);
+        return ControlProblem(q).fid_err(amps);
     };
     const double nominal_off = 0.5 * (eval_on(nominal.final_amps, ensemble[0]) +
                                       eval_on(nominal.final_amps, ensemble[2]));
@@ -135,9 +136,9 @@ TEST(EnergyPenalty, ReducesPulseEnergy) {
     GrapeProblem p = base_problem(24);
     p.evo_time = 14.0;
     p.initial_amps.assign(24, {0.25, 0.1});
-    const auto loose = grape_unitary(p, {.max_iterations = 300});
+    const auto loose = grape_lbfgsb(p, {.max_iterations = 300});
     p.energy_penalty = 0.05;
-    const auto tight = grape_unitary(p, {.max_iterations = 300});
+    const auto tight = grape_lbfgsb(p, {.max_iterations = 300});
 
     auto energy = [](const dynamics::ControlAmplitudes& amps) {
         double e = 0.0;

@@ -107,7 +107,7 @@ TEST(Krotov, ComparableToGrapeOnSameProblem) {
     // Both methods should reach high fidelity on this easy problem; GRAPE
     // (2nd order) typically in fewer iterations.
     const auto kr = krotov_unitary(x_problem(), {.max_iterations = 500}, {.lambda = 0.5});
-    const auto gr = grape_unitary(x_problem(), {.max_iterations = 200});
+    const auto gr = grape_lbfgsb(x_problem(), {.max_iterations = 200});
     EXPECT_LT(kr.final_fid_err, 1e-6);
     EXPECT_LT(gr.final_fid_err, 1e-8);
     EXPECT_LE(gr.iterations, kr.iterations);

@@ -2,8 +2,8 @@
 /// 2-level X spec with the same budget.  Each method must reach a loose
 /// target (and say so in its stop reason), keep every control inside its
 /// box, and report its iterations through `iteration_records`.  Open-system
-/// specs run on the three generic methods and are rejected by the two
-/// closed-only ones.  Every method counts exactly one `solver.dispatches`.
+/// specs run on the three generic methods and are rejected by the
+/// closed-only Krotov.  Every method counts exactly one `solver.dispatches`.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +23,7 @@ namespace {
 
 using M = OptimMethod;
 
-constexpr M kAllMethods[] = {M::kLbfgsB, M::kGradientDescent, M::kCrab, M::kKrotov,
-                             M::kGoat};
+constexpr M kAllMethods[] = {M::kLbfgsB, M::kGradientDescent, M::kCrab, M::kKrotov};
 
 /// The A1 ablation's easy problem: X on a resonant qubit, 32 slots, 60 ns.
 PulseOptimSpec x_spec(M method) {
@@ -49,18 +48,10 @@ TEST(MethodMatrix, EveryMethodReachesTargetInsideItsBox) {
         PulseOptimSpec s = x_spec(method);
         s.target_fid_err = loose_target(method);
         // The seed's quadrature peaks at 0.016, above its 0.01 cap, so a
-        // method ignoring per-control bounds leaves the box.  GOAT squashes
-        // into one symmetric box instead, here 0.1 (its seed is ~0.3).
-        std::vector<double> lo = {-0.1, -0.01}, hi = {0.1, 0.01};
-        if (method == M::kGoat) {
-            s.amp_lower = lo[0];
-            s.amp_upper = hi[0];
-            lo[1] = lo[0];
-            hi[1] = hi[0];
-        } else {
-            s.amp_lower_per_ctrl = lo;
-            s.amp_upper_per_ctrl = hi;
-        }
+        // method ignoring per-control bounds leaves the box.
+        const std::vector<double> lo = {-0.1, -0.01}, hi = {0.1, 0.01};
+        s.amp_lower_per_ctrl = lo;
+        s.amp_upper_per_ctrl = hi;
 
         const GrapeResult res = pulse_optim(s);
         EXPECT_EQ(res.reason, optim::StopReason::kTargetReached)
@@ -87,7 +78,7 @@ TEST(MethodMatrix, OpenSystemRunsOnGenericMethodsOnly) {
         s.collapse_ops = {std::sqrt(1e-4) * quantum::sigma_minus()};
         s.max_iterations = 20;
         s.max_evaluations = 400;
-        if (method == M::kKrotov || method == M::kGoat) {
+        if (method == M::kKrotov) {
             EXPECT_THROW(pulse_optim(s), std::invalid_argument);
             continue;
         }
@@ -111,17 +102,10 @@ TEST(MethodMatrix, EveryMethodCountsOneSolverDispatch) {
     obs::reset_for_testing();
 }
 
-TEST(MethodMatrix, GoatRejectsPerControlBounds) {
-    PulseOptimSpec s = x_spec(M::kGoat);
-    s.amp_lower_per_ctrl = {-0.15, -0.01};
-    s.amp_upper_per_ctrl = {0.15, 0.01};
-    EXPECT_THROW(pulse_optim(s), std::invalid_argument);
-}
-
 TEST(MethodMatrix, MethodNamesArePinned) {
     // These strings are hashed into PulseStore keys: renaming one orphans
     // every persisted design made with that method.
-    const char* expected[] = {"lbfgsb", "gradient_descent", "crab", "krotov", "goat"};
+    const char* expected[] = {"lbfgsb", "gradient_descent", "crab", "krotov"};
     for (std::size_t i = 0; i < std::size(kAllMethods); ++i) {
         EXPECT_EQ(std::string(method_name(kAllMethods[i])), expected[i]);
     }

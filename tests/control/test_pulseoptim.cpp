@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "control/crab.hpp"
+#include "linalg/kron.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -127,6 +130,35 @@ TEST(PulseOptim, Validation) {
     s.collapse_ops = {sigma_minus()};
     s.subspace_isometry = quantum::qubit_isometry(2);
     EXPECT_THROW(pulse_optim(s), std::invalid_argument);
+}
+
+TEST(PulseOptim, RejectsTraceDiffWithoutCollapseOps) {
+    // kTraceDiff is the open-system cost; a closed spec asking for it is
+    // refused by pulse_optim itself, for any Hilbert dimension (the 4x4
+    // case would otherwise pass as a 2-level superoperator's shape).
+    auto expect_rejected = [](const PulseOptimSpec& s) {
+        try {
+            pulse_optim(s);
+            ADD_FAILURE() << "closed kTraceDiff spec accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("kTraceDiff"), std::string::npos) << e.what();
+        }
+    };
+    PulseOptimSpec s = x_spec();
+    s.closed_fidelity = FidelityType::kTraceDiff;
+    expect_rejected(s);
+
+    s.h_drift = Mat(4, 4);
+    s.h_ctrls = {linalg::kron(sigma_x(), sigma_x())};
+    s.u_target = quantum::gates::cx();
+    expect_rejected(s);
+
+    // With collapse operators the cost is kTraceDiff whatever closed_fidelity says.
+    s = x_spec();
+    s.closed_fidelity = FidelityType::kTraceDiff;
+    s.collapse_ops = {std::sqrt(1e-4) * sigma_minus()};
+    s.max_iterations = 5;
+    EXPECT_NO_THROW(pulse_optim(s));
 }
 
 TEST(Crab, DirectCallOnGrapeProblem) {

@@ -1,4 +1,4 @@
-#include "dynamics/integrator.hpp"
+#include "oracles/integrator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,10 @@ namespace qoc::dynamics {
 namespace {
 
 using linalg::cplx;
+using oracle::evolve_master_equation;
+using oracle::integrate_rk45;
+using oracle::IntegratorOptions;
+using oracle::MatrixRhs;
 using quantum::basis_ket;
 using quantum::ket_to_dm;
 using quantum::sigma_minus;

@@ -110,14 +110,6 @@ TEST_F(DesignerTest, CxChannelFaithful) {
     EXPECT_GT(f, 0.94);
 }
 
-TEST_F(DesignerTest, CxChannelFaithfulRejectsGoat) {
-    // The channel-faithful CX caps D1 tighter than U0; GOAT's single
-    // symmetric squash cannot hold per-control bounds, so it refuses.
-    CxDesignSpec spec;
-    spec.method = control::OptimMethod::kGoat;
-    EXPECT_THROW(design_cx_gate(nominal(), spec), std::invalid_argument);
-}
-
 TEST_F(DesignerTest, CxIdealizedControlsConvergeBetterOnModel) {
     // The idealized three-term controls (paper's Eq. 3 reading) converge on
     // the model but lose fidelity when mapped to real channels.

@@ -73,12 +73,12 @@ TEST(ObsDeterminism, GrapeBitIdenticalWithObsOn) {
     const optim::SolverOptions opts{.max_iterations = 12};
 
     obs::reset_for_testing();
-    const control::GrapeResult off = control::grape_unitary(p, opts);
+    const control::GrapeResult off = control::grape_lbfgsb(p, opts);
 
     control::GrapeResult on;
     {
         ObsOnScope scope;
-        on = control::grape_unitary(p, opts);
+        on = control::grape_lbfgsb(p, opts);
     }
 
     EXPECT_EQ(off.final_fid_err, on.final_fid_err);

@@ -1,12 +1,10 @@
-#include "dynamics/integrator.hpp"
+#include "oracles/integrator.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "quantum/superop_kron.hpp"
-
-namespace qoc::dynamics {
+namespace qoc::oracle {
 
 namespace {
 using linalg::cplx;
@@ -26,6 +24,20 @@ constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113, b4 = 125.0 / 192, b5 = -218
 // Embedded 4th-order weights.
 constexpr double e1 = 5179.0 / 57600, e3 = 7571.0 / 16695, e4 = 393.0 / 640,
                  e5 = -92097.0 / 339200, e6 = 187.0 / 2100, e7 = 1.0 / 40;
+
+/// `a * b` by the textbook triple loop (no SIMD kernel, no zero skipping).
+Mat plain_product(const Mat& a, const Mat& b) {
+    if (a.cols() != b.rows()) throw std::invalid_argument("plain_product: shape mismatch");
+    Mat c(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            cplx acc{0.0, 0.0};
+            for (std::size_t p = 0; p < a.cols(); ++p) acc += a(i, p) * b(p, j);
+            c(i, j) = acc;
+        }
+    }
+    return c;
+}
 
 }  // namespace
 
@@ -87,31 +99,25 @@ IntegrationResult integrate_rk45(const MatrixRhs& rhs, const Mat& x0, double t0,
 Mat evolve_master_equation(const std::function<Mat(double)>& hamiltonian,
                            const std::vector<Mat>& collapse_ops, const Mat& rho0, double t0,
                            double t1, const IntegratorOptions& options) {
-    // Only the Hamiltonian varies in time: keep the dissipator as a
-    // Kronecker-factored superoperator (one C rho C^dag pair per collapse
-    // operator plus the two one-sided anticommutator halves), applied in
-    // O(n_c d^3) per stage without forming the d^2 x d^2 matrix.
-    quantum::KronSuperOp dissipator;
-    if (!collapse_ops.empty()) {
-        const std::size_t d = rho0.rows();
-        Mat kd(d, d);
-        for (const Mat& c : collapse_ops) {
-            kd += cplx{-0.5, 0.0} * linalg::adjoint_times(c, c);
-        }
-        dissipator.add_term(kd, Mat{});
-        dissipator.add_term(Mat{}, kd);  // kd = -1/2 sum C^dag C is Hermitian
-        for (const Mat& c : collapse_ops) dissipator.add_term(c, c.adjoint());
+    // -1/2 sum_k C_k^dag C_k, constant in time.
+    Mat k_half(rho0.rows(), rho0.cols());
+    std::vector<Mat> c_dag;
+    for (const Mat& c : collapse_ops) {
+        c_dag.push_back(c.adjoint());
+        k_half += -0.5 * plain_product(c_dag.back(), c);
     }
-
-    MatrixRhs rhs = [&, drho = Mat{}, scratch = Mat{}](double t, const Mat& rho) mutable {
-        Mat out = (-kI) * linalg::commutator(hamiltonian(t), rho);
-        if (dissipator.term_count() > 0) {
-            dissipator.apply_rho_into(rho, drho, scratch);
-            out += drho;
+    MatrixRhs rhs = [&](double t, const Mat& rho) {
+        const Mat h = hamiltonian(t);
+        Mat out = (-kI) * (plain_product(h, rho) - plain_product(rho, h));
+        if (!collapse_ops.empty()) {
+            out += plain_product(k_half, rho) + plain_product(rho, k_half);
+            for (std::size_t k = 0; k < collapse_ops.size(); ++k) {
+                out += plain_product(plain_product(collapse_ops[k], rho), c_dag[k]);
+            }
         }
         return out;
     };
     return integrate_rk45(rhs, rho0, t0, t1, options).state;
 }
 
-}  // namespace qoc::dynamics
+}  // namespace qoc::oracle

@@ -1,15 +1,22 @@
 /// \file integrator.hpp
-/// \brief Adaptive Runge-Kutta (Dormand-Prince 5(4)) integrator for matrix
-///        ODEs, used as an independent cross-check of the PWC propagators
-///        and for smooth (non-PWC) drive envelopes.
+/// \brief Test oracle: adaptive Runge-Kutta (Dormand-Prince 5(4)) for matrix
+///        ODEs, and the Lindblad master equation (the paper's Eq. 1) on top
+///        of it.
+///
+/// The propagators and GRAPE evaluators under test exponentiate generators
+/// slot by slot through the SIMD gemm/LU kernels.  This oracle integrates
+/// the same dynamics in time instead, and forms every matrix product with a
+/// plain triple loop, so it shares no fast kernel with the code it checks.
 
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
-namespace qoc::dynamics {
+namespace qoc::oracle {
 
 using linalg::Mat;
 
@@ -37,10 +44,12 @@ struct IntegrationResult {
 IntegrationResult integrate_rk45(const MatrixRhs& rhs, const Mat& x0, double t0, double t1,
                                  const IntegratorOptions& options = {});
 
-/// Convenience: evolves a density matrix under a time-dependent Hamiltonian
-/// and fixed collapse operators (the paper's Eq. 1) using RK45.
+/// Evolves a density matrix under a time-dependent Hamiltonian and fixed
+/// collapse operators,
+///   d rho/dt = -i[H(t), rho] + sum_k C_k rho C_k^dag - 1/2 {C_k^dag C_k, rho},
+/// with RK45 and plain products.
 Mat evolve_master_equation(const std::function<Mat(double)>& hamiltonian,
                            const std::vector<Mat>& collapse_ops, const Mat& rho0, double t0,
                            double t1, const IntegratorOptions& options = {});
 
-}  // namespace qoc::dynamics
+}  // namespace qoc::oracle

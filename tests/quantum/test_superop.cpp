@@ -7,6 +7,7 @@
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
+#include "quantum/superop_structured.hpp"
 
 namespace qoc::quantum {
 namespace {
@@ -105,7 +106,7 @@ TEST(Superop, PhaseDampingKillsCoherenceOnly) {
     EXPECT_NEAR(out(0, 1).real(), 0.5 * std::sqrt(1.0 - lambda), 1e-12);
 }
 
-TEST(Superop, ApplySuperopIntoMatchesApplySuperop) {
+TEST(Superop, BatchApplyMatchesApplySuperop) {
     // The structured apply against the vectorize/multiply/unvec oracle:
     // identical values (both reduce to the same simd kernel row sums).
     const std::size_t d = 3;
@@ -118,7 +119,7 @@ TEST(Superop, ApplySuperopIntoMatchesApplySuperop) {
     const Mat ref = apply_superop(prop, rho);
     const Mat v = linalg::vec(rho);
     Mat out;
-    apply_superop_into(sprop, v, out);
+    sprop.apply_batch_into(v, out);
     ASSERT_EQ(out.rows(), d * d);
     ASSERT_EQ(out.cols(), 1u);
     for (std::size_t i = 0; i < d; ++i)
@@ -128,14 +129,14 @@ TEST(Superop, ApplySuperopIntoMatchesApplySuperop) {
     // Chained steps on reused buffers (the engine's ping-pong pattern).
     Mat v2 = v, next;
     for (int step = 0; step < 3; ++step) {
-        apply_superop_into(sprop, v2, next);
+        sprop.apply_batch_into(v2, next);
         std::swap(v2, next);
     }
     const Mat ref3 = apply_superop(prop, apply_superop(prop, ref));
     EXPECT_TRUE(linalg::unvec(v2, d).approx_equal(ref3, 1e-12));
 
     Mat bad(d, 1);
-    EXPECT_THROW(apply_superop_into(sprop, bad, out), std::invalid_argument);
+    EXPECT_THROW(sprop.apply_batch_into(bad, out), std::invalid_argument);
 }
 
 TEST(Superop, MatchesMasterEquationForDuffing) {

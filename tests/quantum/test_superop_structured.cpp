@@ -1,9 +1,9 @@
-/// Oracle tests for the structured superoperator kernels: the
-/// Kronecker-factored apply and the CSR SpMV against the dense d^2 x d^2
-/// matvec, plus the bitwise contracts the simd kernel family guarantees
-/// (scalar-vs-vector, dense-vs-CSR, batched-vs-strided-vs-single).
+/// Oracle tests for the structured superoperator kernels: the CSR batch
+/// apply against the dense product, plus the bitwise contracts the simd
+/// kernel family guarantees (scalar-vs-vector, dense-vs-CSR,
+/// batched-vs-mixed-column-vs-single) and the apply counters.
 
-#include "quantum/superop_kron.hpp"
+#include "quantum/superop_structured.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,9 @@
 #include "linalg/kron.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "linalg/sparse.hpp"
-#include "quantum/gates.hpp"
+#include "obs/obs.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
-#include "quantum/superop_structured.hpp"
 
 namespace qoc::quantum {
 namespace {
@@ -63,104 +62,53 @@ double max_abs_diff(const Mat& a, const Mat& b) {
     return worst;
 }
 
-// --- KronSuperOp vs the dense oracle ---------------------------------------
-
-TEST(KronSuperOp, LiouvillianVecApplyMatchesDense) {
-    for (std::size_t d : {2ul, 3ul, 4ul, 9ul}) {
-        const Mat h = random_hermitian(d, 11 + static_cast<unsigned>(d));
-        const auto c_ops = test_collapse_ops(d);
-        const Mat dense = liouvillian(h, c_ops);
-        const KronSuperOp kron = KronSuperOp::liouvillian(h, c_ops);
-        ASSERT_EQ(kron.term_count(), 2 + c_ops.size());
-
-        const Mat v = linalg::vec(random_density(d, 21 + static_cast<unsigned>(d)));
-        const Mat want = dense * v;
-        Mat got, scratch;
-        kron.apply_vec_into(v, got, scratch);
-        EXPECT_LT(max_abs_diff(want, got), 1e-13) << "d=" << d;
-    }
+Mat random_batch(std::size_t rows, std::size_t cols, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    Mat x(rows, cols);
+    for (std::size_t i = 0; i < rows * cols; ++i) x.data()[i] = {dist(rng), dist(rng)};
+    return x;
 }
 
-TEST(KronSuperOp, LiouvillianRhoApplyMatchesDirectForm) {
-    for (std::size_t d : {2ul, 3ul, 4ul, 9ul}) {
-        const Mat h = random_hermitian(d, 31 + static_cast<unsigned>(d));
-        const auto c_ops = test_collapse_ops(d);
-        const KronSuperOp kron = KronSuperOp::liouvillian(h, c_ops);
-        const Mat rho = random_density(d, 41 + static_cast<unsigned>(d));
+/// Column j of every operator's apply through the mixed-column step (each
+/// column alone, row stride `x.cols()`).
+Mat mixed_step(const StructuredSuperOp& s, const Mat& x) {
+    Mat out(x.rows(), x.cols());
+    const StructuredSuperOp* op = &s;
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+        StructuredSuperOp::apply_mixed_cols(&op, 1, x.data().data() + j, out.data().data() + j,
+                                            x.cols());
+    }
+    return out;
+}
 
-        constexpr cplx kI{0.0, 1.0};
-        Mat want = (-kI) * linalg::commutator(h, rho);
-        for (const Mat& c : c_ops) {
-            const Mat cdc = c.adjoint() * c;
-            want += c * rho * c.adjoint() - 0.5 * linalg::anticommutator(cdc, rho);
+/// A CSR-kind operator (a 4-level Liouvillian: fill below the cutoff) and a
+/// dense-kind one (its propagator).
+StructuredSuperOp csr_kind_op() {
+    return StructuredSuperOp::from_dense(
+        liouvillian(random_hermitian(4, 7), {0.2 * annihilation(4)}));
+}
+StructuredSuperOp dense_kind_op() {
+    return StructuredSuperOp::from_dense(
+        linalg::expm(liouvillian(random_hermitian(4, 7), {0.2 * annihilation(4)})));
+}
+
+void expect_bitwise(const Mat& a, const Mat& b, const char* what) {
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < a.cols(); ++j) {
+            EXPECT_EQ(a(i, j), b(i, j)) << what << " row " << i << " col " << j;
         }
-        Mat got, scratch;
-        kron.apply_rho_into(rho, got, scratch);
-        EXPECT_LT(max_abs_diff(want, got), 1e-13) << "d=" << d;
     }
-}
-
-TEST(KronSuperOp, HamiltonianApplyMatchesDense) {
-    for (std::size_t d : {2ul, 3ul, 9ul}) {
-        const Mat h = random_hermitian(d, 51 + static_cast<unsigned>(d));
-        const Mat dense = liouvillian_hamiltonian(h);
-        const KronSuperOp kron = KronSuperOp::hamiltonian(h);
-        const Mat v = linalg::vec(random_density(d, 61 + static_cast<unsigned>(d)));
-        const Mat want = dense * v;
-        Mat got, scratch;
-        kron.apply_vec_into(v, got, scratch);
-        EXPECT_LT(max_abs_diff(want, got), 1e-13) << "d=" << d;
-    }
-}
-
-TEST(KronSuperOp, UnitaryApplyMatchesConjugation) {
-    const Mat u = gates::h();
-    const KronSuperOp kron = KronSuperOp::unitary(u);
-    const Mat rho = random_density(2, 5);
-    Mat got, scratch;
-    kron.apply_rho_into(rho, got, scratch);
-    EXPECT_LT(max_abs_diff(u * rho * u.adjoint(), got), 1e-14);
-}
-
-TEST(KronSuperOp, ToDenseMatchesDenseConstruction) {
-    const std::size_t d = 3;
-    const Mat h = random_hermitian(d, 71);
-    const auto c_ops = test_collapse_ops(d);
-    EXPECT_LT(max_abs_diff(liouvillian(h, c_ops),
-                           KronSuperOp::liouvillian(h, c_ops).to_dense()),
-              1e-13);
-    EXPECT_LT(max_abs_diff(unitary_superop(gates::x()),
-                           KronSuperOp::unitary(gates::x()).to_dense()),
-              1e-14);
-}
-
-TEST(KronSuperOp, TraceActionDistinguishesGeneratorsFromChannels) {
-    const Mat h = random_hermitian(3, 81);
-    const KronSuperOp gen = KronSuperOp::liouvillian(h, test_collapse_ops(3));
-    EXPECT_LT(gen.trace_action().max_abs(), 1e-12);  // tr(L rho) = 0
-
-    const KronSuperOp chan = KronSuperOp::unitary(gates::sx());
-    const Mat t = chan.trace_action();  // tr(U rho U^dag) = tr(rho)
-    EXPECT_LT(max_abs_diff(t, Mat::identity(2)), 1e-14);
-}
-
-TEST(KronSuperOp, ApplyIsAllocationFreeOnShapeReuse) {
-    const std::size_t d = 9;
-    const KronSuperOp kron =
-        KronSuperOp::liouvillian(random_hermitian(d, 91), test_collapse_ops(d));
-    const Mat v = linalg::vec(random_density(d, 92));
-    Mat out, scratch;
-    kron.apply_vec_into(v, out, scratch);  // warm the shapes
-    const Mat warm = out;
-    kron.apply_vec_into(v, out, scratch);
-    EXPECT_EQ(max_abs_diff(warm, out), 0.0);  // deterministic repeat
 }
 
 // --- CSR sparse form -------------------------------------------------------
 
 TEST(CsrMat, SpmvMatchesDenseApplyBitwise) {
     // Threshold 0.0 keeps exactly the entries the dense SIMD kernel's
-    // zero-skip visits, in the same ascending-column order: bitwise equal.
+    // zero-skip visits, in the same ascending-column order: bitwise equal,
+    // for one column (SpMV) and for a batch.
     for (std::size_t d : {2ul, 3ul, 4ul, 9ul}) {
         const Mat dense = liouvillian(random_hermitian(d, 101 + static_cast<unsigned>(d)),
                                       {0.2 * annihilation(d)});
@@ -175,10 +123,13 @@ TEST(CsrMat, SpmvMatchesDenseApplyBitwise) {
         const Mat x = linalg::vec(random_density(d, 111 + static_cast<unsigned>(d)));
         Mat want, got;
         linalg::gemm_into(dense, x, want);
-        csr.spmv_into(x, got);
-        for (std::size_t i = 0; i < want.rows(); ++i) {
-            EXPECT_EQ(want(i, 0), got(i, 0)) << "d=" << d << " row " << i;
-        }
+        csr.apply_batch_into(x, got);
+        expect_bitwise(want, got, "spmv");
+
+        const Mat xb = random_batch(d * d, 5, 113 + static_cast<unsigned>(d));
+        linalg::gemm_into(dense, xb, want);
+        csr.apply_batch_into(xb, got);
+        expect_bitwise(want, got, "batch");
     }
 }
 
@@ -206,47 +157,40 @@ TEST(StructuredSuperop, DispatchFollowsFillFraction) {
 }
 
 TEST(StructuredSuperop, CsrAndDenseKindsAgreeBitwise) {
-    const Mat dense = liouvillian(random_hermitian(4, 7), {0.2 * annihilation(4)});
-    const StructuredSuperOp as_dense = StructuredSuperOp::from_dense(dense, /*fill_cutoff=*/0.0);
-    const StructuredSuperOp as_csr = StructuredSuperOp::from_dense(dense, /*fill_cutoff=*/1.0);
-    ASSERT_EQ(as_dense.kind(), StructuredSuperOp::Kind::kDense);
-    ASSERT_EQ(as_csr.kind(), StructuredSuperOp::Kind::kCsr);
-
-    const Mat x = linalg::vec(random_density(4, 8));
-    Mat a, b;
-    as_dense.apply_into(x, a);
-    as_csr.apply_into(x, b);
-    for (std::size_t i = 0; i < a.rows(); ++i) EXPECT_EQ(a(i, 0), b(i, 0)) << i;
+    // Either kind's batch apply and the mixed step all equal the dense
+    // product of the operator's dense form.
+    for (const StructuredSuperOp& s : {csr_kind_op(), dense_kind_op()}) {
+        SCOPED_TRACE(s.kind() == StructuredSuperOp::Kind::kCsr ? "csr" : "dense");
+        const Mat x = random_batch(s.dim(), 3, 8);
+        Mat want, got;
+        linalg::gemm_into(s.dense(), x, want);
+        s.apply_batch_into(x, got);
+        expect_bitwise(want, got, "batch");
+        expect_bitwise(want, mixed_step(s, x), "mixed");
+    }
+    EXPECT_EQ(csr_kind_op().kind(), StructuredSuperOp::Kind::kCsr);
+    EXPECT_EQ(dense_kind_op().kind(), StructuredSuperOp::Kind::kDense);
 }
 
 TEST(StructuredSuperop, BatchColumnAndSingleApplyAgreeBitwise) {
     // The partition-invariance contract the RB seed engine relies on: one
-    // batched sweep, per-column strided applies, and single-column applies
-    // all commit identical bits.
+    // batched sweep, per-column mixed steps, and single-column applies all
+    // commit identical bits.
     const Mat dense = liouvillian(random_hermitian(3, 17), test_collapse_ops(3));
     const StructuredSuperOp s = StructuredSuperOp::from_dense(dense);
     const std::size_t d2 = s.dim();
     const std::size_t batch = 5;
-
-    Mat x(d2, batch);
-    std::mt19937 rng(23);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    for (std::size_t i = 0; i < d2 * batch; ++i) x.data()[i] = {dist(rng), dist(rng)};
+    const Mat x = random_batch(d2, batch, 23);
 
     Mat batched;
     s.apply_batch_into(x, batched);
-
-    Mat strided(d2, batch);
-    for (std::size_t j = 0; j < batch; ++j) {
-        s.apply_col(x.data().data() + j, strided.data().data() + j, batch);
-    }
+    expect_bitwise(batched, mixed_step(s, x), "mixed");
 
     for (std::size_t j = 0; j < batch; ++j) {
         Mat xj(d2, 1), single;
         for (std::size_t i = 0; i < d2; ++i) xj(i, 0) = x(i, j);
-        s.apply_into(xj, single);
+        s.apply_batch_into(xj, single);
         for (std::size_t i = 0; i < d2; ++i) {
-            EXPECT_EQ(batched(i, j), strided(i, j)) << "col " << j << " row " << i;
             EXPECT_EQ(batched(i, j), single(i, 0)) << "col " << j << " row " << i;
         }
     }
@@ -254,26 +198,36 @@ TEST(StructuredSuperop, BatchColumnAndSingleApplyAgreeBitwise) {
 
 TEST(StructuredSuperop, ScalarAndVectorKernelsAgreeBitwise) {
     if (!linalg::simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
-    const Mat dense = liouvillian(random_hermitian(9, 29), test_collapse_ops(9));
-    const KronSuperOp kron = KronSuperOp::liouvillian(random_hermitian(9, 29),
-                                                      test_collapse_ops(9));
-    const StructuredSuperOp s = StructuredSuperOp::from_dense(dense);
-    const Mat v = linalg::vec(random_density(9, 30));
+    for (const StructuredSuperOp& s : {csr_kind_op(), dense_kind_op()}) {
+        SCOPED_TRACE(s.kind() == StructuredSuperOp::Kind::kCsr ? "csr" : "dense");
+        const Mat x = random_batch(s.dim(), 7, 30);
+        Mat vec_batch;
+        s.apply_batch_into(x, vec_batch);
+        const Mat vec_mixed = mixed_step(s, x);
 
-    Mat vec_out, vec_kron, scratch;
-    s.apply_into(v, vec_out);
-    kron.apply_vec_into(v, vec_kron, scratch);
+        linalg::simd::force_scalar(true);
+        Mat sc_batch;
+        s.apply_batch_into(x, sc_batch);
+        const Mat sc_mixed = mixed_step(s, x);
+        linalg::simd::force_scalar(false);
 
-    linalg::simd::force_scalar(true);
-    Mat sc_out, sc_kron, sc_scratch;
-    s.apply_into(v, sc_out);
-    kron.apply_vec_into(v, sc_kron, sc_scratch);
-    linalg::simd::force_scalar(false);
-
-    for (std::size_t i = 0; i < vec_out.rows(); ++i) {
-        EXPECT_EQ(vec_out(i, 0), sc_out(i, 0)) << "structured row " << i;
-        EXPECT_EQ(vec_kron(i, 0), sc_kron(i, 0)) << "kron row " << i;
+        expect_bitwise(vec_batch, sc_batch, "batch");
+        expect_bitwise(vec_mixed, sc_mixed, "mixed");
     }
+}
+
+TEST(StructuredSuperop, MixedStepCountsDenseAppliesForCsrKind) {
+    // The mixed step runs the dense kernel whatever the operator's kind, so
+    // a CSR-kind column counts as a dense apply, never as a CSR one.
+    const StructuredSuperOp s = csr_kind_op();
+    ASSERT_EQ(s.kind(), StructuredSuperOp::Kind::kCsr);
+    const Mat x = random_batch(s.dim(), 3, 41);
+    obs::reset_for_testing();
+    obs::enable_metrics("");  // memory-only counters
+    const Mat out = mixed_step(s, x);
+    EXPECT_EQ(obs::counter_value(obs::Cnt::kSuperopApplies), 3u);
+    EXPECT_EQ(obs::counter_value(obs::Cnt::kSuperopCsrApplies), 0u);
+    obs::reset_for_testing();
 }
 
 }  // namespace

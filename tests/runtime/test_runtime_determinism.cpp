@@ -127,7 +127,7 @@ TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
     // Every gradient solver, end to end: the final iterate, objective and
     // budget bookkeeping must not depend on the pool size by a single ULP.
     const control::GrapeProblem p = solver_problem();
-    const control::ControlProblem cp(p, /*open_system=*/false);
+    const control::ControlProblem cp(p);
 
     expect_bitwise_across_pool_sizes([&cp] {
         std::vector<std::vector<double>> outs;
@@ -143,12 +143,12 @@ TEST(RuntimeDeterminism, SolverBitwiseAcrossPoolSizes) {
 
 TEST(RuntimeDeterminism, PulseOptimEveryMethodBitwiseAcrossPoolSizes) {
     // Every OptimMethod through the pulse_optim front end, including CRAB's
-    // direct search and GOAT's chained Fourier gradient, which both fan out
-    // over the pool through the shared evaluator.
+    // direct search, which fans out over the pool through the shared
+    // evaluator.
     using M = control::OptimMethod;
     expect_bitwise_across_pool_sizes([] {
         std::vector<std::vector<double>> outs;
-        for (const M method : {M::kLbfgsB, M::kGradientDescent, M::kCrab, M::kKrotov, M::kGoat}) {
+        for (const M method : {M::kLbfgsB, M::kGradientDescent, M::kCrab, M::kKrotov}) {
             control::PulseOptimSpec spec;
             spec.h_drift = linalg::Mat(2, 2);
             spec.h_ctrls = {0.5 * quantum::sigma_x(), 0.5 * quantum::sigma_y()};

@@ -303,9 +303,9 @@ void rule_hot_path(const FileCtx& ctx, std::vector<Finding>& out) {
 // --- rule: dense-superop-materialization ---------------------------------
 
 bool scope_dense(const std::string& rel) {
-    // The structured superop layer: src/quantum/superop*.{hpp,cpp} (dense
-    // construction, Kronecker factorization and the CSR/dense dispatch) is
-    // the one place allowed to build d^2 x d^2 matrices.
+    // The superoperator layer: src/quantum/superop*.{hpp,cpp} (the dense
+    // Liouvillian and channel constructors and StructuredSuperOp) is the one
+    // place allowed to build d^2 x d^2 matrices.
     return starts_with(rel, "src/") && !starts_with(rel, "src/quantum/superop");
 }
 
@@ -337,8 +337,8 @@ void rule_dense_superop(const FileCtx& ctx, std::vector<Finding>& out) {
                     add(out, ctx, "dense-superop-materialization", ts[i].line,
                         "kron with ." + ts[k].text +
                             "() builds a dense d^2 x d^2 superoperator outside the "
-                            "structured kernels; use quantum::KronSuperOp / "
-                            "StructuredSuperOp");
+                            "superoperator layer; use the quantum::superop constructors "
+                            "(liouvillian, unitary_superop)");
                     break;
                 }
             }
