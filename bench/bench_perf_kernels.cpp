@@ -16,6 +16,7 @@
 #include "experiments/irb_experiment.hpp"
 #include "linalg/expm.hpp"
 #include "obs/obs.hpp"
+#include "optim/lbfgsb.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
@@ -311,6 +312,57 @@ void BM_GrapeObjectiveCx(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GrapeObjectiveCx)->Arg(16)->Arg(48);
+
+// --- L-BFGS-B bookkeeping ---------------------------------------------------
+//
+// Solver-only cost of one L-BFGS-B iteration at the design sizes of a
+// `DesignPipeline` batch: n = 64 (a 1Q design, 32 slots x 2 controls) and
+// n = 192 (a CX design).  The objective is an ill-conditioned chain-coupled
+// quadratic on [-1, 1]^n (curvatures 1e-3 .. 1e2): it converges slowly, so a
+// solve runs (nearly) all 200 iterations, about a quarter of the variables
+// end on the box, and one evaluation is O(n) and allocation-free.  The
+// `iter_time` counter (seconds per solver iteration) is therefore almost all
+// the solver's own algebra: Cauchy point, subspace step, line-search
+// bookkeeping and the correction-pair update.
+void BM_LbfgsbIteration(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    std::vector<double> curvature(n), center(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        curvature[i] = std::pow(10.0, -3.0 + 5.0 * static_cast<double>(i % 16) / 15.0);
+        center[i] = 1.6 * std::sin(0.37 * static_cast<double>(i) + 0.5);
+    }
+    const optim::Objective objective = [&](const std::vector<double>& x,
+                                           std::vector<double>& g) {
+        double f = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double e = x[i] - center[i];
+            f += 0.5 * curvature[i] * e * e;
+            g[i] = curvature[i] * e;
+        }
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            const double e = x[i + 1] - x[i];
+            f += 0.5 * e * e;
+            g[i] -= e;
+            g[i + 1] += e;
+        }
+        return f;
+    };
+    optim::SolverOptions opts;
+    opts.max_iterations = 200;
+    opts.tol = 0.0;
+    opts.f_tol = 0.0;
+    const optim::Bounds box = optim::Bounds::uniform(n, -1.0, 1.0);
+    double solver_iterations = 0.0;
+    for (auto _ : state) {
+        const optim::OptimResult r =
+            optim::lbfgsb_minimize(objective, std::vector<double>(n, 0.0), box, opts);
+        solver_iterations += r.iterations;
+        benchmark::DoNotOptimize(r.f);
+    }
+    state.counters["iter_time"] = benchmark::Counter(
+        solver_iterations, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LbfgsbIteration)->Arg(64)->Arg(192);
 
 // --- structured superoperator apply -----------------------------------------
 

@@ -94,6 +94,8 @@ constexpr std::array<const char*, kNumCounters> kCounterNames = {
     "service.requests.admitted",
     "service.queue.shed",
     "solver.dispatches",
+    "optim.lbfgsb.box_active_iters",
+    "optim.lbfgsb.model_resets",
 };
 
 constexpr std::array<const char*, kNumHists> kHistNames = {

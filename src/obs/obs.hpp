@@ -95,6 +95,8 @@ enum class Cnt : unsigned {
     kSvcAdmitted,       ///< design requests admitted to the service queue (monotone)
     kSvcQueueShed,      ///< design requests shed by admission control
     kSolverDispatches,  ///< solver runs (one per `optim::SolverLoop`, every method)
+    kLbfgsbBoxActiveIters,  ///< L-BFGS-B iterations whose Cauchy point fixes a variable
+    kLbfgsbModelResets,     ///< L-BFGS-B models dropped (singular K or a failed line search)
     kCount
 };
 

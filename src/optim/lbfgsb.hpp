@@ -7,7 +7,11 @@
 /// direct primal subspace minimization over the free variables, and a strong
 /// Wolfe line search.  This is the optimizer the paper refers to as
 /// "second-order GRAPE": QuTiP's `pulseoptim` drives SciPy's
-/// `fmin_l_bfgs_b`, which implements the same algorithm.
+/// `fmin_l_bfgs_b`, which implements the same algorithm.  Like the reference
+/// code it keeps the correction pairs' Gram matrices and factors only k x k
+/// blocks: with k <= 10 pairs, one iteration costs O(k n + k^3) plus O(k^2)
+/// per variable of the smaller of the free and the bound-fixed sets, and,
+/// after the solve's state is sized, allocates nothing.
 
 #pragma once
 
