@@ -52,17 +52,7 @@ void BM_ExpmBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpmBySize)->Arg(2)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
 
-void BM_ExpmFrechet(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const linalg::Mat e = linalg::cplx{0.0, -0.1} * random_hermitian(n, 8);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(linalg::expm_frechet(a, e));
-    }
-}
-BENCHMARK(BM_ExpmFrechet)->Arg(2)->Arg(4)->Arg(9)->Arg(16);
-
-// --- multi-direction Frechet: augmented reference vs shared engine ----------
+// --- multi-direction Frechet: the shared-Pade engine --------------------------
 //
 // Args are (N, m): matrix size and number of directions (= GRAPE controls).
 // The sweep covers the paper's single-qubit (N=3 transmon) and pair (N=9)
@@ -77,24 +67,8 @@ std::vector<linalg::Mat> frechet_directions(std::size_t n, std::size_t m) {
     return dirs;
 }
 
-/// Old GRAPE cost: one Van Loan 2Nx2N augmented expm per direction.
-void BM_ExpmFrechetAugmented(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto m = static_cast<std::size_t>(state.range(1));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const auto dirs = frechet_directions(n, m);
-    for (auto _ : state) {
-        for (std::size_t j = 0; j < m; ++j) {
-            benchmark::DoNotOptimize(linalg::expm_frechet(a, dirs[j]));
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_ExpmFrechetAugmented)
-    ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
-
-/// New cost: e^A plus all m derivatives from one `expm_prepare` and m
-/// `expm_direction` calls on its shared intermediates, with the workspace
+/// e^A plus all m derivatives from one `pade_prepare` and m
+/// `pade_direction` calls on its shared intermediates, with the workspace
 /// reused across iterations exactly as the GRAPE hot loop reuses it across
 /// slots (no allocation after the first iteration).
 void BM_ExpmFrechetMulti(benchmark::State& state) {
@@ -102,38 +76,18 @@ void BM_ExpmFrechetMulti(benchmark::State& state) {
     const auto m = static_cast<std::size_t>(state.range(1));
     const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
     const auto dirs = frechet_directions(n, m);
-    linalg::ExpmWorkspace ws;
+    linalg::PadeWorkspace<linalg::Mat> ws;
     linalg::Mat ea;
     std::vector<linalg::Mat> ls(m);
     for (auto _ : state) {
-        linalg::expm_prepare(a, ea, ws, linalg::ExpmMethod::kPade);
-        for (std::size_t j = 0; j < m; ++j) linalg::expm_direction(ws, dirs[j], ls[j]);
+        linalg::pade_prepare(a, ea, ws);
+        for (std::size_t j = 0; j < m; ++j) linalg::pade_direction(ws, dirs[j], ls[j]);
         benchmark::DoNotOptimize(ea);
         benchmark::DoNotOptimize(ls);
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
 }
 BENCHMARK(BM_ExpmFrechetMulti)
-    ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
-
-/// Spectral (Daleckii-Krein) path on the same anti-Hermitian inputs.
-void BM_ExpmFrechetMultiSpectral(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto m = static_cast<std::size_t>(state.range(1));
-    const linalg::Mat a = linalg::cplx{0.0, -0.1} * random_hermitian(n, 7);
-    const auto dirs = frechet_directions(n, m);
-    linalg::ExpmWorkspace ws;
-    linalg::Mat ea;
-    std::vector<linalg::Mat> ls(m);
-    for (auto _ : state) {
-        linalg::expm_prepare(a, ea, ws, linalg::ExpmMethod::kSpectral);
-        for (std::size_t j = 0; j < m; ++j) linalg::expm_direction(ws, dirs[j], ls[j]);
-        benchmark::DoNotOptimize(ea);
-        benchmark::DoNotOptimize(ls);
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_ExpmFrechetMultiSpectral)
     ->Args({3, 2})->Args({3, 4})->Args({9, 2})->Args({9, 4});
 
 /// A dense non-normal N x N test matrix: uniform entries in the unit square
@@ -148,8 +102,8 @@ linalg::Mat random_general(std::size_t n, unsigned seed) {
 }
 
 /// One LU factorization plus a solve with N right-hand sides: the
-/// `(V - U) r = V + U` step every Pade slot pays once in `expm_prepare`
-/// and once more per `expm_direction`.
+/// `(V - U) r = V + U` step every Pade slot pays once in `pade_prepare`
+/// and once more per `pade_direction`.
 void BM_LuFactorSolve(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const linalg::Mat a = random_general(n, 11);
@@ -189,19 +143,19 @@ void BM_LuFactorSolveReal(benchmark::State& state) {
 }
 BENCHMARK(BM_LuFactorSolveReal)->Arg(4)->Arg(9);
 
-/// One GRAPE open-system slot of the Pade engine: `expm_prepare` at order 13
+/// One GRAPE open-system slot of the Pade engine: `pade_prepare` at order 13
 /// with one squaring (||A||_1 = 1.5 theta_13) plus the single adjoint
-/// `expm_direction` the evaluator takes per slot.
+/// `pade_direction` the evaluator takes per slot.
 void BM_ExpmPrepareDirection(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     linalg::Mat a = random_general(n, 13);
     a *= 1.5 * 5.371920351148152 / a.norm_1();
     const linalg::Mat e = random_general(n, 14);
-    linalg::ExpmWorkspace ws;
+    linalg::PadeWorkspace<linalg::Mat> ws;
     linalg::Mat ea, l;
     for (auto _ : state) {
-        linalg::expm_prepare(a, ea, ws, linalg::ExpmMethod::kPade);
-        linalg::expm_direction(ws, e, l);
+        linalg::pade_prepare(a, ea, ws);
+        linalg::pade_direction(ws, e, l);
         benchmark::DoNotOptimize(ea);
         benchmark::DoNotOptimize(l);
     }

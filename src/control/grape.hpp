@@ -14,16 +14,28 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
-#include "dynamics/propagator.hpp"
+#include "linalg/matrix.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgsb.hpp"
 #include "optim/problem.hpp"
 
 namespace qoc::control {
 
-using dynamics::ControlAmplitudes;
 using linalg::Mat;
+
+/// Control amplitudes: `amps[k][j]` is the amplitude of control `j` during
+/// timeslot `k`.
+using ControlAmplitudes = std::vector<std::vector<double>>;
+
+/// A bilinear control system `H(t) = H_0 + sum_j u_j(t) H_j` (closed) or
+/// `L(t) = L_0 + sum_j u_j(t) L_j` (open, generators already in
+/// superoperator form).
+struct PwcSystem {
+    Mat drift;               ///< H_0 or L_0
+    std::vector<Mat> ctrls;  ///< H_j or L_j
+};
 
 /// Which cost function drives the optimization.
 enum class FidelityType {
@@ -33,8 +45,8 @@ enum class FidelityType {
 };
 
 struct GrapeProblem {
-    dynamics::PwcSystem system;  ///< drift + control generators (H's or L's)
-    Mat target;                  ///< target unitary (closed) or superoperator (open)
+    PwcSystem system;  ///< drift + control generators (H's or L's)
+    Mat target;        ///< target unitary (closed) or superoperator (open)
     std::size_t n_timeslots = 0;
     double evo_time = 0.0;
     FidelityType fidelity = FidelityType::kPsu;

@@ -41,11 +41,8 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
 
     // One workspace threads through every exponential below: Krotov's
     // sequential sweeps exponentiate n_ts same-size generators per
-    // iteration, and the shared scratch makes each one allocation-free
-    // (kAuto dispatches Hermitian-generator problems to the exact spectral
-    // path -- deliberately NOT the evaluator's Pade pin, which exists for
-    // GRAPE's gradient-feedback loop only).
-    linalg::ExpmWorkspace ws;
+    // iteration, and the shared scratch makes each one allocation-free.
+    linalg::PadeWorkspace<Mat> ws;
     Mat gen, prop_buf, tmp;
     auto slot_propagator_into = [&](const std::vector<double>& amps, Mat& out) {
         if (amps.size() != n_ctrl) {
@@ -56,9 +53,9 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
             linalg::add_scaled(gen, amps[j], problem.system.ctrls[j]);
         }
         gen *= -kI * dt;
-        linalg::expm_into(gen, out, ws);
+        linalg::pade_prepare(gen, out, ws);
     };
-    auto evolution = [&](const dynamics::ControlAmplitudes& amps) {
+    auto evolution = [&](const ControlAmplitudes& amps) {
         Mat u = Mat::identity(dim);
         for (std::size_t k = 0; k < n_ts; ++k) {
             slot_propagator_into(amps[k], prop_buf);
@@ -70,7 +67,7 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
 
     GrapeResult result;
     result.initial_amps = problem.initial_amps;
-    dynamics::ControlAmplitudes amps = problem.initial_amps;
+    ControlAmplitudes amps = problem.initial_amps;
     result.initial_fid_err = cp.fid_err_of(evolution(amps));
     double err = result.initial_fid_err;
 
@@ -100,7 +97,7 @@ GrapeResult krotov_unitary(const ControlProblem& cp, const optim::SolverOptions&
         }
 
         // Sequential forward sweep with updated controls.
-        dynamics::ControlAmplitudes new_amps = amps;
+        ControlAmplitudes new_amps = amps;
         Mat u = Mat::identity(dim);
         for (std::size_t k = 0; k < n_ts; ++k) {
             for (std::size_t j = 0; j < n_ctrl; ++j) {

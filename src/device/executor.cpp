@@ -61,7 +61,7 @@ Mat compose_sample_stream(std::size_t n, std::size_t dim, At&& at, Propagator&& 
     }
 
     std::vector<Mat> props(distinct.size());
-    runtime::WorkspacePool<linalg::ExpmWorkspace> workspaces;
+    runtime::WorkspacePool<linalg::PadeWorkspace<Mat>> workspaces;
     runtime::TaskPool::global().parallel_for(0, distinct.size(), [&](std::size_t i) {
         const auto ws = workspaces.acquire();
         propagator(distinct[i], props[i], *ws);
@@ -141,10 +141,8 @@ Mat PulseExecutor::lindblad_generator_1q(std::complex<double> sample, std::size_
 }
 
 void PulseExecutor::sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                         Mat& out, linalg::ExpmWorkspace& ws) const {
-    // Liouvillian: non-Hermitian, pin Pade.
-    linalg::expm_into(config_.dt * lindblad_generator_1q(sample, qubit), out, ws,
-                      linalg::ExpmMethod::kPade);
+                                         Mat& out, linalg::PadeWorkspace<Mat>& ws) const {
+    linalg::pade_prepare(config_.dt * lindblad_generator_1q(sample, qubit), out, ws);
 }
 
 Mat PulseExecutor::waveform_superop_1q(const std::vector<std::complex<double>>& samples,
@@ -152,7 +150,7 @@ Mat PulseExecutor::waveform_superop_1q(const std::vector<std::complex<double>>& 
     return compose_sample_stream<1>(
         samples.size(), config_.levels * config_.levels,
         [&](std::size_t k) { return std::array<cplx, 1>{samples[k]}; },
-        [&](const std::array<cplx, 1>& s, Mat& out, linalg::ExpmWorkspace& ws) {
+        [&](const std::array<cplx, 1>& s, Mat& out, linalg::PadeWorkspace<Mat>& ws) {
             sample_propagator_1q(s[0], qubit, out, ws);
         });
 }
@@ -242,9 +240,8 @@ Mat PulseExecutor::lindblad_generator_2q(std::complex<double> d0, std::complex<d
 
 void PulseExecutor::sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
                                          std::complex<double> u0, Mat& out,
-                                         linalg::ExpmWorkspace& ws) const {
-    linalg::expm_into(config_.dt * lindblad_generator_2q(d0, d1, u0), out, ws,
-                      linalg::ExpmMethod::kPade);
+                                         linalg::PadeWorkspace<Mat>& ws) const {
+    linalg::pade_prepare(config_.dt * lindblad_generator_2q(d0, d1, u0), out, ws);
 }
 
 Mat PulseExecutor::layer_superop_2q(const std::vector<std::complex<double>>& d0,
@@ -258,7 +255,7 @@ Mat PulseExecutor::layer_superop_2q(const std::vector<std::complex<double>>& d0,
         [&](std::size_t k) {
             return std::array<cplx, 3>{padded(d0, k), padded(d1, k), padded(u0, k)};
         },
-        [&](const std::array<cplx, 3>& s, Mat& out, linalg::ExpmWorkspace& ws) {
+        [&](const std::array<cplx, 3>& s, Mat& out, linalg::PadeWorkspace<Mat>& ws) {
             sample_propagator_2q(s[0], s[1], s[2], out, ws);
         });
 }

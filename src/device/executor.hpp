@@ -114,11 +114,11 @@ private:
 
     /// exp(dt L) of one drive sample on `qubit`, written into `out`.
     void sample_propagator_1q(std::complex<double> sample, std::size_t qubit, Mat& out,
-                              linalg::ExpmWorkspace& ws) const;
+                              linalg::PadeWorkspace<Mat>& ws) const;
     /// Two-qubit analogue for a (d0, d1, u0) sample triple.
     void sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
                               std::complex<double> u0, Mat& out,
-                              linalg::ExpmWorkspace& ws) const;
+                              linalg::PadeWorkspace<Mat>& ws) const;
 
     /// Readout of true populations |q0 q1> (clamped to [0, 1], then
     /// normalized): confusion, then one multinomial draw of `shots`.

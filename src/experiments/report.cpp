@@ -133,13 +133,12 @@ void print_metrics_summary() {
     std::printf("   gemm / LU      : %llu / %llu\n",
                 static_cast<unsigned long long>(v(Cnt::kGemmCalls)),
                 static_cast<unsigned long long>(v(Cnt::kLuFactorizations)));
-    std::printf("   expm pade order: 3:%llu 5:%llu 7:%llu 9:%llu 13:%llu spectral:%llu\n",
+    std::printf("   expm pade order: 3:%llu 5:%llu 7:%llu 9:%llu 13:%llu\n",
                 static_cast<unsigned long long>(v(Cnt::kExpmPade3)),
                 static_cast<unsigned long long>(v(Cnt::kExpmPade5)),
                 static_cast<unsigned long long>(v(Cnt::kExpmPade7)),
                 static_cast<unsigned long long>(v(Cnt::kExpmPade9)),
-                static_cast<unsigned long long>(v(Cnt::kExpmPade13)),
-                static_cast<unsigned long long>(v(Cnt::kExpmSpectral)));
+                static_cast<unsigned long long>(v(Cnt::kExpmPade13)));
 }
 
 }  // namespace qoc::experiments

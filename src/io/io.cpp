@@ -1,41 +1,14 @@
 #include "io/io.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 namespace qoc::io {
 
-namespace {
-
-std::vector<std::string> split_csv(const std::string& line) {
-    std::vector<std::string> cells;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) cells.push_back(cell);
-    return cells;
-}
-
-double parse_double(const std::string& s) {
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(s, &pos);
-        if (pos != s.size()) throw std::runtime_error("io: non-numeric cell '" + s + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        throw std::runtime_error("io: non-numeric cell '" + s + "'");
-    } catch (const std::out_of_range&) {
-        throw std::runtime_error("io: value out of range '" + s + "'");
-    }
-}
-
-}  // namespace
-
-void write_amplitudes_csv(std::ostream& os, const dynamics::ControlAmplitudes& amps) {
+void write_amplitudes_csv(std::ostream& os, const control::ControlAmplitudes& amps) {
     if (amps.empty()) throw std::invalid_argument("write_amplitudes_csv: empty table");
     os << "slot";
     for (std::size_t j = 0; j < amps[0].size(); ++j) os << ",u" << j;
@@ -48,61 +21,10 @@ void write_amplitudes_csv(std::ostream& os, const dynamics::ControlAmplitudes& a
     }
 }
 
-dynamics::ControlAmplitudes read_amplitudes_csv(std::istream& is) {
-    std::string line;
-    if (!std::getline(is, line) || line.rfind("slot", 0) != 0) {
-        throw std::runtime_error("read_amplitudes_csv: missing header");
-    }
-    const std::size_t n_ctrl = split_csv(line).size() - 1;
-    if (n_ctrl == 0) throw std::runtime_error("read_amplitudes_csv: no control columns");
-
-    dynamics::ControlAmplitudes amps;
-    while (std::getline(is, line)) {
-        if (line.empty()) continue;
-        const auto cells = split_csv(line);
-        if (cells.size() != n_ctrl + 1) {
-            throw std::runtime_error("read_amplitudes_csv: ragged row '" + line + "'");
-        }
-        std::vector<double> slot(n_ctrl);
-        for (std::size_t j = 0; j < n_ctrl; ++j) slot[j] = parse_double(cells[j + 1]);
-        amps.push_back(std::move(slot));
-    }
-    if (amps.empty()) throw std::runtime_error("read_amplitudes_csv: no rows");
-    return amps;
-}
-
-void save_amplitudes(const std::string& path, const dynamics::ControlAmplitudes& amps) {
+void save_amplitudes(const std::string& path, const control::ControlAmplitudes& amps) {
     std::ofstream os(path);
     if (!os) throw std::runtime_error("save_amplitudes: cannot open " + path);
     write_amplitudes_csv(os, amps);
-}
-
-dynamics::ControlAmplitudes load_amplitudes(const std::string& path) {
-    std::ifstream is(path);
-    if (!is) throw std::runtime_error("load_amplitudes: cannot open " + path);
-    return read_amplitudes_csv(is);
-}
-
-void write_samples_csv(std::ostream& os, const std::vector<std::complex<double>>& samples) {
-    os << "t_dt,re,im\n" << std::setprecision(17);
-    for (std::size_t k = 0; k < samples.size(); ++k) {
-        os << k << ',' << samples[k].real() << ',' << samples[k].imag() << "\n";
-    }
-}
-
-std::vector<std::complex<double>> read_samples_csv(std::istream& is) {
-    std::string line;
-    if (!std::getline(is, line) || line.rfind("t_dt", 0) != 0) {
-        throw std::runtime_error("read_samples_csv: missing header");
-    }
-    std::vector<std::complex<double>> samples;
-    while (std::getline(is, line)) {
-        if (line.empty()) continue;
-        const auto cells = split_csv(line);
-        if (cells.size() != 3) throw std::runtime_error("read_samples_csv: ragged row");
-        samples.emplace_back(parse_double(cells[1]), parse_double(cells[2]));
-    }
-    return samples;
 }
 
 namespace {
@@ -305,19 +227,6 @@ std::vector<RequestLogRecord> read_request_log_jsonl(std::istream& is) {
         out.push_back(std::move(r));
     }
     return out;
-}
-
-void write_rb_curve_csv(std::ostream& os, const rb::RbCurve& curve) {
-    os << std::setprecision(10);
-    os << "# fit A=" << curve.a << " alpha=" << curve.alpha << " B=" << curve.b
-       << " alpha_err=" << curve.alpha_err << " epc=" << curve.epc
-       << " epc_err=" << curve.epc_err << "\n";
-    os << "length,survival,sem,fit\n";
-    for (const auto& pt : curve.points) {
-        const double fit =
-            curve.a * std::pow(curve.alpha, static_cast<double>(pt.length)) + curve.b;
-        os << pt.length << ',' << pt.mean_survival << ',' << pt.sem << ',' << fit << "\n";
-    }
 }
 
 }  // namespace qoc::io

@@ -1,43 +1,29 @@
 /// \file io.hpp
-/// \brief Serialization of pulses, schedules and benchmarking results to
-///        CSV, so designs can be archived, replayed across "days" and
-///        plotted externally -- the workflow the paper's multi-day drift
-///        experiments require (optimize once, re-run for a week).  Also the
-///        JSONL record formats the calibration service persists: pulse-store
-///        entries (bitwise-exact, doubles as u64 bit patterns) and fleet
-///        request logs (the deterministic-replay input).
+/// \brief Serialization: control amplitudes to CSV, so designs can be
+///        archived and plotted externally (nothing reads them back), and
+///        the JSONL record formats the calibration service persists:
+///        pulse-store entries (bitwise-exact, doubles as u64 bit patterns)
+///        and fleet request logs (the deterministic-replay input).
 
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
-#include "dynamics/propagator.hpp"
-#include "pulse/schedule.hpp"
-#include "rb/rb.hpp"
+#include "control/grape.hpp"
 
 namespace qoc::io {
 
 /// Writes control amplitudes as CSV: header `slot,u0,u1,...`, one row per
-/// timeslot.
-void write_amplitudes_csv(std::ostream& os, const dynamics::ControlAmplitudes& amps);
+/// timeslot, every value at 17 significant digits.  Throws
+/// `std::invalid_argument` on an empty table.
+void write_amplitudes_csv(std::ostream& os, const control::ControlAmplitudes& amps);
 
-/// Reads amplitudes back.  Throws `std::runtime_error` on malformed input
-/// (ragged rows, non-numeric cells, missing header).
-dynamics::ControlAmplitudes read_amplitudes_csv(std::istream& is);
-
-/// File-path convenience wrappers.
-void save_amplitudes(const std::string& path, const dynamics::ControlAmplitudes& amps);
-dynamics::ControlAmplitudes load_amplitudes(const std::string& path);
-
-/// Writes a channel's complex samples as CSV: `t_dt,re,im`.
-void write_samples_csv(std::ostream& os, const std::vector<std::complex<double>>& samples);
-std::vector<std::complex<double>> read_samples_csv(std::istream& is);
-
-/// Writes an RB curve: `length,survival,sem,fit` plus a comment header with
-/// the fit parameters and EPC.
-void write_rb_curve_csv(std::ostream& os, const rb::RbCurve& curve);
+/// `write_amplitudes_csv` to a file; throws `std::runtime_error` when the
+/// file cannot be opened.
+void save_amplitudes(const std::string& path, const control::ControlAmplitudes& amps);
 
 // --- calibration-service JSONL records -----------------------------------
 //

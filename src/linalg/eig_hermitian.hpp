@@ -23,17 +23,4 @@ struct EigH {
 /// input is not square or not Hermitian within `herm_tol`.
 EigH eig_hermitian(const Mat& a, double herm_tol = 1e-9);
 
-/// Allocation-free Jacobi diagonalization for hot loops (the spectral
-/// Frechet path runs one per GRAPE time slot).  Writes the eigenvalues in
-/// *unsorted* (but deterministic) Jacobi order with matching eigenvector
-/// columns, reusing the capacity of `eigenvalues` / `eigenvectors` / `work`;
-/// no heap allocation once they have seen size `n`.  Skips the Hermiticity
-/// check -- the caller must guarantee `a` is Hermitian and square.
-void eig_hermitian_into(const Mat& a, std::vector<double>& eigenvalues,
-                        Mat& eigenvectors, Mat& work);
-
-/// Applies an analytic function to a Hermitian matrix through its spectrum:
-/// `f(A) = V diag(f(w)) V^dagger`.
-Mat hermitian_function(const Mat& a, double (*f)(double));
-
 }  // namespace qoc::linalg

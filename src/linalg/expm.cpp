@@ -7,15 +7,12 @@
 #include <string>
 #include <utility>
 
-#include "linalg/eig_hermitian.hpp"
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 
 namespace qoc::linalg {
 
 namespace {
-
-constexpr cplx kI{0.0, 1.0};
 
 constexpr std::array<double, 4> kPade3 = {120.0, 60.0, 12.0, 1.0};
 constexpr std::array<double, 6> kPade5 = {30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0};
@@ -91,40 +88,35 @@ const double* pade_table(int m) {
     }
 }
 
-/// Rejects a norm with an Inf entry behind it: the scaling loop could
-/// never bring it below theta_13 (it would halve forever), and the spectral
-/// path has no eigenbasis to offer.
-void check_finite_norm(double nrm, const char* who) {
+/// The Pade orders below 13 and the largest 1-norm each covers.
+struct PadeBand {
+    double theta;
+    int order;
+    obs::Cnt counter;
+};
+constexpr std::array<PadeBand, 4> kPadeBands = {{{kTheta3, 3, obs::Cnt::kExpmPade3},
+                                                 {kTheta5, 5, obs::Cnt::kExpmPade5},
+                                                 {kTheta7, 7, obs::Cnt::kExpmPade7},
+                                                 {kTheta9, 9, obs::Cnt::kExpmPade9}}};
+
+/// Picks and counts the Pade order for `nrm = ||A||_1` and, for order 13,
+/// the number of scaling steps `s` such that ||A / 2^s||_1 <= theta_13.
+/// Rejects a non-finite norm (a NaN or Inf entry; `norm_1` passes NaN
+/// through): the scaling loop could never bring it below theta_13.
+int choose_pade_order(double nrm, int& s, const char* who) {
     if (!std::isfinite(nrm)) {
-        throw std::domain_error(std::string(who) + ": non-finite norm (Inf entry)");
+        throw std::domain_error(std::string(who) + ": non-finite norm (non-finite entry)");
     }
-}
-
-/// Picks the Pade order for `nrm = ||A||_1` and, for order 13, the number of
-/// scaling steps `s` such that ||A / 2^s||_1 <= theta_13.
-int choose_pade_order(double nrm, int& s) {
-    check_finite_norm(nrm, "expm_prepare");
     s = 0;
-    if (nrm <= kTheta3) return 3;
-    if (nrm <= kTheta5) return 5;
-    if (nrm <= kTheta7) return 7;
-    if (nrm <= kTheta9) return 9;
-    double scaled = nrm;
-    while (scaled > kTheta13) {
-        scaled *= 0.5;
-        ++s;
+    for (const PadeBand& band : kPadeBands) {
+        if (nrm <= band.theta) {
+            obs::count(band.counter);
+            return band.order;
+        }
     }
+    for (double scaled = nrm; scaled > kTheta13; scaled *= 0.5) ++s;
+    obs::count(obs::Cnt::kExpmPade13);
     return 13;
-}
-
-/// True when `A = -iS` for a Hermitian S, i.e. a(j,i) == -conj(a(i,j))
-/// within roundoff of the largest entry.  Closed-system GRAPE slot
-/// exponents `-i dt H` satisfy this exactly.
-bool is_anti_hermitian(const Mat& a, double tol) {
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = i; j < a.cols(); ++j)
-            if (std::abs(a(i, j) + std::conj(a(j, i))) > tol) return false;
-    return true;
 }
 
 /// `m += c * I`.
@@ -149,14 +141,7 @@ void pade_prepare(const M& a, M& exp_out, PadeWorkspace<M>& ws) {
     if (a.rows() != a.cols()) throw std::invalid_argument("pade_prepare: non-square matrix");
     const std::size_t n = a.rows();
     int s = 0;
-    const int m = choose_pade_order(a.norm_1(), s);
-    switch (m) {
-        case 3: obs::count(obs::Cnt::kExpmPade3); break;
-        case 5: obs::count(obs::Cnt::kExpmPade5); break;
-        case 7: obs::count(obs::Cnt::kExpmPade7); break;
-        case 9: obs::count(obs::Cnt::kExpmPade9); break;
-        default: obs::count(obs::Cnt::kExpmPade13); break;
-    }
+    const int m = choose_pade_order(a.norm_1(), s, "pade_prepare");
     ws.order = m;
     ws.squarings = s;
     const double* b = pade_table(m);
@@ -316,143 +301,18 @@ template void pade_prepare<RMat>(const RMat&, RMat&, PadeWorkspace<RMat>&);
 template void pade_direction<Mat>(PadeWorkspace<Mat>&, const Mat&, Mat&);
 template void pade_direction<RMat>(PadeWorkspace<RMat>&, const RMat&, RMat&);
 
-namespace {
-
-/// Daleckii-Krein spectral factorization for anti-Hermitian A = -iS (see
-/// expm.hpp): keeps the eigenvectors, eigenvalues and phases e^{-i lam}.
-void spectral_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws) {
-    check_finite_norm(a.max_abs(), "expm_prepare");
-    obs::count(obs::Cnt::kExpmSpectral);
-    ws.prepared = ExpmMethod::kSpectral;
-    const std::size_t n = a.rows();
-    ws.t1 = a;
-    ws.t1 *= kI;  // S = iA, Hermitian
-    eig_hermitian_into(ws.t1, ws.evals, ws.evec, ws.ework);
-    const Mat& vec = ws.evec;
-    const std::vector<double>& lam = ws.evals;
-
-    ws.vt.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) ws.vt(i, j) = std::conj(vec(j, i));
-
-    // e^A = V diag(e^{-i lam}) V^dag.
-    ws.phases.resize(n);
-    for (std::size_t i = 0; i < n; ++i) ws.phases[i] = cplx{std::cos(lam[i]), -std::sin(lam[i])};
-    ws.t2.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) ws.t2(i, j) = vec(i, j) * ws.phases[j];
-    gemm_into(ws.t2, ws.vt, exp_out);
-}
-
-/// One derivative L(A, E) against the eigenbasis `spectral_prepare` kept.
-void spectral_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
-    const std::size_t n = ws.evec.rows();
-    const Mat& vec = ws.evec;
-    const std::vector<double>& lam = ws.evals;
-    // G = V^dag E V, then the divided-difference Hadamard product
-    // Phi_kl = e^{-i (lam_k + lam_l)/2} sinc((lam_k - lam_l)/2).
-    gemm_into(ws.vt, e, ws.t1);
-    gemm_into(ws.t1, vec, ws.g);
-    for (std::size_t k = 0; k < n; ++k) {
-        for (std::size_t l = 0; l < n; ++l) {
-            const double half_diff = 0.5 * (lam[k] - lam[l]);
-            const double mid = 0.5 * (lam[k] + lam[l]);
-            // sin(x)/x is cancellation-free; the series guard only
-            // covers the exact-degeneracy limit.
-            const double sinc = (std::abs(half_diff) < 1e-9)
-                                    ? 1.0 - half_diff * half_diff / 6.0
-                                    : std::sin(half_diff) / half_diff;
-            ws.g(k, l) *= cplx{std::cos(mid), -std::sin(mid)} * sinc;
-        }
-    }
-    gemm_into(vec, ws.g, ws.t1);
-    gemm_into(ws.t1, ws.vt, out);
-}
-
-}  // namespace
-
 Mat expm(const Mat& a) {
     if (!a.is_square()) throw std::invalid_argument("expm: non-square matrix");
-    const double nrm = a.norm_1();
-    check_finite_norm(nrm, "expm");
-
-    if (nrm <= kTheta3) return pade_eval(a, kPade3.data(), 3);
-    if (nrm <= kTheta5) return pade_eval(a, kPade5.data(), 5);
-    if (nrm <= kTheta7) return pade_eval(a, kPade7.data(), 7);
-    if (nrm <= kTheta9) return pade_eval(a, kPade9.data(), 9);
+    int s = 0;
+    const int m = choose_pade_order(a.norm_1(), s, "expm");
+    if (m < 13) return pade_eval(a, pade_table(m), m);
 
     // Scaling and squaring with Pade 13.
-    int s = 0;
-    double scaled = nrm;
-    while (scaled > kTheta13) {
-        scaled *= 0.5;
-        ++s;
-    }
     Mat a_scaled = a;
     a_scaled *= std::ldexp(1.0, -s);
     Mat r = pade_eval(a_scaled, kPade13.data(), 13);
     for (int k = 0; k < s; ++k) r = r * r;
     return r;
-}
-
-std::pair<Mat, Mat> expm_frechet(const Mat& a, const Mat& e) {
-    if (!a.is_square() || a.rows() != e.rows() || a.cols() != e.cols()) {
-        throw std::invalid_argument("expm_frechet: shape mismatch");
-    }
-    const std::size_t n = a.rows();
-    Mat aug(2 * n, 2 * n);
-    aug.set_block(0, 0, a);
-    aug.set_block(0, n, e);
-    aug.set_block(n, n, a);
-    const Mat big = expm(aug);
-    return {big.block(0, 0, n, n), big.block(0, n, n, n)};
-}
-
-Mat expm_hermitian(const Mat& h, double t) {
-    const EigH e = eig_hermitian(h);
-    const std::size_t n = h.rows();
-    Mat d(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double phi = -e.eigenvalues[i] * t;
-        d(i, i) = cplx{std::cos(phi), std::sin(phi)};
-    }
-    return e.eigenvectors * d * e.eigenvectors.adjoint();
-}
-
-void expm_prepare(const Mat& a, Mat& exp_out, ExpmWorkspace& ws, ExpmMethod method) {
-    if (!a.is_square()) throw std::invalid_argument("expm_prepare: non-square matrix");
-    if (method == ExpmMethod::kAuto) {
-        const double amax = a.max_abs();
-        check_finite_norm(amax, "expm_prepare");
-        const double tol = 1e-12 * std::max(1.0, amax);
-        method = is_anti_hermitian(a, tol) ? ExpmMethod::kSpectral : ExpmMethod::kPade;
-    }
-    if (method == ExpmMethod::kSpectral) {
-        spectral_prepare(a, exp_out, ws);
-    } else {
-        pade_prepare(a, exp_out, ws);
-        ws.prepared = ExpmMethod::kPade;
-    }
-}
-
-void expm_direction(ExpmWorkspace& ws, const Mat& e, Mat& out) {
-    if (ws.prepared == ExpmMethod::kAuto) {
-        throw std::logic_error("expm_direction: workspace not prepared");
-    }
-    const std::size_t n =
-        (ws.prepared == ExpmMethod::kSpectral) ? ws.evec.rows() : ws.as.rows();
-    if (e.rows() != n || e.cols() != n) {
-        throw std::invalid_argument("expm_direction: direction shape mismatch");
-    }
-    if (ws.prepared == ExpmMethod::kSpectral) {
-        spectral_direction(ws, e, out);
-    } else {
-        pade_direction(ws, e, out);
-    }
-}
-
-void expm_into(const Mat& a, Mat& out, ExpmWorkspace& ws, ExpmMethod method) {
-    expm_prepare(a, out, ws, method);
 }
 
 }  // namespace qoc::linalg

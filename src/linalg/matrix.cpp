@@ -46,10 +46,6 @@ void Mat::resize(std::size_t rows, std::size_t cols) {
     data_.assign(rows * cols, cplx{0.0, 0.0});
 }
 
-void Mat::set_zero() {
-    std::fill(data_.begin(), data_.end(), cplx{0.0, 0.0});
-}
-
 Mat Mat::diag(const std::vector<cplx>& entries) {
     Mat m(entries.size(), entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) m(i, i) = entries[i];
@@ -149,6 +145,7 @@ double Mat::norm_1() const {
     for (std::size_t j = 0; j < cols_; ++j) {
         double colsum = 0.0;
         for (std::size_t i = 0; i < rows_; ++i) colsum += magnitude((*this)(i, j));
+        if (std::isnan(colsum)) return colsum;  // std::max would drop it
         best = std::max(best, colsum);
     }
     return best;

@@ -59,9 +59,6 @@ public:
     /// what makes the `*_into` kernels below allocation-free on reuse.
     void resize(std::size_t rows, std::size_t cols);
 
-    /// Sets every entry to zero without changing the shape.
-    void set_zero();
-
     /// Diagonal matrix from entries.
     static Mat diag(const std::vector<cplx>& entries);
 
@@ -113,7 +110,8 @@ public:
     double max_abs() const;
 
     /// Induced 1-norm (max absolute column sum); used by expm scaling.  Same
-    /// entry magnitudes as `max_abs`.
+    /// entry magnitudes as `max_abs`.  Not finite when an entry is not: a
+    /// NaN column sum is returned, not dropped by the max.
     double norm_1() const;
 
     /// True when `|a_ij - a_ji^*| <= tol` for all entries.

@@ -47,6 +47,7 @@ double RMat::norm_1() const {
     for (std::size_t j = 0; j < cols_; ++j) {
         double s = 0.0;
         for (std::size_t i = 0; i < rows_; ++i) s += std::abs((*this)(i, j));
+        if (std::isnan(s)) return s;  // std::max would drop it
         best = std::max(best, s);
     }
     return best;

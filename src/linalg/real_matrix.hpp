@@ -56,7 +56,9 @@ public:
     RMat& operator-=(const RMat& rhs);
     RMat& operator*=(double scalar);
 
-    /// Induced 1-norm (max absolute column sum); picks the Pade order.
+    /// Induced 1-norm (max absolute column sum); picks the Pade order.  Not
+    /// finite when an entry is not: a NaN column sum is returned, not
+    /// dropped by the max.
     double norm_1() const;
 
 private:

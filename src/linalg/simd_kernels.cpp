@@ -562,8 +562,6 @@ bool avx2_available() noexcept {
 #endif
 }
 
-const char* kernel_name() noexcept { return use_avx2() ? "avx2-fma" : "scalar"; }
-
 void force_scalar(bool on) noexcept { g_force_scalar = on; }
 
 void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t k,

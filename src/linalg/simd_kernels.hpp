@@ -44,9 +44,6 @@ namespace qoc::linalg::simd {
 /// them (always false on non-x86 builds).
 bool avx2_available() noexcept;
 
-/// Name of the active kernel variant: "avx2-fma" or "scalar".
-const char* kernel_name() noexcept;
-
 /// Test hook: forces the scalar replay path (true) or restores CPU
 /// dispatch (false).  Results must be bitwise identical either way; the
 /// oracle tests assert exactly that.  Not thread-safe: flip only around

@@ -42,10 +42,6 @@ public:
     /// broadcast-fma sweep per stored nonzero.  `out` resized in place.
     void apply_batch_into(const Mat& b, Mat& out) const;
 
-    const std::vector<cplx>& values() const noexcept { return vals_; }
-    const std::vector<int>& col_indices() const noexcept { return cols_idx_; }
-    const std::vector<int>& row_pointers() const noexcept { return rowptr_; }
-
 private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

@@ -83,12 +83,15 @@ enum class Cnt : unsigned {
     kSuperopCsrApplies,
     kSuperopKronApplies,
     kSuperopBatchApplies, ///< batched d^2 x B applies (one per Clifford step)
-    kExpmPade3,         ///< expm/Frechet calls at Pade order 3
+    kExpmPade3,         ///< expm / pade_prepare calls at Pade order 3
     kExpmPade5,
     kExpmPade7,
     kExpmPade9,
     kExpmPade13,
-    kExpmSpectral,      ///< Daleckii-Krein spectral-path calls
+    /// Always 0: the spectral exponential path is gone.  Kept only because
+    /// the e2e benchmark's layer table still reads it; the next benchmark
+    /// change removes it.
+    kExpmSpectral,
     kSvcCacheHit,       ///< pulse-store lookups served from a fresh entry
     kSvcCacheMiss,      ///< pulse-store misses (fan out to a design task)
     kSvcCacheRevalidate,  ///< suspect entries re-validated by IRB (not redesigned)

@@ -16,7 +16,6 @@ Mat sigma_y() { return Mat{{0.0, -kI}, {kI, 0.0}}; }
 Mat sigma_z() { return Mat{{1.0, 0.0}, {0.0, -1.0}}; }
 Mat sigma_plus() { return Mat{{0.0, 0.0}, {1.0, 0.0}}; }
 Mat sigma_minus() { return Mat{{0.0, 1.0}, {0.0, 0.0}}; }
-Mat identity2() { return Mat::identity(2); }
 
 Mat annihilation(std::size_t dim) {
     if (dim < 2) throw std::invalid_argument("annihilation: dim must be >= 2");

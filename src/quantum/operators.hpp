@@ -17,7 +17,6 @@ Mat sigma_y();
 Mat sigma_z();
 Mat sigma_plus();   ///< |1><0| raising operator (qubit convention |0>=ground)
 Mat sigma_minus();  ///< |0><1| lowering operator
-Mat identity2();
 
 // --- d-level (transmon / Duffing) operators ----------------------------------
 

@@ -32,15 +32,4 @@ Mat apply_superop(const Mat& superop, const Mat& rho);
 /// True when the superoperator preserves trace: vec(I)^T S = vec(I)^T.
 bool is_trace_preserving(const Mat& superop, double tol = 1e-9);
 
-/// Depolarizing channel on dimension d with error probability p:
-///   rho -> (1 - p) rho + p I/d.
-Mat depolarizing_superop(std::size_t dim, double p);
-
-/// Amplitude-damping channel (qubit) with decay probability gamma.
-Mat amplitude_damping_superop(double gamma);
-
-/// Pure-dephasing channel (qubit) with dephasing probability lambda
-/// (off-diagonals multiplied by 1 - lambda).
-Mat phase_damping_superop(double lambda);
-
 }  // namespace qoc::quantum

@@ -22,7 +22,7 @@
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
 #include "device/calibration.hpp"
-#include "dynamics/propagator.hpp"
+#include "oracles/channels.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -121,7 +121,7 @@ TEST(Contracts, MatrixChecksFireOnViolation) {
     const Mat good = quantum::unitary_superop(g::h());
     EXPECT_THROW(check_trace_preserving(1.1 * good, "t"), ContractViolation);
     EXPECT_NO_THROW(check_trace_preserving(good, "t"));
-    EXPECT_NO_THROW(check_trace_preserving(quantum::depolarizing_superop(2, 0.1), "t"));
+    EXPECT_NO_THROW(check_trace_preserving(oracle::depolarizing_superop(2, 0.1), "t"));
 
     // TP but not CP: the transpose map must pass TP and fail CP.
     const Mat transpose = transpose_superop(2);
@@ -153,9 +153,7 @@ TEST(Contracts, ViolationMessageNamesSiteAndCheck) {
 TEST(Contracts, PropagatorRejectsNonHermitianHamiltonian) {
     Mat bad_drift = quantum::sigma_x();
     bad_drift(1, 0) += cplx{0.0, 1e-3};  // breaks H = H^dag
-    dynamics::PwcSystem sys{bad_drift, {0.5 * quantum::sigma_x()}};
-    dynamics::ControlAmplitudes amps{{0.1}, {0.2}};
-    EXPECT_THROW(dynamics::pwc_unitary_propagators(sys, amps, 0.1), ContractViolation);
+    EXPECT_THROW(quantum::liouvillian(bad_drift, {}), ContractViolation);
 }
 
 TEST(Contracts, LiouvillianRejectsNonHermitianHamiltonian) {
@@ -213,9 +211,7 @@ TEST(Contracts, CompiledOutEverythingIsANoOp) {
 TEST(Contracts, CompiledOutPropagatorAcceptsNonHermitianInput) {
     Mat bad_drift = quantum::sigma_x();
     bad_drift(1, 0) += cplx{0.0, 1e-3};
-    dynamics::PwcSystem sys{bad_drift, {0.5 * quantum::sigma_x()}};
-    dynamics::ControlAmplitudes amps{{0.1}};
-    EXPECT_NO_THROW(dynamics::pwc_unitary_propagators(sys, amps, 0.1));
+    EXPECT_NO_THROW(quantum::liouvillian(bad_drift, {}));
 }
 
 #endif  // QOC_CONTRACTS_ENABLED

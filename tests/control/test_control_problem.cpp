@@ -1,7 +1,7 @@
 /// `ControlProblem` checks that need no optimizer:
 /// - the open-system evaluator, which runs in the real Hermitian operator
 ///   basis, against a complex standard-basis reference kept here (the
-///   shared-Pade `expm_prepare` / `expm_direction` engine on the original
+///   shared-Pade `pade_prepare` / `pade_direction` engine on the original
 ///   Liouvillian generators), on random Lindblad problems across every
 ///   Pade order;
 /// - the open problems the real basis must reject;
@@ -17,6 +17,7 @@
 
 #include "control/control_problem.hpp"
 #include "linalg/expm.hpp"
+#include "oracles/propagators.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
 
@@ -24,8 +25,6 @@ namespace qoc::control {
 namespace {
 
 using linalg::cplx;
-using linalg::ExpmMethod;
-using linalg::ExpmWorkspace;
 using linalg::Mat;
 
 Mat random_complex(std::size_t d, std::mt19937_64& rng) {
@@ -58,7 +57,7 @@ RandomCase random_lindblad(std::size_t d, std::size_t n_ctrl, std::size_t n_ts, 
     for (std::size_t j = 0; j < n_ctrl; ++j) {
         c.p.system.ctrls.push_back(quantum::liouvillian_hamiltonian(random_hermitian(d, rng)));
     }
-    c.p.target = quantum::unitary_superop(linalg::expm_hermitian(random_hermitian(d, rng), 1.0));
+    c.p.target = quantum::unitary_superop(oracle::expm_hermitian(random_hermitian(d, rng), 1.0));
     c.p.fidelity = FidelityType::kTraceDiff;
     c.p.n_timeslots = n_ts;
     // Slot length so that ||dt L0||_1 ~ slot_norm: sweeps the Pade order.
@@ -81,13 +80,13 @@ double reference_objective(const GrapeProblem& p, const std::vector<double>& x,
     const std::size_t n_ts = p.n_timeslots, nc = p.system.ctrls.size();
     const std::size_t dim = p.system.drift.rows();
     const double dt = p.evo_time / static_cast<double>(n_ts);
-    std::vector<ExpmWorkspace> ws(n_ts);
+    std::vector<linalg::PadeWorkspace<Mat>> ws(n_ts);
     std::vector<Mat> props(n_ts), fwd(n_ts), bwd(n_ts);
     for (std::size_t k = 0; k < n_ts; ++k) {
         Mat a = p.system.drift;
         for (std::size_t j = 0; j < nc; ++j) a += x[k * nc + j] * p.system.ctrls[j];
         a *= dt;
-        linalg::expm_prepare(a, props[k], ws[k], ExpmMethod::kPade);
+        linalg::pade_prepare(a, props[k], ws[k]);
         orders.insert(ws[k].order);
         max_squarings = std::max(max_squarings, ws[k].squarings);
         fwd[k] = (k == 0) ? props[k] : props[k] * fwd[k - 1];
@@ -102,7 +101,7 @@ double reference_objective(const GrapeProblem& p, const std::vector<double>& x,
     for (std::size_t k = 0; k < n_ts; ++k) {
         const Mat r = (k == 0) ? bwd[k] : fwd[k - 1] * bwd[k];
         Mat l;
-        linalg::expm_direction(ws[k], r, l);
+        linalg::pade_direction(ws[k], r, l);
         for (std::size_t j = 0; j < nc; ++j) {
             grad[k * nc + j] =
                 -linalg::trace_of_product(l, dt * p.system.ctrls[j]).real() /

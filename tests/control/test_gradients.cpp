@@ -14,6 +14,7 @@
 #include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
 #include "optim/gradient_check.hpp"
+#include "oracles/propagators.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -77,7 +78,7 @@ std::vector<double> reference_gradient(const GrapeProblem& p, const std::vector<
     std::vector<double> grad(n_ts * nc);
     for (std::size_t k = 0; k < n_ts; ++k) {
         for (std::size_t j = 0; j < nc; ++j) {
-            const Mat dp = linalg::expm_frechet(a[k], scale * p.system.ctrls[j]).second;
+            const Mat dp = oracle::expm_frechet(a[k], scale * p.system.ctrls[j]).second;
             const Mat du = (k == 0) ? bwd[k] * dp : bwd[k] * dp * fwd[k - 1];
             grad[k * nc + j] =
                 open ? -linalg::hs_inner(p.target - u, du).real() / static_cast<double>(dim)

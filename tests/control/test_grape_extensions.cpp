@@ -101,7 +101,7 @@ TEST(RobustGrape, RobustPulseBeatsNominalUnderDetuning) {
     const auto robust = grape_robust(p, ensemble, {1.0, 1.0, 1.0}, {.max_iterations = 300});
 
     // Evaluate both pulses on the detuned problems.
-    auto eval_on = [&](const dynamics::ControlAmplitudes& amps, const linalg::Mat& drift_extra) {
+    auto eval_on = [&](const control::ControlAmplitudes& amps, const linalg::Mat& drift_extra) {
         GrapeProblem q = p;
         q.system.drift = p.system.drift + drift_extra;
         return ControlProblem(q).fid_err(amps);
@@ -140,7 +140,7 @@ TEST(EnergyPenalty, ReducesPulseEnergy) {
     p.energy_penalty = 0.05;
     const auto tight = grape_lbfgsb(p, {.max_iterations = 300});
 
-    auto energy = [](const dynamics::ControlAmplitudes& amps) {
+    auto energy = [](const control::ControlAmplitudes& amps) {
         double e = 0.0;
         for (const auto& slot : amps)
             for (double a : slot) e += a * a;

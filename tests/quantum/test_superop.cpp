@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
+#include "oracles/channels.hpp"
+#include "oracles/propagators.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -11,6 +16,10 @@
 
 namespace qoc::quantum {
 namespace {
+
+using oracle::amplitude_damping_superop;
+using oracle::depolarizing_superop;
+using oracle::phase_damping_superop;
 
 using linalg::cplx;
 constexpr cplx kI{0.0, 1.0};
@@ -151,6 +160,44 @@ TEST(Superop, MatchesMasterEquationForDuffing) {
     const Mat rho0 = ket_to_dm(basis_ket(d, 1));
     const Mat rho1 = apply_superop(prop, rho0);
     EXPECT_TRUE(is_density_matrix(rho1, 1e-8));
+}
+
+/// Open-system slot propagators `exp(dt (L_0 + sum_j amps[k][j] L_j))`
+/// through the Pade engine, one reused workspace, as the pulse executor and
+/// the open-system GRAPE evaluator build them.
+std::vector<Mat> pade_slot_propagators(const Mat& l0, const std::vector<Mat>& lc,
+                                       const std::vector<std::vector<double>>& amps,
+                                       double dt) {
+    linalg::PadeWorkspace<Mat> ws;
+    std::vector<Mat> props(amps.size());
+    for (std::size_t k = 0; k < amps.size(); ++k) {
+        Mat gen = l0;
+        for (std::size_t j = 0; j < lc.size(); ++j) linalg::add_scaled(gen, amps[k][j], lc[j]);
+        gen *= dt;
+        linalg::pade_prepare(gen, props[k], ws);
+    }
+    return props;
+}
+
+TEST(PwcSuperop, TracePreservingChain) {
+    const Mat l0 = liouvillian(0.4 * sigma_z(), {std::sqrt(0.03) * sigma_minus()});
+    const Mat lx = liouvillian_hamiltonian(sigma_x());
+    const Mat total =
+        oracle::chain_product(pade_slot_propagators(l0, {lx}, {{0.7}, {0.1}, {-0.3}}, 0.5));
+    EXPECT_TRUE(is_trace_preserving(total, 1e-9));
+}
+
+TEST(PwcSuperop, ReducesToUnitaryWithoutDissipation) {
+    // Without collapse operators the Pade superop chain equals the unitary
+    // conjugation superoperator of the oracle's eigendecomposition chain.
+    const Mat h0 = 0.3 * sigma_z();
+    const Mat h1 = sigma_x();
+    const std::vector<std::vector<double>> amps{{0.9}, {-0.2}, {0.5}, {0.0}};
+    const double dt = 0.21;
+    const Mat u = oracle::chain_product(oracle::pwc_unitary_propagators(h0, {h1}, amps, dt));
+    const Mat s = oracle::chain_product(pade_slot_propagators(
+        liouvillian_hamiltonian(h0), {liouvillian_hamiltonian(h1)}, amps, dt));
+    EXPECT_TRUE(s.approx_equal(unitary_superop(u), 1e-10));
 }
 
 }  // namespace

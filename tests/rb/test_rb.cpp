@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "device/calibration.hpp"
+#include "oracles/channels.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/superop.hpp"
@@ -67,7 +68,7 @@ TEST(Rb1Q, DepolarizingNoiseRecovered) {
     // interleave depolarizing noise by hand through run_irb... Instead we
     // test the full pipeline below; here test the estimator math directly.
     const double p = 0.002;
-    const Mat dep = quantum::depolarizing_superop(2, p);
+    const Mat dep = oracle::depolarizing_superop(2, p);
     RbCurve curve;
     // Analytic survival: each Clifford applies dep once; after m+1 gates
     // starting from |0>: P0 = (1-p)^{m+1} + (1 - (1-p)^{m+1})/2.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "device/calibration.hpp"
+#include "oracles/channels.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/superop.hpp"
@@ -91,7 +92,7 @@ TEST_F(TomographyTest, DetectsDepolarizingStrength) {
     const std::size_t levels = exec().config().levels;
     // Build a d-level superop acting as depolarizing on the qubit block.
     const double p = 0.5;
-    Mat dep2 = quantum::depolarizing_superop(2, p);
+    Mat dep2 = oracle::depolarizing_superop(2, p);
     // Embed: act as dep on the qubit sector, identity elsewhere.
     const std::size_t d2 = levels * levels;
     Mat dep(d2, d2);
