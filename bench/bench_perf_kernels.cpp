@@ -318,21 +318,20 @@ void BM_LbfgsbIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_LbfgsbIteration)->Arg(64)->Arg(192);
 
-// --- structured superoperator apply -----------------------------------------
+// --- RB seed-block superoperator steps --------------------------------------
 
-/// Batched SoA apply: one d^2 x B sweep of a structured superop, the RB
+/// Batched SoA apply: one d^2 x B sweep of a dense superop, the RB
 /// seed-block engine's broadcast step.
 void BM_SuperopApplyBatched(benchmark::State& state) {
     const auto d = static_cast<std::size_t>(state.range(0));
     const auto batch = static_cast<std::size_t>(state.range(1));
     const linalg::Mat h = random_hermitian(d, 13);
-    const auto structured =
-        quantum::StructuredSuperOp::from_dense(quantum::liouvillian(h, {}));
+    const linalg::Mat superop = quantum::liouvillian(h, {});
     linalg::Mat x(d * d, batch);
     for (std::size_t j = 0; j < batch; ++j) x(0, j) = 1.0;
     linalg::Mat out(d * d, batch);
     for (auto _ : state) {
-        structured.apply_batch_into(x, out);
+        rb::detail::apply_broadcast(superop, x, out);
         benchmark::DoNotOptimize(out);
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
@@ -346,20 +345,18 @@ void BM_RbMixedStep(benchmark::State& state) {
     const auto d2 = static_cast<std::size_t>(state.range(0));
     const auto d = static_cast<std::size_t>(std::lround(std::sqrt(static_cast<double>(d2))));
     constexpr std::size_t kSeeds = 4;
-    std::vector<quantum::StructuredSuperOp> ops;
+    std::vector<linalg::Mat> ops;
     for (unsigned k = 0; k < kSeeds; ++k) {
         const linalg::Mat l = quantum::liouvillian(random_hermitian(d, 40 + k),
                                                    {0.1 * quantum::annihilation(d)});
-        ops.push_back(quantum::StructuredSuperOp::from_dense(linalg::expm(0.5 * l)));
+        ops.push_back(linalg::expm(0.5 * l));
     }
-    const auto structured_of = [&ops](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return ops[i];
-    };
+    const auto superop_of = [&ops](std::size_t i) -> const linalg::Mat& { return ops[i]; };
     const std::size_t idx[kSeeds] = {0, 1, 2, 3};
     linalg::Mat x(d2, kSeeds), x_next;
     for (std::size_t j = 0; j < kSeeds; ++j) x(0, j) = 1.0;
     for (auto _ : state) {
-        rb::detail::apply_block_step(structured_of, idx, kSeeds, x, x_next);
+        rb::detail::apply_block_step(superop_of, idx, kSeeds, x, x_next);
         benchmark::DoNotOptimize(x);
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSeeds));

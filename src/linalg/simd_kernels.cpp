@@ -59,22 +59,6 @@ void gemv_mixed_scalar(const cplx* const* a, std::size_t cols, std::size_t n,
     }
 }
 
-void csr_gemm_raw_scalar(const cplx* vals, const int* cols, const int* rowptr,
-                         std::size_t m, const cplx* b, cplx* c, std::size_t n,
-                         bool accumulate) noexcept {
-    for (std::size_t i = 0; i < m; ++i) {
-        cplx* crow = c + i * n;
-        if (!accumulate) {
-            for (std::size_t j = 0; j < n; ++j) crow[j] = cplx{0.0, 0.0};
-        }
-        for (int idx = rowptr[i]; idx < rowptr[i + 1]; ++idx) {
-            const cplx v = vals[idx];
-            const cplx* brow = b + static_cast<std::size_t>(cols[idx]) * n;
-            for (std::size_t j = 0; j < n; ++j) cfma(crow[j], v, brow[j]);
-        }
-    }
-}
-
 // --- real kernels ------------------------------------------------------------
 
 void dgemm_raw_scalar(const double* a, const double* b, double* c, std::size_t m,
@@ -323,40 +307,6 @@ __attribute__((target("avx2,fma"))) void gemm_chunk_avx2(const cplx* a, const cp
     }
 }
 
-/// Same register blocking over a CSR left operand.
-template <int JV, bool TAIL>
-__attribute__((target("avx2,fma"))) void csr_gemm_chunk_avx2(const cplx* vals, const int* cols,
-                                                             const int* rowptr, std::size_t m,
-                                                             const cplx* b, cplx* c,
-                                                             std::size_t n, std::size_t j0,
-                                                             bool accumulate) noexcept {
-    for (std::size_t i = 0; i < m; ++i) {
-        cplx* crow = c + i * n + j0;
-        auto* cd = reinterpret_cast<double*>(crow);
-        __m256d acc[JV > 0 ? JV : 1];
-        cplx tacc{0.0, 0.0};
-        if (accumulate) {
-            for (int v = 0; v < JV; ++v) acc[v] = _mm256_loadu_pd(cd + 4 * v);
-            if (TAIL) tacc = crow[2 * JV];
-        } else {
-            for (int v = 0; v < JV; ++v) acc[v] = _mm256_setzero_pd();
-        }
-        for (int idx = rowptr[i]; idx < rowptr[i + 1]; ++idx) {
-            const cplx aval = vals[idx];
-            const __m256d ar = _mm256_set1_pd(aval.real());
-            const __m256d ai = _mm256_set1_pd(aval.imag());
-            const cplx* brow = b + static_cast<std::size_t>(cols[idx]) * n + j0;
-            const auto* bd = reinterpret_cast<const double*>(brow);
-            for (int v = 0; v < JV; ++v) {
-                acc[v] = cfma2(acc[v], ar, ai, _mm256_loadu_pd(bd + 4 * v));
-            }
-            if (TAIL) cfma(tacc, aval, brow[2 * JV]);
-        }
-        for (int v = 0; v < JV; ++v) _mm256_storeu_pd(cd + 4 * v, acc[v]);
-        if (TAIL) crow[2 * JV] = tacc;
-    }
-}
-
 /// Dispatch table over (full vectors in chunk, odd tail column).
 template <bool TAIL>
 __attribute__((target("avx2,fma"))) void gemm_chunk_dispatch(const cplx* a, const cplx* b,
@@ -377,23 +327,6 @@ __attribute__((target("avx2,fma"))) void gemm_chunk_dispatch(const cplx* a, cons
     }
 }
 
-template <bool TAIL>
-__attribute__((target("avx2,fma"))) void csr_gemm_chunk_dispatch(
-    const cplx* vals, const int* cols, const int* rowptr, std::size_t m, const cplx* b,
-    cplx* c, std::size_t n, std::size_t j0, std::size_t jv, bool accumulate) noexcept {
-    switch (jv) {
-        case 0: csr_gemm_chunk_avx2<0, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 1: csr_gemm_chunk_avx2<1, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 2: csr_gemm_chunk_avx2<2, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 3: csr_gemm_chunk_avx2<3, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 4: csr_gemm_chunk_avx2<4, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 5: csr_gemm_chunk_avx2<5, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 6: csr_gemm_chunk_avx2<6, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        case 7: csr_gemm_chunk_avx2<7, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-        default: csr_gemm_chunk_avx2<8, TAIL>(vals, cols, rowptr, m, b, c, n, j0, accumulate); break;
-    }
-}
-
 constexpr std::size_t kChunkCols = 16;  // 8 vectors = 16 complex columns
 
 __attribute__((target("avx2,fma"))) void gemm_raw_avx2(const cplx* a, const cplx* b, cplx* c,
@@ -407,22 +340,6 @@ __attribute__((target("avx2,fma"))) void gemm_raw_avx2(const cplx* a, const cplx
             gemm_chunk_dispatch<true>(a, b, c, m, k, n, j0, jv, accumulate);
         } else {
             gemm_chunk_dispatch<false>(a, b, c, m, k, n, j0, jv, accumulate);
-        }
-    }
-}
-
-__attribute__((target("avx2,fma"))) void csr_gemm_raw_avx2(const cplx* vals, const int* cols,
-                                                           const int* rowptr, std::size_t m,
-                                                           const cplx* b, cplx* c,
-                                                           std::size_t n,
-                                                           bool accumulate) noexcept {
-    for (std::size_t j0 = 0; j0 < n; j0 += kChunkCols) {
-        const std::size_t jn = std::min(kChunkCols, n - j0);
-        const std::size_t jv = jn / 2;
-        if ((jn & 1) != 0) {
-            csr_gemm_chunk_dispatch<true>(vals, cols, rowptr, m, b, c, n, j0, jv, accumulate);
-        } else {
-            csr_gemm_chunk_dispatch<false>(vals, cols, rowptr, m, b, c, n, j0, jv, accumulate);
         }
     }
 }
@@ -584,17 +501,6 @@ void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cpl
     }
 #endif
     gemv_mixed_scalar(a, cols, n, x, out, stride);
-}
-
-void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
-                  const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept {
-#if defined(QOC_HAVE_AVX2_PATH)
-    if (use_avx2()) {
-        csr_gemm_raw_avx2(vals, cols, rowptr, m, b, c, n, accumulate);
-        return;
-    }
-#endif
-    csr_gemm_raw_scalar(vals, cols, rowptr, m, b, c, n, accumulate);
 }
 
 void dgemm_raw(const double* a, const double* b, double* c, std::size_t m, std::size_t k,

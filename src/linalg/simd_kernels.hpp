@@ -3,8 +3,8 @@
 ///
 /// This is the single kernel family behind every dense complex product:
 /// `linalg::gemm_into`/`gemm_acc`/`operator*` (and so the expm/Frechet
-/// engine's products), the structured superoperator applies and the
-/// batched RB seed propagation all run through it.  The LU factor and
+/// engine's products) and both steps of the batched RB seed propagation
+/// run through it.  The LU factor and
 /// substitutions do not: their row updates are a few complex entries long
 /// at the engine's sizes (n <= 16), where a per-row dispatch into this
 /// family cost more than it saved, so `Lu` writes them out in real
@@ -69,15 +69,9 @@ void gemm_raw(const cplx* a, const cplx* b, cplx* c, std::size_t m, std::size_t 
 /// `gemm_raw` it does not skip zero entries; for finite `x` that changes no
 /// bit (a zero entry's product is +-0, and an accumulator that starts at +0
 /// never becomes -0 under round-to-nearest), so the result equals the
-/// zero-skipping dense and CSR paths bitwise.  `out` must not alias `x`.
+/// zero-skipping `gemm_raw` bitwise.  `out` must not alias `x`.
 void gemv_mixed(const cplx* const* a, std::size_t cols, std::size_t n, const cplx* x,
                 cplx* out, std::size_t stride) noexcept;
-
-/// Batched CSR apply: `c = S * b` for a CSR `m x k` superop against a
-/// row-major dense `k x n` batch (one RB seed per column).  Vectorizes over
-/// the contiguous batch dimension with one broadcast per stored nonzero.
-void csr_gemm_raw(const cplx* vals, const int* cols, const int* rowptr, std::size_t m,
-                  const cplx* b, cplx* c, std::size_t n, bool accumulate) noexcept;
 
 // --- real kernels (row-major double, contiguous) ----------------------------
 

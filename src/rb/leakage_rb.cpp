@@ -26,8 +26,8 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
     const Clifford1Q& group = gates.group();
     const std::size_t d = gates.dim();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return gates.clifford_structured(i);
+    const auto superop_of = [&gates](std::size_t i) -> const Mat& {
+        return gates.clifford_superop(i);
     };
 
     struct Workspace {
@@ -35,7 +35,7 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
         std::vector<std::size_t> seq, rec;
     };
     runtime::WorkspacePool<Workspace> workspaces;
-    const std::size_t bw_max = detail::seed_block_width(opts.seeds_per_length, opts.seed_block);
+    const std::size_t bw_max = detail::seed_block_width(opts.seeds_per_length);
     const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
 
     LeakageRbResult res;
@@ -65,9 +65,9 @@ LeakageRbResult leakage_curve_batched(const PulseExecutor& exec, const GateSet1Q
 
             detail::fill_block(vec_rho0, bw, w.x);
             for (std::size_t k = 0; k < m; ++k) {
-                detail::apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
+                detail::apply_block_step(superop_of, &w.seq[k * bw], bw, w.x, w.x_next);
             }
-            detail::apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
+            detail::apply_block_step(superop_of, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
                 double leak = 0.0;

@@ -7,6 +7,7 @@
 #include <map>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/kron.hpp"
 #include "obs/obs.hpp"
@@ -88,15 +89,26 @@ GateSet1Q::GateSet1Q(const PulseExecutor& exec, const pulse::InstructionSchedule
             }
         }
         contracts::check_trace_preserving(total, "GateSet1Q: Clifford superop", 1e-7);
-        cliff_super_.push_back(quantum::StructuredSuperOp::from_dense(total));
+        cliff_super_.push_back(std::move(total));
     }
 }
 
 namespace {
 
 using detail::apply_block_step;
+using detail::apply_broadcast;
 using detail::fill_block;
 using detail::seed_block_width;
+
+/// Rejects an interleaved superoperator that is not `d2 x d2`, before any
+/// seed block starts.
+void check_interleave_shape(const Mat* interleave_super, std::size_t d2, const char* where) {
+    if (interleave_super != nullptr &&
+        (interleave_super->rows() != d2 || interleave_super->cols() != d2)) {
+        throw std::invalid_argument(std::string(where) +
+                                    ": interleaved superoperator is not d^2 x d^2");
+    }
+}
 
 /// Per-thread state of the batched (structure-of-arrays) seed engine: a
 /// d^2 x B block whose column j is seed s0+j's vec(rho), the pre-sampled
@@ -119,23 +131,20 @@ void extract_column(const Mat& x, std::size_t j, Mat& v) {
 }
 
 /// Batched 1Q RB: sequences are pre-sampled per seed from a per-(length,
-/// seed) RNG stream, then the whole seed block advances with one structured
-/// apply per Clifford step through `apply_block_step`.
+/// seed) RNG stream, then the whole seed block advances one Clifford step
+/// at a time through `apply_block_step`.
 RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                     const RbOptions& opts, const Mat* interleave_super,
                     std::size_t interleave_index) {
     const Clifford1Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-    quantum::StructuredSuperOp inter_struct;
-    if (interleave_super != nullptr) {
-        inter_struct = quantum::StructuredSuperOp::from_dense(*interleave_super);
-    }
-    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return gates.clifford_structured(i);
+    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_1q");
+    const auto superop_of = [&gates](std::size_t i) -> const Mat& {
+        return gates.clifford_superop(i);
     };
 
     runtime::WorkspacePool<BatchWorkspace> workspaces;
-    const std::size_t bw_max = seed_block_width(opts.seeds_per_length, opts.seed_block);
+    const std::size_t bw_max = seed_block_width(opts.seeds_per_length);
     const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
 
     RbCurve curve;
@@ -174,13 +183,13 @@ RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size
 
             fill_block(vec_rho0, bw, w.x);
             for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
+                apply_block_step(superop_of, &w.seq[k * bw], bw, w.x, w.x_next);
                 if (interleave_super != nullptr) {
-                    inter_struct.apply_batch_into(w.x, w.x_next);
+                    apply_broadcast(*interleave_super, w.x, w.x_next);
                     std::swap(w.x, w.x_next);
                 }
             }
-            apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
+            apply_block_step(superop_of, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
                 extract_column(w.x, j, w.v);
@@ -328,14 +337,10 @@ Mat GateSet2Q::compose_superop(std::size_t i) const {
 }
 
 const Mat& GateSet2Q::clifford_superop(std::size_t i) const {
-    return clifford_structured(i).dense();
-}
-
-const quantum::StructuredSuperOp& GateSet2Q::clifford_structured(std::size_t i) const {
     bool miss = false;
     std::call_once(cliff_once_[i], [&] {
         miss = true;
-        cliff_cache_[i] = quantum::StructuredSuperOp::from_dense(compose_superop(i));
+        cliff_cache_[i] = compose_superop(i);
     });
     if (miss) {
         obs::count(obs::Cnt::kCliffMemoMisses);
@@ -360,14 +365,11 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
                     const Mat* interleave_super, std::size_t interleave_index) {
     const Clifford2Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_2q());
+    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_2q");
     const Mat interleave_ideal =
         interleave_super ? group.unitary(interleave_index) : Mat::identity(4);
-    quantum::StructuredSuperOp inter_struct;
-    if (interleave_super != nullptr) {
-        inter_struct = quantum::StructuredSuperOp::from_dense(*interleave_super);
-    }
-    const auto structured_of = [&gates](std::size_t i) -> const quantum::StructuredSuperOp& {
-        return gates.clifford_structured(i);
+    const auto superop_of = [&gates](std::size_t i) -> const Mat& {
+        return gates.clifford_superop(i);
     };
 
     // Long runs revisit most of the 11520-element group; filling the superop
@@ -377,7 +379,7 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
     if (total_steps >= 2 * Clifford2Q::kSize) gates.precompute_all();
 
     runtime::WorkspacePool<BatchWorkspace> workspaces;
-    const std::size_t bw_max = seed_block_width(opts.seeds_per_length, opts.seed_block);
+    const std::size_t bw_max = seed_block_width(opts.seeds_per_length);
     const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
 
     RbCurve curve;
@@ -416,13 +418,13 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
 
             fill_block(vec_rho0, bw, w.x);
             for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(structured_of, &w.seq[k * bw], bw, w.x, w.x_next);
+                apply_block_step(superop_of, &w.seq[k * bw], bw, w.x, w.x_next);
                 if (interleave_super != nullptr) {
-                    inter_struct.apply_batch_into(w.x, w.x_next);
+                    apply_broadcast(*interleave_super, w.x, w.x_next);
                     std::swap(w.x, w.x_next);
                 }
             }
-            apply_block_step(structured_of, w.rec.data(), bw, w.x, w.x_next);
+            apply_block_step(superop_of, w.rec.data(), bw, w.x, w.x_next);
 
             for (std::size_t j = 0; j < bw; ++j) {
                 extract_column(w.x, j, w.v);

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "device/executor.hpp"
-#include "quantum/superop_structured.hpp"
 #include "rb/clifford1q.hpp"
 #include "rb/clifford2q.hpp"
 
@@ -36,13 +35,6 @@ struct RbOptions {
     std::size_t seeds_per_length = 8;   ///< independent random sequences
     int shots = 1024;
     std::uint64_t rng_seed = 2022;
-    /// Width of the structure-of-arrays seed blocks the batched engine
-    /// propagates with one d^2 x B apply per Clifford step.  0 = auto
-    /// (seeds spread evenly over the task pool, capped at 32).  Any value
-    /// yields bitwise-identical per-seed survivals -- the simd kernel
-    /// family's lane-stability contract makes the partition unobservable --
-    /// so this is purely a throughput knob.
-    std::size_t seed_block = 0;
 };
 
 struct RbPoint {
@@ -78,21 +70,14 @@ public:
               std::size_t qubit, const Clifford1Q& group);
 
     /// Superoperator implementing Clifford `i` at pulse level.
-    const Mat& clifford_superop(std::size_t i) const { return cliff_super_.at(i).dense(); }
-
-    /// Structured (CSR-or-dense SIMD) form of the same superoperator -- the
-    /// batched seed engine's apply path.  rz-only Cliffords compress to
-    /// exactly diagonal CSR; dispatch happened at construction.
-    const quantum::StructuredSuperOp& clifford_structured(std::size_t i) const {
-        return cliff_super_.at(i);
-    }
+    const Mat& clifford_superop(std::size_t i) const { return cliff_super_.at(i); }
 
     const Clifford1Q& group() const { return group_; }
     std::size_t dim() const { return dim_; }
 
 private:
     const Clifford1Q& group_;
-    std::vector<quantum::StructuredSuperOp> cliff_super_;
+    std::vector<Mat> cliff_super_;
     std::size_t dim_ = 0;
 };
 
@@ -102,7 +87,9 @@ RbCurve run_rb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t
 
 /// Runs interleaved RB of `interleaved_superop`, whose ideal action must be
 /// the Clifford with index `interleaved_clifford` (e.g. X or SX; H is also a
-/// Clifford).  The recovery accounts for the interleaved gates.
+/// Clifford).  The recovery accounts for the interleaved gates.  Throws
+/// `std::invalid_argument` unless `interleaved_superop` is d^2 x d^2 for
+/// the gate set's level count d.
 IrbResult run_irb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                      const Mat& interleaved_superop, std::size_t interleaved_clifford,
                      const RbOptions& options);
@@ -129,12 +116,9 @@ public:
               const Clifford2Q& group);
 
     /// Superoperator (16x16) implementing 2Q Clifford `i` at pulse level;
-    /// composed on first use, cached afterwards.
+    /// composed on first use, cached afterwards.  Counts one memo hit or
+    /// miss per call.
     const Mat& clifford_superop(std::size_t i) const;
-
-    /// Structured form of the same memo entry (built under the same
-    /// once_flag, so dense and structured caches fill together).
-    const quantum::StructuredSuperOp& clifford_structured(std::size_t i) const;
 
     /// Eagerly fills the whole cache (parallel on the runtime task pool).
     /// Worth calling ahead
@@ -162,7 +146,7 @@ private:
     const Clifford2Q& group_;
     Mat x_super_[2], sx_super_[2], cx_super_;
     const PulseExecutor& exec_;
-    mutable std::vector<quantum::StructuredSuperOp> cliff_cache_;
+    mutable std::vector<Mat> cliff_cache_;
     mutable std::unique_ptr<std::once_flag[]> cliff_once_;
     /// 2 x 24 one-qubit layers (qubit-major), then entangler classes 1..3.
     /// Lazy: a GateSet2Q that touches few elements builds few layers.

@@ -11,22 +11,23 @@
 #include <utility>
 
 #include "linalg/matrix.hpp"
-#include "quantum/superop_structured.hpp"
+#include "linalg/simd_kernels.hpp"
+#include "obs/obs.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::rb::detail {
 
 using linalg::Mat;
+using linalg::cplx;
 
-/// Width of the SoA seed blocks.  Per-seed results are invariant under the
-/// partition (the simd kernel family computes each output element with the
-/// same accumulation order on the batched, mixed and single-vector paths
-/// -- see simd_kernels.hpp), so the auto policy (`requested == 0`) is free
-/// to spread seeds evenly over the task pool without breaking 1-vs-N-thread
-/// bitwise reproducibility.
-inline std::size_t seed_block_width(std::size_t seeds, std::size_t requested) {
+/// Width of the SoA seed blocks: seeds spread evenly over the task pool,
+/// capped at 32.  Per-seed results are invariant under the partition (the
+/// simd kernel family computes each output element with the same
+/// accumulation order on the broadcast and mixed paths -- see
+/// simd_kernels.hpp), so following the pool size keeps 1-vs-N-thread runs
+/// bitwise identical.
+inline std::size_t seed_block_width(std::size_t seeds) {
     if (seeds == 0) return 1;
-    if (requested > 0) return std::min(requested, seeds);
     const std::size_t threads = runtime::TaskPool::global().size();
     const std::size_t even = (seeds + threads - 1) / threads;
     return std::min<std::size_t>(std::max<std::size_t>(even, 1), 32);
@@ -41,16 +42,30 @@ inline void fill_block(const Mat& vec_rho0, std::size_t bw, Mat& x) {
     }
 }
 
-/// One Clifford step over a whole seed block: column j advances by
-/// `structured_of(idx[j])`.  When every seed drew the same element (always
-/// true for IRB interleave steps, often for short blocks) this is ONE
-/// batched d^2 x B apply; otherwise the mixed-operator kernel advances up to
-/// `kMaxMixedCols` columns per call, each by its own operator.  Both paths
-/// produce bitwise-identical columns, so the branch is purely a throughput
-/// decision.
-template <typename StructuredOf>
-void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
-                      std::size_t bw, Mat& x, Mat& x_next) {
+/// Broadcast step: `out = s * batch` for the d^2 x d^2 superoperator `s`
+/// against a row-major d^2 x B seed block, ONE zero-skipping `gemm_raw`
+/// sweep for the whole block.  `out` resized in place; no alias.
+inline void apply_broadcast(const Mat& s, const Mat& batch, Mat& out) {
+    out.resize(s.rows(), batch.cols());
+    obs::count(obs::Cnt::kSuperopBatchApplies);
+    linalg::simd::gemm_raw(s.data().data(), batch.data().data(), out.data().data(), s.rows(),
+                           s.cols(), batch.cols(), /*accumulate=*/false);
+}
+
+/// Most columns one `gemv_mixed` call of the mixed step takes.
+inline constexpr std::size_t kMaxMixedCols = 8;
+
+/// One Clifford step over a whole seed block: column j advances by the
+/// superoperator `superop_of(idx[j])`.  When every seed drew the same
+/// element (always true for one-seed blocks, often for short ones) this is
+/// one `apply_broadcast`; otherwise `gemv_mixed` advances up to
+/// `kMaxMixedCols` columns per call, each by its own operator, counting one
+/// superop apply per column.  For finite input both paths commit the same
+/// bits (a skipped zero changes no sum), so the branch is purely a
+/// throughput decision.
+template <typename SuperopOf>
+void apply_block_step(const SuperopOf& superop_of, const std::size_t* idx, std::size_t bw,
+                      Mat& x, Mat& x_next) {
     bool same = true;
     for (std::size_t j = 1; j < bw; ++j) {
         if (idx[j] != idx[0]) {
@@ -59,16 +74,18 @@ void apply_block_step(const StructuredOf& structured_of, const std::size_t* idx,
         }
     }
     if (same) {
-        structured_of(idx[0]).apply_batch_into(x, x_next);
+        apply_broadcast(superop_of(idx[0]), x, x_next);
     } else {
-        using quantum::StructuredSuperOp;
         x_next.resize(x.rows(), x.cols());
-        const StructuredSuperOp* ops[StructuredSuperOp::kMaxMixedCols];
-        for (std::size_t j0 = 0; j0 < bw; j0 += StructuredSuperOp::kMaxMixedCols) {
-            const std::size_t cols = std::min(StructuredSuperOp::kMaxMixedCols, bw - j0);
-            for (std::size_t c = 0; c < cols; ++c) ops[c] = &structured_of(idx[j0 + c]);
-            StructuredSuperOp::apply_mixed_cols(ops, cols, x.data().data() + j0,
-                                                x_next.data().data() + j0, bw);
+        const cplx* ops[kMaxMixedCols];
+        for (std::size_t j0 = 0; j0 < bw; j0 += kMaxMixedCols) {
+            const std::size_t cols = std::min(kMaxMixedCols, bw - j0);
+            for (std::size_t c = 0; c < cols; ++c) {
+                obs::count(obs::Cnt::kSuperopApplies);
+                ops[c] = superop_of(idx[j0 + c]).data().data();
+            }
+            linalg::simd::gemv_mixed(ops, cols, x.rows(), x.data().data() + j0,
+                                     x_next.data().data() + j0, bw);
         }
     }
     std::swap(x, x_next);

@@ -1,5 +1,5 @@
 // Fixture: building the dense d^2 x d^2 superoperator outside the
-// structured kernels must be flagged.
+// superoperator layer (src/quantum/superop*) must be flagged.
 #include <cstddef>
 
 struct Mat {

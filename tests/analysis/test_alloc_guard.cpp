@@ -36,6 +36,7 @@
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
 #include "rb/rb.hpp"
+#include "rb/seed_block.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/workspace_pool.hpp"
 
@@ -94,13 +95,12 @@ TEST_F(AllocGuardTest, GemmIntoIsAllocationFreeAfterWarmup) {
 }
 
 TEST_F(AllocGuardTest, SuperopBatchApplyIsAllocationFreeAfterWarmup) {
-    const auto s =
-        quantum::StructuredSuperOp::from_dense(quantum::unitary_superop(quantum::gates::h()));
+    const Mat s = quantum::unitary_superop(quantum::gates::h());
     const Mat v = random_like(4, 1, 5);
     Mat out;
-    s.apply_batch_into(v, out);
+    rb::detail::apply_broadcast(s, v, out);
     AllocMeter m;
-    for (int i = 0; i < 16; ++i) s.apply_batch_into(v, out);
+    for (int i = 0; i < 16; ++i) rb::detail::apply_broadcast(s, v, out);
     EXPECT_EQ(m.delta(), 0u);
 }
 
@@ -276,30 +276,29 @@ TEST_F(AllocGuardTest, OpenEvaluatorObjectiveAllocationFree) {
 }
 
 TEST_F(AllocGuardTest, RbPropagationLoopAllocationFree) {
-    // Single-seed propagation through the mixed-column step: one superop
-    // apply per Clifford.  After buffer warmup it must allocate NOTHING,
-    // whatever the sequence length.
+    // Two-seed propagation through the mixed-column step (the seeds draw
+    // different Cliffords): one superop apply per seed and Clifford.  After
+    // buffer warmup it must allocate NOTHING, whatever the sequence length.
     const device::PulseExecutor exec{device::ibmq_montreal()};
     const pulse::InstructionScheduleMap defaults = device::build_default_gates(exec);
     const rb::Clifford1Q group;
     const rb::GateSet1Q gates(exec, defaults, 0, group);
-
-    Mat v = linalg::vec(exec.ground_state_1q());
-    Mat w = v;
-    const auto step = [&gates](std::size_t c, const Mat& in, Mat& out) {
-        const quantum::StructuredSuperOp* op = &gates.clifford_structured(c);
-        quantum::StructuredSuperOp::apply_mixed_cols(&op, 1, in.data().data(),
-                                                     out.data().data(), /*stride=*/1);
+    const auto superop_of = [&gates](std::size_t c) -> const Mat& {
+        return gates.clifford_superop(c);
     };
-    step(0, v, w);
-    step(1, w, v);
+
+    Mat x, x_next;
+    rb::detail::fill_block(linalg::vec(exec.ground_state_1q()), 2, x);
+    const auto step = [&](std::size_t c) {
+        const std::size_t idx[2] = {c, (c + 1) % rb::Clifford1Q::kSize};
+        rb::detail::apply_block_step(superop_of, idx, 2, x, x_next);  // ping-pong swap
+    };
+    step(0);
+    step(1);
 
     AllocMeter m;
     for (int rep = 0; rep < 8; ++rep) {
-        for (std::size_t c = 0; c < rb::Clifford1Q::kSize; ++c) {
-            step(c, v, w);
-            std::swap(v, w);  // buffer ping-pong, allocation-free
-        }
+        for (std::size_t c = 0; c < rb::Clifford1Q::kSize; ++c) step(c);
     }
     EXPECT_EQ(m.delta(), 0u);
 }

@@ -1,8 +1,7 @@
-/// Allocation guards for the structured superoperator kernels: the CSR
-/// batch apply and the StructuredSuperOp entry points (mixed-column step and
-/// d^2 x B batch) must all perform EXACTLY ZERO heap allocations once their
-/// output buffers have seen the shape -- they sit inside the RB per-step
-/// hot loop.
+/// Allocation guards for the superoperator kernels: the RB seed engine's
+/// two steps (mixed-column and d^2 x B broadcast) and the SIMD gemm must all
+/// perform EXACTLY ZERO heap allocations once their output buffers have seen
+/// the shape -- they sit inside the RB per-step hot loop.
 
 #include "analysis/alloc_guard.hpp"
 
@@ -12,10 +11,9 @@
 
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
-#include "quantum/superop_structured.hpp"
+#include "rb/seed_block.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc {
@@ -51,38 +49,23 @@ Mat deterministic_hermitian(std::size_t n, std::uint64_t seed) {
     return m;
 }
 
-TEST_F(SuperopAllocGuardTest, CsrSpmvIsAllocationFreeAfterWarmup) {
-    const Mat dense = quantum::liouvillian(deterministic_hermitian(3, 7),
-                                           {0.1 * quantum::annihilation(3)});
-    const linalg::CsrMat csr = linalg::CsrMat::from_dense(dense);
-    ASSERT_GT(csr.nnz(), 0u);
-    Mat x(dense.cols(), 1);
-    for (std::size_t i = 0; i < x.rows(); ++i) x(i, 0) = {1.0 / static_cast<double>(i + 1), 0.1};
-    Mat out;
-    csr.apply_batch_into(x, out);  // warmup
-    AllocMeter m;
-    for (int i = 0; i < 16; ++i) csr.apply_batch_into(x, out);
-    EXPECT_EQ(m.delta(), 0u);
-}
-
 TEST_F(SuperopAllocGuardTest, StructuredDispatchIsAllocationFreeAfterWarmup) {
-    const Mat dense = quantum::liouvillian(deterministic_hermitian(4, 11),
-                                           {0.1 * quantum::annihilation(4)});
-    const quantum::StructuredSuperOp s = quantum::StructuredSuperOp::from_dense(dense);
-    const std::size_t d2 = s.dim();
+    const Mat s = quantum::liouvillian(deterministic_hermitian(4, 11),
+                                       {0.1 * quantum::annihilation(4)});
+    const std::size_t d2 = s.rows();
     const std::size_t batch = 8;
     Mat x(d2, batch);
     for (std::size_t i = 0; i < d2 * batch; ++i) {
         x.data()[i] = {1.0 / static_cast<double>(i + 2), -0.3};
     }
-    const quantum::StructuredSuperOp* ops[] = {&s, &s, &s};
-    Mat batch_out;
-    s.apply_batch_into(x, batch_out);  // warmup
+    const auto superop_of = [&s](std::size_t) -> const Mat& { return s; };
+    const std::size_t mixed[batch] = {0, 1, 0, 1, 0, 1, 0, 1};
+    Mat x_next;
+    rb::detail::apply_broadcast(s, x, x_next);  // warmup
     AllocMeter m;
     for (int i = 0; i < 16; ++i) {
-        quantum::StructuredSuperOp::apply_mixed_cols(ops, 3, x.data().data(),
-                                                     batch_out.data().data(), batch);
-        s.apply_batch_into(x, batch_out);
+        rb::detail::apply_block_step(superop_of, mixed, batch, x, x_next);
+        rb::detail::apply_broadcast(s, x, x_next);
     }
     EXPECT_EQ(m.delta(), 0u);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -39,7 +40,8 @@ std::vector<cplx> contract_replay(const std::vector<std::vector<cplx>>& ops, std
 /// `cols` random n x n operators; every third entry of operator j is an
 /// exact zero (offset by j, so the zeros differ between the columns that
 /// share one vector), and operator 0 also has a whole zero row.
-std::vector<std::vector<cplx>> random_ops(std::size_t n, std::size_t cols, unsigned seed) {
+std::vector<std::vector<cplx>> random_ops(std::size_t n, std::size_t cols,
+                                          std::uint64_t seed) {
     std::mt19937_64 rng(seed);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     std::vector<std::vector<cplx>> ops(cols, std::vector<cplx>(n * n));

@@ -12,7 +12,6 @@
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
-#include "quantum/superop_structured.hpp"
 
 namespace qoc::quantum {
 namespace {
@@ -113,39 +112,6 @@ TEST(Superop, PhaseDampingKillsCoherenceOnly) {
     const Mat out = apply_superop(s, rho);
     EXPECT_NEAR(out(0, 0).real(), 0.5, 1e-12);
     EXPECT_NEAR(out(0, 1).real(), 0.5 * std::sqrt(1.0 - lambda), 1e-12);
-}
-
-TEST(Superop, BatchApplyMatchesApplySuperop) {
-    // The structured apply against the vectorize/multiply/unvec oracle:
-    // identical values (both reduce to the same simd kernel row sums).
-    const std::size_t d = 3;
-    const Mat h = duffing_drift(d, 0.1, -2.0) + 0.3 * drive_x(d);
-    const Mat l = liouvillian(h, {std::sqrt(0.01) * annihilation(d)});
-    const Mat prop = linalg::expm(0.9 * l);
-    const StructuredSuperOp sprop = StructuredSuperOp::from_dense(prop);
-    const Mat rho = ket_to_dm(std::sqrt(0.5) * (basis_ket(d, 0) + basis_ket(d, 1)));
-
-    const Mat ref = apply_superop(prop, rho);
-    const Mat v = linalg::vec(rho);
-    Mat out;
-    sprop.apply_batch_into(v, out);
-    ASSERT_EQ(out.rows(), d * d);
-    ASSERT_EQ(out.cols(), 1u);
-    for (std::size_t i = 0; i < d; ++i)
-        for (std::size_t j = 0; j < d; ++j)
-            EXPECT_EQ(out(j + i * d, 0), ref(j, i)) << "i=" << i << " j=" << j;
-
-    // Chained steps on reused buffers (the engine's ping-pong pattern).
-    Mat v2 = v, next;
-    for (int step = 0; step < 3; ++step) {
-        sprop.apply_batch_into(v2, next);
-        std::swap(v2, next);
-    }
-    const Mat ref3 = apply_superop(prop, apply_superop(prop, ref));
-    EXPECT_TRUE(linalg::unvec(v2, d).approx_equal(ref3, 1e-12));
-
-    Mat bad(d, 1);
-    EXPECT_THROW(sprop.apply_batch_into(bad, out), std::invalid_argument);
 }
 
 TEST(Superop, MatchesMasterEquationForDuffing) {

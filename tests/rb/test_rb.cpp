@@ -237,5 +237,35 @@ TEST(Rb, IrbStderrMatchesSeedToSeedSpread) {
     EXPECT_LE(ratio_2q, 2.0);
 }
 
+TEST(Rb, IrbRejectsMisSizedInterleavedSuperop) {
+    // The interleaved superop is checked once, before any seed block runs:
+    // a 2Q-sized operator against the 1Q (3-level, 9x9) set, a 1Q-sized one
+    // against the 2Q (16x16) set and a non-square one are all refused.
+    const device::PulseExecutor exec(device::ibmq_montreal());
+    const auto defaults = device::build_default_gates(exec);
+    ASSERT_EQ(exec.config().levels, 3u);
+    const GateSet1Q gates1q(exec, defaults, 0, c1());
+    static const Clifford2Q c2(c1());
+    const GateSet2Q gates2q(exec, defaults, c2);
+    const Mat x_super = exec.schedule_superop_1q(defaults.get("x", {0}), 0);
+    const Mat cx_super = exec.schedule_superop_2q(defaults.get("cx", {0, 1}));
+    ASSERT_EQ(x_super.rows(), 9u);
+    ASSERT_EQ(cx_super.rows(), 16u);
+    RbOptions opts;
+    opts.lengths = {1, 2, 3};
+    opts.seeds_per_length = 2;
+    const RbCurve reference;
+
+    EXPECT_THROW(run_irb_1q_with_reference(exec, gates1q, 0, reference, cx_super,
+                                           c1().find(g::x()), opts),
+                 std::invalid_argument);
+    EXPECT_THROW(run_irb_1q_with_reference(exec, gates1q, 0, reference, Mat(9, 4),
+                                           c1().find(g::x()), opts),
+                 std::invalid_argument);
+    EXPECT_THROW(run_irb_2q_with_reference(exec, gates2q, reference, x_super,
+                                           c2.find(g::cx()), opts),
+                 std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace qoc::rb

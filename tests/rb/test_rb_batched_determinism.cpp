@@ -1,13 +1,13 @@
 /// Determinism contracts of the batched (structure-of-arrays) RB seed
-/// engine introduced with the structured superoperator kernels:
+/// engine:
 ///
-///  1. Partition invariance: any `seed_block` width -- scalar per-seed
-///     blocks, the auto thread-spread width, one huge block -- commits
-///     bitwise-identical curves, because the simd kernel family accumulates
-///     each output element in the same order on the batched, strided and
-///     single-column paths.
+///  1. Partition invariance: every seed-block width the pool size selects
+///     -- one-seed blocks, a few wide blocks, one block of every seed, and
+///     the 32-column cap splitting a length -- commits bitwise-identical
+///     curves, because the simd kernel family accumulates each output
+///     element in the same order on the broadcast and mixed paths.
 ///  2. Thread invariance: 1-vs-N task-pool sizes are bitwise identical even
-///     though the auto block width depends on the pool size.
+///     though the block width depends on the pool size.
 ///  3. Dense reference: the naive per-seed dense-matvec loop in
 ///     dense_rb_reference.hpp reproduces the engine's RB, IRB and leakage
 ///     points to 1e-12 and their fits to 1e-9 -- the two differ only in
@@ -57,6 +57,19 @@ RbOptions small_opts() {
     return opts;
 }
 
+/// With `kSweepSeeds` seeds, pool size 1 (one 12-seed block) is the
+/// reference, and pool sizes 2, 4, 6 and 12 give seed-block widths 6, 3, 2
+/// and 1.
+constexpr std::size_t kSweepSeeds = 12;
+constexpr std::size_t kSweepPools[] = {2, 4, 6, 12};
+
+/// `run()` at pool size `pool`.
+template <typename Fn>
+auto at_pool(std::size_t pool, Fn&& run) {
+    runtime::ScopedPoolSize scoped(pool);
+    return run();
+}
+
 void expect_bitwise(const RbCurve& a, const RbCurve& b, const char* what) {
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -69,23 +82,31 @@ void expect_bitwise(const RbCurve& a, const RbCurve& b, const char* what) {
 
 TEST(RbBatchedDeterminism, SeedBlockWidthIsUnobservable1Q) {
     RbOptions opts = small_opts();
-    opts.seed_block = 0;  // auto
-    const RbCurve ref = run_rb_1q(exec(), gates1q(), 0, opts);
-    for (std::size_t block : {1ul, 2ul, 3ul, 6ul, 32ul}) {
-        opts.seed_block = block;
-        expect_bitwise(ref, run_rb_1q(exec(), gates1q(), 0, opts), "seed_block");
+    opts.seeds_per_length = kSweepSeeds;
+    const auto run = [&] { return run_rb_1q(exec(), gates1q(), 0, opts); };
+    const RbCurve ref = at_pool(1, run);
+    for (std::size_t pool : kSweepPools) {
+        SCOPED_TRACE(pool);
+        expect_bitwise(ref, at_pool(pool, run), "pool size");
     }
 }
 
 TEST(RbBatchedDeterminism, BatchedVsScalarSeedPropagation1Q) {
-    // seed_block = 1 degenerates every block to the single-seed (scalar)
-    // propagation; the wide block exercises the d^2 x B broadcast path.
-    RbOptions scalar = small_opts();
-    scalar.seed_block = 1;
-    RbOptions wide = small_opts();
-    wide.seed_block = wide.seeds_per_length;
-    expect_bitwise(run_rb_1q(exec(), gates1q(), 0, scalar),
-                   run_rb_1q(exec(), gates1q(), 0, wide), "scalar-vs-batched");
+    // A pool as wide as the seed count degenerates every block to a single
+    // seed (broadcast steps only); pool size 1 puts every seed in one block,
+    // which exercises the mixed step.
+    const RbOptions opts = small_opts();
+    const auto run = [&] { return run_rb_1q(exec(), gates1q(), 0, opts); };
+    expect_bitwise(at_pool(opts.seeds_per_length, run), at_pool(1, run), "scalar-vs-batched");
+}
+
+TEST(RbBatchedDeterminism, SeedCapSplitsALengthIntoBlocks1Q) {
+    // 40 seeds at pool size 1: the 32-column cap splits every length into a
+    // 32-seed and an 8-seed block.  Pool size 4 runs four 10-seed blocks.
+    RbOptions opts = small_opts();
+    opts.seeds_per_length = 40;
+    const auto run = [&] { return run_rb_1q(exec(), gates1q(), 0, opts); };
+    expect_bitwise(at_pool(1, run), at_pool(4, run), "32-column cap");
 }
 
 TEST(RbBatchedDeterminism, ThreadCountIsUnobservableDespiteAutoWidth) {
@@ -134,11 +155,12 @@ TEST(RbBatchedDeterminism, DenseEscapeHatchAgreesToToleranceLeakage) {
 TEST(RbBatchedDeterminism, LeakageSeedBlockWidthIsUnobservable) {
     RbOptions opts = small_opts();
     opts.lengths = {1, 15, 30};
-    opts.seed_block = 0;
-    const LeakageRbResult ref = run_leakage_rb_1q(exec(), gates1q(), opts);
-    for (std::size_t block : {1ul, 4ul, 32ul}) {
-        opts.seed_block = block;
-        const LeakageRbResult other = run_leakage_rb_1q(exec(), gates1q(), opts);
+    opts.seeds_per_length = kSweepSeeds;
+    const auto run = [&] { return run_leakage_rb_1q(exec(), gates1q(), opts); };
+    const LeakageRbResult ref = at_pool(1, run);
+    for (std::size_t pool : kSweepPools) {
+        SCOPED_TRACE(pool);
+        const LeakageRbResult other = at_pool(pool, run);
         ASSERT_EQ(ref.leakage_population.size(), other.leakage_population.size());
         for (std::size_t i = 0; i < ref.leakage_population.size(); ++i) {
             EXPECT_EQ(ref.leakage_population[i], other.leakage_population[i]) << "i=" << i;
@@ -148,7 +170,7 @@ TEST(RbBatchedDeterminism, LeakageSeedBlockWidthIsUnobservable) {
 }
 
 TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithDense1Q) {
-    // IRB adds the broadcast interleave step (one apply_batch_into per
+    // IRB adds the broadcast interleave step (one apply_broadcast per
     // Clifford step for the whole block) on top of the mixed per-seed steps.
     const Mat x_super = exec().schedule_superop_1q(defaults().get("x", {0}), 0);
     const std::size_t x_index = c1().find(quantum::gates::x());

@@ -177,9 +177,9 @@ TEST(RbDeterminism, Irb2qBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(RbDeterminism, Irb2qSeedBlockWidthIsUnobservable) {
-    // Widths 1 (lone columns), 3 (a column pair plus an odd column), 8 and
-    // 12 (more seeds than one mixed-step call takes) all commit the bits of
-    // the auto width.
+    // With 12 seeds, pool sizes 1, 2, 4, 6 and 12 give block widths 12
+    // (more seeds than one mixed-step call takes), 6, 3 (a column pair plus
+    // an odd column), 2 and 1 (lone columns); all commit the same bits.
     GateSet2Q gates(exec(), defaults(), c2());
     const Mat cx_super = exec().schedule_superop_2q(defaults().get("cx", {0, 1}));
     const std::size_t cx_index = c2().find(g::cx());
@@ -187,15 +187,13 @@ TEST(RbDeterminism, Irb2qSeedBlockWidthIsUnobservable) {
     opts.lengths = {1, 4, 8};
     opts.seeds_per_length = 12;
     opts.shots = 1024;
-    const IrbResult ref = run_irb_2q(exec(), gates, cx_super, cx_index, opts);
-    for (std::size_t width : {1u, 3u, 8u, 12u}) {
-        RbOptions o = opts;
-        o.seed_block = width;
-        const IrbResult other = run_irb_2q(exec(), gates, cx_super, cx_index, o);
-        expect_curves_bitwise_equal(ref.reference, other.reference, static_cast<int>(width));
-        expect_curves_bitwise_equal(ref.interleaved, other.interleaved,
-                                    static_cast<int>(width));
-        EXPECT_EQ(ref.gate_error, other.gate_error) << "width=" << width;
+    auto run = [&] { return run_irb_2q(exec(), gates, cx_super, cx_index, opts); };
+    const IrbResult ref = with_threads(1, run);
+    for (int threads : {2, 4, 6, 12}) {
+        const IrbResult other = with_threads(threads, run);
+        expect_curves_bitwise_equal(ref.reference, other.reference, threads);
+        expect_curves_bitwise_equal(ref.interleaved, other.interleaved, threads);
+        EXPECT_EQ(ref.gate_error, other.gate_error) << "threads=" << threads;
     }
 }
 

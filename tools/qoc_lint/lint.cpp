@@ -304,8 +304,8 @@ void rule_hot_path(const FileCtx& ctx, std::vector<Finding>& out) {
 
 bool scope_dense(const std::string& rel) {
     // The superoperator layer: src/quantum/superop*.{hpp,cpp} (the dense
-    // Liouvillian and channel constructors and StructuredSuperOp) is the one
-    // place allowed to build d^2 x d^2 matrices.
+    // Liouvillian and channel constructors) is the one place allowed to
+    // build d^2 x d^2 matrices.
     return starts_with(rel, "src/") && !starts_with(rel, "src/quantum/superop");
 }
 
@@ -378,7 +378,7 @@ void rule_dense_superop(const FileCtx& ctx, std::vector<Finding>& out) {
             add(out, ctx, "dense-superop-materialization", ts[i].line,
                 "dense (" + groups[0] + ") x (" + groups[1] +
                     ") allocation looks like a materialized superoperator; keep d^4 "
-                    "storage inside src/quantum's structured kernels");
+                    "storage inside src/quantum/superop*");
         }
     }
 }
@@ -589,7 +589,7 @@ const std::vector<RuleInfo>& rules() {
          "alloc guard)"},
         {"dense-superop-materialization",
          "dense d^2 x d^2 superoperator construction (vectorization-convention kron, squared-"
-         "dimension allocs) only inside src/quantum's structured kernels"},
+         "dimension allocs) only inside src/quantum/superop*"},
         {"unordered-iteration-in-serialization",
          "functions that emit JSONL/serialized output must not range-for over unordered "
          "containers; iteration order is not a stable output"},

@@ -4,7 +4,7 @@
 /// Generic tooling (clang-tidy, sanitizers) cannot see the invariants this
 /// codebase's results rest on: bitwise determinism at any thread count,
 /// zero-allocation `_into` kernels, OpenMP confined to src/runtime, dense
-/// d^2 x d^2 superoperators only inside the structured superop layer,
+/// d^2 x d^2 superoperators only inside src/quantum/superop*,
 /// stable iteration order in everything that serializes, and telemetry enum
 /// identifiers in sync with their JSONL emission strings.  Each of those is
 /// a named rule here, checked over a self-contained token stream (no
