@@ -387,6 +387,21 @@ void BM_LindbladPropagator1q(benchmark::State& state) {
 }
 BENCHMARK(BM_LindbladPropagator1q)->Arg(160)->Arg(480)->Arg(1216);
 
+// The calibrated default CX (echoed CR, 1280 samples on D0, D1 and U0) of
+// the nominal montreal model: one 2Q schedule build per iteration, the
+// per-call generator set-up included.
+void BM_ScheduleSuperop2q(benchmark::State& state) {
+    static const device::PulseExecutor exec(device::ibmq_montreal());
+    static const auto defaults = device::build_default_gates(exec);
+    const pulse::Schedule& cx = defaults.get("cx", {0, 1});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(exec.schedule_superop_2q(cx));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cx.total_duration()));
+}
+BENCHMARK(BM_ScheduleSuperop2q)->Unit(benchmark::kMillisecond);
+
 void BM_RbSequence1q(benchmark::State& state) {
     static device::PulseExecutor exec(device::ibmq_montreal());
     static const auto defaults = device::build_default_gates(exec);

@@ -7,6 +7,7 @@
 
 #include "contracts/matrix_checks.hpp"
 #include "obs/obs.hpp"
+#include "quantum/superop.hpp"
 #include "runtime/task_pool.hpp"
 
 namespace qoc::control {
@@ -16,36 +17,6 @@ namespace {
 using linalg::cplx;
 using linalg::RMat;
 constexpr cplx kI{0.0, 1.0};
-
-/// Largest |Im| of V^dag X V allowed, relative to ||X||_max: roundoff of the
-/// four-term basis sums, far below any physical non-Hermiticity.
-constexpr double kRealBasisTol = 1e-12;
-
-/// V for d x d operators under column stacking (vec index i + j d): column
-/// i + j d is vec(E_ii) on the diagonal, vec((E_ij + E_ji)/sqrt2) for
-/// i < j and vec(i(E_ij - E_ji)/sqrt2) for i > j.  Orthonormal, so V is
-/// unitary.
-Mat hermitian_basis(std::size_t d) {
-    const std::size_t n = d * d;
-    const double h = 1.0 / std::sqrt(2.0);
-    Mat v(n, n);
-    for (std::size_t i = 0; i < d; ++i) {
-        for (std::size_t j = 0; j < d; ++j) {
-            const std::size_t col = i + j * d;
-            const std::size_t ij = i + j * d, ji = j + i * d;
-            if (i == j) {
-                v(ij, col) = 1.0;
-            } else if (i < j) {
-                v(ij, col) = h;
-                v(ji, col) = h;
-            } else {
-                v(ij, col) = cplx{0.0, h};
-                v(ji, col) = cplx{0.0, -h};
-            }
-        }
-    }
-    return v;
-}
 
 }  // namespace
 
@@ -154,7 +125,10 @@ void ControlProblem::to_open_real_basis() {
         throw std::invalid_argument(
             "GRAPE (open): superoperator dimension must be a perfect square d^2");
     }
-    basis_ = hermitian_basis(d);
+    basis_ = quantum::hermitian_basis(d);
+    const auto to_real_basis = [&](const Mat& x, const char* what) {
+        return quantum::to_hermitian_basis(basis_, x, "GRAPE (open)", what);
+    };
     rdrift_ = to_real_basis(drift, "drift");
     for (const Mat& c : prob_.system.ctrls) {
         if (c.rows() != dim || c.cols() != dim) {
@@ -165,26 +139,6 @@ void ControlProblem::to_open_real_basis() {
         rexp_dirs_.back() *= dt_;
     }
     rtarget_ = to_real_basis(prob_.target, "target");
-}
-
-RMat ControlProblem::to_real_basis(const Mat& x, const char* what) const {
-    const Mat y = basis_.adjoint() * x * basis_;
-    const double tol = kRealBasisTol * x.max_abs();
-    RMat out(y.rows(), y.cols());
-    for (std::size_t i = 0; i < y.rows(); ++i) {
-        for (std::size_t j = 0; j < y.cols(); ++j) {
-            const cplx v = y(i, j);
-            if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
-                throw std::invalid_argument(std::string("GRAPE (open): non-finite ") + what);
-            }
-            if (std::abs(v.imag()) > tol) {
-                throw std::invalid_argument(std::string("GRAPE (open): ") + what +
-                                            " does not preserve Hermiticity");
-            }
-            out(i, j) = v.real();
-        }
-    }
-    return out;
 }
 
 ControlAmplitudes ControlProblem::unflatten(const std::vector<double>& x) const {
@@ -270,11 +224,7 @@ M ControlProblem::propagate(const ControlAmplitudes& amps) const {
 Mat ControlProblem::evolution(const ControlAmplitudes& amps) const {
     check_amps(amps, "evolution");
     if (!open_) return propagate<Mat>(amps);
-    // Back to the standard basis: V E V^dag.
-    const RMat e = propagate<RMat>(amps);
-    Mat ec(e.rows(), e.cols());
-    for (std::size_t i = 0; i < e.size(); ++i) ec.data()[i] = e.data()[i];
-    return basis_ * ec * basis_.adjoint();
+    return quantum::from_hermitian_basis(basis_, propagate<RMat>(amps));
 }
 
 double ControlProblem::fid_err(const ControlAmplitudes& amps) const {

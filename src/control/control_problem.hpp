@@ -153,8 +153,6 @@ private:
     /// Validates an open problem and moves drift, controls and target
     /// into the real Hermitian basis.
     void to_open_real_basis();
-    /// V^dag X V as a real matrix; throws unless X preserves Hermiticity.
-    linalg::RMat to_real_basis(const Mat& x, const char* what) const;
 
     GrapeProblem prob_;
     bool open_;

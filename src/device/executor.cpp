@@ -23,8 +23,7 @@ namespace qoc::device {
 
 namespace {
 using linalg::cplx;
-using quantum::annihilation;
-using quantum::number_op;
+using linalg::RMat;
 constexpr cplx kI{0.0, 1.0};
 
 /// Pure-dephasing rate from T1/T2: 1/T2 = 1/(2 T1) + Gamma_phi.
@@ -34,16 +33,156 @@ double dephasing_rate(double t1, double t2) {
 
 std::uint64_t sample_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// One drive channel: its Hamiltonian per unit sample, H = Re s hx + Im s hy,
+/// and the rate of its amplitude-noise dissipator D[sqrt(noise) H] (0: none).
+struct DriveTerms {
+    Mat hx, hy;
+    double noise = 0.0;
+};
+
+/// The Lindblad model of one call: static Hamiltonian, decoherence
+/// collapses and the drive channels, in sample-tuple order.
+struct LindbladModel {
+    Mat h0;
+    std::vector<Mat> collapse;
+    std::vector<DriveTerms> drives;
+};
+
+/// dt L(s) of a model in the real Hermitian basis, built once per call as
+/// fixed pieces (Re, Im the sample of channel c):
+///   dt L(s) = L0 + sum_c (Re Lx_c + Im Ly_c)
+///               + sum_{c noisy} (Re^2 Nxx_c + Im^2 Nyy_c + Re Im Nxy_c).
+/// The Hamiltonian part is linear in the sample; the noise dissipator is
+/// quadratic, D[aX + bY] = a^2 D[X] + b^2 D[Y] + ab (D[X + Y] - D[X] - D[Y]).
+class AffineGenerator {
+public:
+    AffineGenerator(const LindbladModel& m, double dt)
+        : basis_(quantum::hermitian_basis(m.h0.rows())) {
+        const auto real = [&](const Mat& l) {
+            return quantum::to_hermitian_basis(basis_, dt * l, "PulseExecutor", "generator");
+        };
+        l0_ = real(quantum::liouvillian(m.h0, m.collapse));
+        for (std::size_t c = 0; c < m.drives.size(); ++c) {
+            const DriveTerms& t = m.drives[c];
+            lx_.push_back(real(quantum::liouvillian_hamiltonian(t.hx)));
+            ly_.push_back(real(quantum::liouvillian_hamiltonian(t.hy)));
+            if (t.noise > 0.0) {
+                const Mat dx = quantum::lindblad_dissipator(t.hx);
+                const Mat dy = quantum::lindblad_dissipator(t.hy);
+                const Mat dxy = quantum::lindblad_dissipator(t.hx + t.hy) - dx - dy;
+                noise_.push_back({c, real(t.noise * dx), real(t.noise * dy), real(t.noise * dxy)});
+            }
+        }
+    }
+
+    const Mat& basis() const { return basis_; }
+    const RMat& l0() const { return l0_; }
+
+    /// dt L(s) for one sample per drive channel (`s` holds that many), into
+    /// `out`; allocation-free once `out` has the shape.
+    void assemble(const cplx* s, RMat& out) const {
+        out = l0_;
+        for (std::size_t c = 0; c < lx_.size(); ++c) {
+            linalg::add_scaled(out, s[c].real(), lx_[c]);
+            linalg::add_scaled(out, s[c].imag(), ly_[c]);
+        }
+        for (const Noise& n : noise_) {
+            const double re = s[n.channel].real(), im = s[n.channel].imag();
+            linalg::add_scaled(out, re * re, n.xx);
+            linalg::add_scaled(out, im * im, n.yy);
+            linalg::add_scaled(out, re * im, n.xy);
+        }
+    }
+
+private:
+    struct Noise {
+        std::size_t channel;
+        RMat xx, yy, xy;
+    };
+    Mat basis_;
+    RMat l0_;
+    std::vector<RMat> lx_, ly_;
+    std::vector<Noise> noise_;
+};
+
+/// Single-qubit model on `qubit`: the Duffing transmon in the drive frame,
+/// H0 = delta n + (alpha/2) n (n - 1) and H_drive = (Omega/2)(s a^dag + s* a),
+/// so hx = (Omega/2)(a + a^dag) and hy = (Omega/2) i (a^dag - a).
+LindbladModel model_1q(const BackendConfig& cfg, std::size_t qubit) {
+    const auto& p = cfg.qubit(qubit);
+    const std::size_t d = cfg.levels;
+    LindbladModel m;
+    m.h0 = Mat(d, d);
+    for (std::size_t k = 0; k < d; ++k) {
+        const double n = static_cast<double>(k);
+        m.h0(k, k) = p.anharmonicity * (0.5 * n * (n - 1.0)) + p.detuning * n;
+    }
+    m.collapse.push_back(std::sqrt(1.0 / p.t1) * quantum::annihilation(d));
+    const double gphi = dephasing_rate(p.t1, p.t2);
+    if (gphi > 0.0) m.collapse.push_back(std::sqrt(2.0 * gphi) * quantum::number_op(d));
+    DriveTerms t{Mat(d, d), Mat(d, d), p.drive_amp_noise};
+    const double half_rate = 0.5 * p.omega_max * p.amp_scale;
+    for (std::size_t n = 1; n < d; ++n) {
+        const double ladder = half_rate * std::sqrt(static_cast<double>(n));
+        t.hx(n, n - 1) = ladder;
+        t.hx(n - 1, n) = ladder;
+        t.hy(n, n - 1) = cplx{0.0, ladder};
+        t.hy(n - 1, n) = cplx{0.0, -ladder};
+    }
+    m.drives.push_back(std::move(t));
+    return m;
+}
+
+/// The pair model (2 levels each, paper Eq. 3): detunings and a static ZZ,
+/// T1 and dephasing per qubit; D0 and D1 drive local X/Y terms and carry
+/// the drive-amplitude noise; U0, the cross-resonance drive, gives ZX + IX
+/// on the target plus classical crosstalk on the control, its phase
+/// rotating the target axis X -> Y.
+LindbladModel model_2q(const BackendConfig& cfg) {
+    using quantum::op_on_qubit;
+    using quantum::sigma_x;
+    using quantum::sigma_y;
+    using quantum::sigma_z;
+    const Mat n_op = Mat{{0.0, 0.0}, {0.0, 1.0}};
+    const Mat n1 = op_on_qubit(n_op, 0, 2);
+    const Mat n2 = op_on_qubit(n_op, 1, 2);
+    LindbladModel m;
+    m.h0 = cfg.qubit(0).detuning * n1 + cfg.qubit(1).detuning * n2 + cfg.cr.zz_static * (n1 * n2);
+    for (std::size_t q = 0; q < 2; ++q) {
+        const auto& p = cfg.qubit(q);
+        m.collapse.push_back(std::sqrt(1.0 / p.t1) * op_on_qubit(quantum::sigma_minus(), q, 2));
+        const double gphi = dephasing_rate(p.t1, p.t2);
+        if (gphi > 0.0) {
+            m.collapse.push_back(std::sqrt(2.0 * gphi) * op_on_qubit(n_op, q, 2));
+        }
+    }
+    for (std::size_t q = 0; q < 2; ++q) {
+        const auto& p = cfg.qubit(q);
+        const double half_rate = 0.5 * p.omega_max * p.amp_scale;
+        m.drives.push_back({half_rate * op_on_qubit(sigma_x(), q, 2),
+                            half_rate * op_on_qubit(sigma_y(), q, 2), p.drive_amp_noise});
+    }
+    const auto cr_term = [&](const Mat& pauli) {
+        return (0.5 * cfg.cr.zx_rate) * linalg::kron(sigma_z(), pauli) +
+               (0.5 * cfg.cr.ix_rate) * op_on_qubit(pauli, 1, 2) +
+               (0.5 * cfg.cr.classical_crosstalk) * op_on_qubit(pauli, 0, 2);
+    };
+    m.drives.push_back({cr_term(sigma_x()), cr_term(sigma_y()), 0.0});
+    return m;
+}
+
 /// Superoperator of a stream of `n` steps of K simultaneous drive samples
-/// (`at(k)` returns step k's samples).  Each distinct sample tuple -- keyed
-/// on its exact bit patterns, so repeats anywhere in the stream, such as the
-/// two X pulses of a CR echo, count once -- gets its propagator from
-/// `propagator(tuple, out, ws)`; the distinct tuples fan out over the task
-/// pool with leased workspaces.  The propagators are then multiplied
-/// serially in stream order.  Neither the expm inputs nor the product order
-/// depend on the pool size, so the result is bitwise identical at any size.
-template <std::size_t K, class At, class Propagator>
-Mat compose_sample_stream(std::size_t n, std::size_t dim, At&& at, Propagator&& propagator) {
+/// (`at(k)` returns step k's samples, one per channel of `gen`).  Each
+/// distinct sample tuple -- keyed on its exact bit patterns, so repeats
+/// anywhere in the stream, such as the two X pulses of a CR echo, count
+/// once -- gets its generator assembled and exponentiated in the real
+/// basis; the distinct tuples fan out over the task pool with leased
+/// workspaces.  The propagators are then multiplied serially in stream
+/// order and the product converted to the standard basis.  Neither the
+/// exponential inputs nor the product order depend on the pool size, so
+/// the result is bitwise identical at any size.
+template <std::size_t K, class At>
+Mat compose_sample_stream(std::size_t n, const AffineGenerator& gen, At&& at) {
     using Tuple = std::array<cplx, K>;
     std::map<std::array<std::uint64_t, 2 * K>, std::size_t> slot_of;
     std::vector<Tuple> distinct;
@@ -60,20 +199,37 @@ Mat compose_sample_stream(std::size_t n, std::size_t dim, At&& at, Propagator&& 
         slot[k] = it->second;
     }
 
-    std::vector<Mat> props(distinct.size());
-    runtime::WorkspacePool<linalg::PadeWorkspace<Mat>> workspaces;
+    struct Scratch {
+        RMat gen;
+        linalg::PadeWorkspace<RMat> ws;
+    };
+    std::vector<RMat> props(distinct.size());
+    runtime::WorkspacePool<Scratch> workspaces;
     runtime::TaskPool::global().parallel_for(0, distinct.size(), [&](std::size_t i) {
-        const auto ws = workspaces.acquire();
-        propagator(distinct[i], props[i], *ws);
+        const auto lease = workspaces.acquire();
+        gen.assemble(distinct[i].data(), lease->gen);
+        linalg::pade_prepare(lease->gen, props[i], lease->ws);
     });
 
-    Mat total = Mat::identity(dim);
-    Mat tmp;
+    RMat total = RMat::identity(gen.l0().rows());
+    RMat tmp;
     for (const std::size_t s : slot) {
         linalg::gemm_into(props[s], total, tmp);
         std::swap(total, tmp);
     }
-    return total;
+    return quantum::from_hermitian_basis(gen.basis(), total);
+}
+
+/// Free evolution e^{n_dt dt L0} under the model's static part.
+Mat idle_superop(LindbladModel m, double dt, std::size_t duration_dt) {
+    m.drives.clear();
+    const AffineGenerator gen(m, dt);
+    RMat a = gen.l0();
+    a *= static_cast<double>(duration_dt);
+    RMat prop;
+    linalg::PadeWorkspace<RMat> ws;
+    linalg::pade_prepare(a, prop, ws);
+    return quantum::from_hermitian_basis(gen.basis(), prop);
 }
 }  // namespace
 
@@ -85,74 +241,21 @@ double Counts::probability(const std::string& bitstring) const {
 
 PulseExecutor::PulseExecutor(BackendConfig config) : config_(std::move(config)) {
     if (config_.qubits.empty()) throw std::invalid_argument("PulseExecutor: no qubits");
-    const std::size_t d = config_.levels;
-    drive_op_a_ = annihilation(d);
-    number_op_ = number_op(d);
-    h_drift_1q_base_ = Mat(d, d);
-    for (std::size_t k = 0; k < d; ++k) {
-        const double n = static_cast<double>(k);
-        h_drift_1q_base_(k, k) = cplx{0.5 * n * (n - 1.0), 0.0};  // x anharmonicity later
-    }
-
-    // Two-qubit static parts (2-level pair model).
-    if (config_.qubits.size() >= 2) {
-        const Mat n1 = quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, 0, 2);
-        const Mat n2 = quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, 1, 2);
-        h_static_2q_ = config_.qubit(0).detuning * n1 + config_.qubit(1).detuning * n2 +
-                       config_.cr.zz_static * (n1 * n2);
-        const Mat sm = quantum::sigma_minus();
-        collapse_2q_.clear();
-        for (std::size_t q = 0; q < 2; ++q) {
-            const auto& p = config_.qubit(q);
-            collapse_2q_.push_back(std::sqrt(1.0 / p.t1) *
-                                   quantum::op_on_qubit(sm, q, 2));
-            const double gphi = dephasing_rate(p.t1, p.t2);
-            if (gphi > 0.0) {
-                collapse_2q_.push_back(std::sqrt(2.0 * gphi) *
-                                       quantum::op_on_qubit(Mat{{0.0, 0.0}, {0.0, 1.0}}, q, 2));
-            }
-        }
-    }
 }
 
-Mat PulseExecutor::lindblad_generator_1q(std::complex<double> sample, std::size_t qubit) const {
-    const auto& p = config_.qubit(qubit);
-    const std::size_t d = config_.levels;
-    Mat h = p.anharmonicity * h_drift_1q_base_ + p.detuning * number_op_;
-    const cplx amp = 0.5 * p.omega_max * p.amp_scale * sample;
-    // H_drive = (Omega/2)(s a^dag + s* a)
-    Mat h_drive(d, d);
-    for (std::size_t n = 1; n < d; ++n) {
-        const double ladder = std::sqrt(static_cast<double>(n));
-        h_drive(n, n - 1) = amp * ladder;
-        h_drive(n - 1, n) = std::conj(amp) * ladder;
+void PulseExecutor::require_pair(const char* who) const {
+    if (config_.qubits.size() < 2) {
+        throw std::invalid_argument(std::string("PulseExecutor::") + who +
+                                    ": the backend has fewer than two qubits");
     }
-    h += h_drive;
-    std::vector<Mat> collapse;
-    collapse.push_back(std::sqrt(1.0 / p.t1) * drive_op_a_);
-    const double gphi = dephasing_rate(p.t1, p.t2);
-    if (gphi > 0.0) collapse.push_back(std::sqrt(2.0 * gphi) * number_op_);
-    // Multiplicative drive-amplitude noise: dephasing along the drive axis
-    // with rate proportional to the instantaneous drive power.
-    if (p.drive_amp_noise > 0.0 && sample != std::complex<double>{0.0, 0.0}) {
-        collapse.push_back(std::sqrt(p.drive_amp_noise) * h_drive);
-    }
-    return quantum::liouvillian(h, collapse);
-}
-
-void PulseExecutor::sample_propagator_1q(std::complex<double> sample, std::size_t qubit,
-                                         Mat& out, linalg::PadeWorkspace<Mat>& ws) const {
-    linalg::pade_prepare(config_.dt * lindblad_generator_1q(sample, qubit), out, ws);
 }
 
 Mat PulseExecutor::waveform_superop_1q(const std::vector<std::complex<double>>& samples,
                                        std::size_t qubit) const {
-    return compose_sample_stream<1>(
-        samples.size(), config_.levels * config_.levels,
-        [&](std::size_t k) { return std::array<cplx, 1>{samples[k]}; },
-        [&](const std::array<cplx, 1>& s, Mat& out, linalg::PadeWorkspace<Mat>& ws) {
-            sample_propagator_1q(s[0], qubit, out, ws);
-        });
+    const AffineGenerator gen(model_1q(config_, qubit), config_.dt);
+    return compose_sample_stream<1>(samples.size(), gen, [&](std::size_t k) {
+        return std::array<cplx, 1>{samples[k]};
+    });
 }
 
 namespace {
@@ -187,8 +290,7 @@ Mat PulseExecutor::schedule_superop_1q(const pulse::Schedule& sched, std::size_t
 }
 
 Mat PulseExecutor::idle_superop_1q(std::size_t duration_dt, std::size_t qubit) const {
-    const Mat gen = lindblad_generator_1q({0.0, 0.0}, qubit);
-    return linalg::expm((config_.dt * static_cast<double>(duration_dt)) * gen);
+    return idle_superop(model_1q(config_, qubit), config_.dt, duration_dt);
 }
 
 Mat PulseExecutor::rz_superop_1q(double theta) const {
@@ -200,67 +302,23 @@ Mat PulseExecutor::rz_superop_1q(double theta) const {
     return quantum::unitary_superop(u);
 }
 
-Mat PulseExecutor::lindblad_generator_2q(std::complex<double> d0, std::complex<double> d1,
-                                         std::complex<double> u0) const {
-    using quantum::op_on_qubit;
-    using quantum::sigma_x;
-    using quantum::sigma_y;
-    using quantum::sigma_z;
-    Mat h = h_static_2q_;
-
-    std::vector<Mat> collapse = collapse_2q_;
-    auto add_drive = [&](std::complex<double> s, std::size_t q) {
-        const auto& p = config_.qubit(q);
-        const double rate = p.omega_max * p.amp_scale;
-        if (s == std::complex<double>{0.0, 0.0} || rate == 0.0) return;
-        const Mat h_drive = (0.5 * rate * s.real()) * op_on_qubit(sigma_x(), q, 2) +
-                            (0.5 * rate * s.imag()) * op_on_qubit(sigma_y(), q, 2);
-        h += h_drive;
-        if (p.drive_amp_noise > 0.0) {
-            collapse.push_back(std::sqrt(p.drive_amp_noise) * h_drive);
-        }
-    };
-    add_drive(d0, 0);
-    add_drive(d1, 1);
-
-    if (u0 != std::complex<double>{0.0, 0.0}) {
-        // Cross-resonance drive (paper Eq. 3): ZX + IX on the target plus
-        // classical crosstalk on the control.  The drive phase rotates the
-        // target axis X -> Y.
-        const Mat zx_part = linalg::kron(sigma_z(), sigma_x());
-        const Mat zy_part = linalg::kron(sigma_z(), sigma_y());
-        h += (0.5 * config_.cr.zx_rate) * (u0.real() * zx_part + u0.imag() * zy_part);
-        h += (0.5 * config_.cr.ix_rate) *
-             (u0.real() * op_on_qubit(sigma_x(), 1, 2) + u0.imag() * op_on_qubit(sigma_y(), 1, 2));
-        h += (0.5 * config_.cr.classical_crosstalk) *
-             (u0.real() * op_on_qubit(sigma_x(), 0, 2) + u0.imag() * op_on_qubit(sigma_y(), 0, 2));
-    }
-    return quantum::liouvillian(h, collapse);
-}
-
-void PulseExecutor::sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                                         std::complex<double> u0, Mat& out,
-                                         linalg::PadeWorkspace<Mat>& ws) const {
-    linalg::pade_prepare(config_.dt * lindblad_generator_2q(d0, d1, u0), out, ws);
-}
-
 Mat PulseExecutor::layer_superop_2q(const std::vector<std::complex<double>>& d0,
                                     const std::vector<std::complex<double>>& d1,
                                     const std::vector<std::complex<double>>& u0) const {
+    require_pair("layer_superop_2q");
     const auto padded = [](const std::vector<cplx>& v, std::size_t k) {
         return k < v.size() ? v[k] : cplx{};
     };
-    return compose_sample_stream<3>(
-        std::max({d0.size(), d1.size(), u0.size()}), 16,
-        [&](std::size_t k) {
-            return std::array<cplx, 3>{padded(d0, k), padded(d1, k), padded(u0, k)};
-        },
-        [&](const std::array<cplx, 3>& s, Mat& out, linalg::PadeWorkspace<Mat>& ws) {
-            sample_propagator_2q(s[0], s[1], s[2], out, ws);
-        });
+    const AffineGenerator gen(model_2q(config_), config_.dt);
+    return compose_sample_stream<3>(std::max({d0.size(), d1.size(), u0.size()}), gen,
+                                    [&](std::size_t k) {
+                                        return std::array<cplx, 3>{padded(d0, k), padded(d1, k),
+                                                                   padded(u0, k)};
+                                    });
 }
 
 Mat PulseExecutor::schedule_superop_2q(const pulse::Schedule& sched) const {
+    require_pair("schedule_superop_2q");
     obs::Span span("executor.schedule_superop_2q");
     const std::size_t n_dt = sched.total_duration();
     Mat total = layer_superop_2q(sched.channel_samples(pulse::drive_channel(0), n_dt),
@@ -276,8 +334,8 @@ Mat PulseExecutor::schedule_superop_2q(const pulse::Schedule& sched) const {
 }
 
 Mat PulseExecutor::idle_superop_2q(std::size_t duration_dt) const {
-    const Mat gen = lindblad_generator_2q({}, {}, {});
-    return linalg::expm((config_.dt * static_cast<double>(duration_dt)) * gen);
+    require_pair("idle_superop_2q");
+    return idle_superop(model_2q(config_), config_.dt, duration_dt);
 }
 
 Mat PulseExecutor::rz_superop_2q(double theta, std::size_t qubit) const {

@@ -13,6 +13,14 @@
 /// (paper Eq. 3): drive channels give local X/Y terms; the control channel
 /// U0 produces ZX + IX (+ classical-crosstalk XI) terms; a static ZZ runs
 /// throughout.
+///
+/// Every propagator is built in the real Hermitian operator basis
+/// (`quantum::hermitian_basis`), where the Lindbladian is a real matrix.
+/// Each call assembles dt L once as fixed real pieces, affine in the drive
+/// samples plus the drive-noise dissipator, which is quadratic in them;
+/// each distinct sample's generator is a sum of those pieces, exponentiated
+/// and multiplied in real arithmetic.  The result is converted to the
+/// standard (column-stacking) basis once, on return.
 
 #pragma once
 
@@ -23,7 +31,6 @@
 #include <vector>
 
 #include "device/backend_config.hpp"
-#include "linalg/expm.hpp"
 #include "linalg/matrix.hpp"
 #include "pulse/circuit.hpp"
 #include "pulse/schedule.hpp"
@@ -67,7 +74,9 @@ public:
 
     /// Two-qubit (2x2 levels) superoperator of simultaneous sample streams
     /// on D0, D1 and U0.  Streams are zero-padded to a common length.
-    /// Parallel and pool-size independent like `waveform_superop_1q`.
+    /// Parallel and pool-size independent like `waveform_superop_1q`.  This,
+    /// `schedule_superop_2q` and `idle_superop_2q` throw
+    /// `std::invalid_argument` on a backend with fewer than two qubits.
     Mat layer_superop_2q(const std::vector<std::complex<double>>& d0,
                          const std::vector<std::complex<double>>& d1,
                          const std::vector<std::complex<double>>& u0) const;
@@ -108,17 +117,9 @@ public:
     Mat ground_state_2q() const;
 
 private:
-    Mat lindblad_generator_1q(std::complex<double> sample, std::size_t qubit) const;
-    Mat lindblad_generator_2q(std::complex<double> d0, std::complex<double> d1,
-                              std::complex<double> u0) const;
-
-    /// exp(dt L) of one drive sample on `qubit`, written into `out`.
-    void sample_propagator_1q(std::complex<double> sample, std::size_t qubit, Mat& out,
-                              linalg::PadeWorkspace<Mat>& ws) const;
-    /// Two-qubit analogue for a (d0, d1, u0) sample triple.
-    void sample_propagator_2q(std::complex<double> d0, std::complex<double> d1,
-                              std::complex<double> u0, Mat& out,
-                              linalg::PadeWorkspace<Mat>& ws) const;
+    /// Throws `std::invalid_argument` naming `who` unless the backend has
+    /// the qubit pair the two-qubit calls model.
+    void require_pair(const char* who) const;
 
     /// Readout of true populations |q0 q1> (clamped to [0, 1], then
     /// normalized): confusion, then one multinomial draw of `shots`.
@@ -127,13 +128,6 @@ private:
                                   std::uint64_t seed) const;
 
     BackendConfig config_;
-    // Cached operator blocks (built once per executor).
-    Mat h_drift_1q_base_;       // anharmonic part without detuning (per qubit added later)
-    Mat drive_op_a_;            // annihilation (levels)
-    Mat number_op_;
-    std::vector<Mat> collapse_template_1q_;
-    Mat h_static_2q_;           // detunings + ZZ
-    std::vector<Mat> collapse_2q_;
 };
 
 /// Runs a single-qubit circuit on the executor: lowers gates to superops

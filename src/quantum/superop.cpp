@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "contracts/matrix_checks.hpp"
 #include "linalg/kron.hpp"
@@ -14,6 +15,10 @@ namespace {
 using linalg::cplx;
 using linalg::kron;
 constexpr cplx kI{0.0, 1.0};
+
+/// Largest |Im| of V^dag X V allowed, relative to ||X||_max: roundoff of the
+/// four-term basis sums, far below any physical non-Hermiticity.
+constexpr double kRealBasisTol = 1e-12;
 }  // namespace
 
 Mat liouvillian_hamiltonian(const Mat& h) {
@@ -63,6 +68,56 @@ bool is_trace_preserving(const Mat& superop, double tol) {
     const Mat id_vec = linalg::vec(Mat::identity(n));
     const Mat lhs = superop.adjoint() * id_vec;  // rows of S contracted with vec(I)
     return (lhs - id_vec).max_abs() <= tol;
+}
+
+Mat hermitian_basis(std::size_t d) {
+    const std::size_t n = d * d;
+    const double h = 1.0 / std::sqrt(2.0);
+    Mat v(n, n);
+    for (std::size_t i = 0; i < d; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+            const std::size_t col = i + j * d;
+            const std::size_t ij = i + j * d, ji = j + i * d;
+            if (i == j) {
+                v(ij, col) = 1.0;
+            } else if (i < j) {
+                v(ij, col) = h;
+                v(ji, col) = h;
+            } else {
+                v(ij, col) = cplx{0.0, h};
+                v(ji, col) = cplx{0.0, -h};
+            }
+        }
+    }
+    return v;
+}
+
+linalg::RMat to_hermitian_basis(const Mat& basis, const Mat& x, std::string_view who,
+                                std::string_view what) {
+    const Mat y = basis.adjoint() * x * basis;
+    const double tol = kRealBasisTol * x.max_abs();
+    linalg::RMat out(y.rows(), y.cols());
+    for (std::size_t i = 0; i < y.rows(); ++i) {
+        for (std::size_t j = 0; j < y.cols(); ++j) {
+            const cplx v = y(i, j);
+            if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
+                throw std::invalid_argument(std::string(who) + ": non-finite " +
+                                            std::string(what));
+            }
+            if (std::abs(v.imag()) > tol) {
+                throw std::invalid_argument(std::string(who) + ": " + std::string(what) +
+                                            " does not preserve Hermiticity");
+            }
+            out(i, j) = v.real();
+        }
+    }
+    return out;
+}
+
+Mat from_hermitian_basis(const Mat& basis, const linalg::RMat& r) {
+    Mat rc(r.rows(), r.cols());
+    for (std::size_t i = 0; i < r.size(); ++i) rc.data()[i] = r.data()[i];
+    return basis * rc * basis.adjoint();
 }
 
 }  // namespace qoc::quantum

@@ -5,9 +5,11 @@
 
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/real_matrix.hpp"
 
 namespace qoc::quantum {
 
@@ -31,5 +33,26 @@ Mat apply_superop(const Mat& superop, const Mat& rho);
 
 /// True when the superoperator preserves trace: vec(I)^T S = vec(I)^T.
 bool is_trace_preserving(const Mat& superop, double tol = 1e-9);
+
+/// The orthonormal Hermitian basis of d x d operators,
+///   {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2}   (i < j),
+/// as the columns of the unitary d^2 x d^2 matrix V (column-stacking vec:
+/// column i + j d is vec(E_ii) on the diagonal, vec((E_ij + E_ji)/sqrt2)
+/// for i < j and vec(i(E_ij - E_ji)/sqrt2) for i > j).  A superoperator X
+/// that maps Hermitian operators to Hermitian operators has real
+/// coordinates V^dag X V there: every Lindbladian, dissipator and unitary
+/// channel.
+Mat hermitian_basis(std::size_t d);
+
+/// V^dag X V as a real matrix, for V = `hermitian_basis(d)` and a d^2 x d^2
+/// superoperator X.  Throws `std::invalid_argument` with the message
+/// "<who>: non-finite <what>" on a non-finite coordinate and
+/// "<who>: <what> does not preserve Hermiticity" when an imaginary part
+/// exceeds roundoff (1e-12 relative to ||X||_max).
+linalg::RMat to_hermitian_basis(const Mat& basis, const Mat& x, std::string_view who,
+                                std::string_view what);
+
+/// V R V^dag: a real-basis superoperator back in the standard basis.
+Mat from_hermitian_basis(const Mat& basis, const linalg::RMat& r);
 
 }  // namespace qoc::quantum

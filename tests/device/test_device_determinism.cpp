@@ -1,11 +1,12 @@
 /// Pool-size independence of the device layer's parallel builds: the Rabi
 /// sweep fans its points out over the task pool and every waveform / layer
 /// superop fans out its distinct per-sample propagators, so calibration,
-/// default schedules and gate superops must come out bitwise identical at
-/// pool size 1 and 4.
+/// default schedules, gate superops and a layer driving D0, D1 and U0 at
+/// once must come out bitwise identical at pool size 1 and 4.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstring>
 #include <vector>
@@ -49,7 +50,24 @@ struct DeviceRun {
     std::vector<cplx> schedule_samples;
     Mat x_superop;
     Mat cx_superop;
+    Mat layer_superop;  ///< D0, D1 and U0 all live
 };
+
+/// A layer with a complex sample on every channel at every step, and one
+/// repeated triple, so each channel's affine and noise pieces enter.
+Mat three_channel_layer(const PulseExecutor& exec) {
+    std::vector<cplx> d0, d1, u0;
+    for (std::size_t k = 0; k < 48; ++k) {
+        const double t = static_cast<double>(k);
+        d0.push_back({0.25 * std::sin(0.2 * t), 0.04 * std::cos(0.1 * t)});
+        d1.push_back({-0.15 * std::cos(0.13 * t), -0.03});
+        u0.push_back(std::polar(0.5, 0.01 * t));
+    }
+    d0[40] = d0[3];
+    d1[40] = d1[3];
+    u0[40] = u0[3];
+    return exec.layer_superop_2q(d0, d1, u0);
+}
 
 DeviceRun run_at_pool_size(std::size_t pool_size) {
     runtime::ScopedPoolSize scoped(pool_size);
@@ -60,6 +78,7 @@ DeviceRun run_at_pool_size(std::size_t pool_size) {
     run.schedule_samples = default_gate_samples(defaults);
     run.x_superop = exec.schedule_superop_1q(defaults.get("x", {0}), 0);
     run.cx_superop = exec.schedule_superop_2q(defaults.get("cx", {0, 1}));
+    run.layer_superop = three_channel_layer(exec);
     return run;
 }
 
@@ -76,6 +95,7 @@ TEST(DeviceDeterminism, CalibrationAndGateSuperopsBitwiseAcrossPoolSizes) {
         << "build_default_gates schedules differ between pool sizes 1 and 4";
     EXPECT_TRUE(same_bits(serial.x_superop.data(), pooled.x_superop.data()));
     EXPECT_TRUE(same_bits(serial.cx_superop.data(), pooled.cx_superop.data()));
+    EXPECT_TRUE(same_bits(serial.layer_superop.data(), pooled.layer_superop.data()));
 }
 
 TEST(DeviceDeterminism, NonConsecutiveRepeatsComposeLikeTheirPieces) {

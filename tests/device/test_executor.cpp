@@ -4,9 +4,11 @@
 
 #include <array>
 #include <cmath>
+#include <complex>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "device/calibration.hpp"
@@ -172,6 +174,34 @@ TEST(Executor, TwoQubitIdlePreservesGround) {
     const Mat sup = exec.idle_superop_2q(500);
     const Mat rho = quantum::apply_superop(sup, exec.ground_state_2q());
     EXPECT_NEAR(rho(0, 0).real(), 1.0, 1e-9);
+}
+
+TEST(Executor, TwoQubitCallsRejectOneQubitBackend) {
+    BackendConfig one = ibmq_montreal();
+    one.qubits.resize(1);
+    const PulseExecutor exec(one);
+    const std::vector<std::complex<double>> drive = {{0.2, 0.0}, {0.1, 0.05}};
+    const std::vector<std::complex<double>> zeros(2);
+    pulse::Schedule cr("cr");
+    cr.insert(0, Play{drag_waveform(16, {0.3, 0.0}, 0.0), pulse::control_channel(0)});
+    const auto expect_named_rejection = [](auto&& call, const std::string& name) {
+        try {
+            call();
+            ADD_FAILURE() << name << " accepted a 1-qubit backend";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << name << " threw the wrong type: " << e.what();
+        }
+    };
+    expect_named_rejection([&] { exec.layer_superop_2q(drive, zeros, zeros); },
+                           "layer_superop_2q");
+    expect_named_rejection([&] { exec.layer_superop_2q(zeros, zeros, zeros); },
+                           "layer_superop_2q");
+    expect_named_rejection([&] { exec.idle_superop_2q(10); }, "idle_superop_2q");
+    expect_named_rejection([&] { exec.schedule_superop_2q(cr); }, "schedule_superop_2q");
+    // The single-qubit calls still work on that backend.
+    EXPECT_TRUE(quantum::is_trace_preserving(exec.waveform_superop_1q(drive, 0)));
 }
 
 TEST(Executor, CrPulseEntanglesConditionally) {

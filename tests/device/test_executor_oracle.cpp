@@ -2,9 +2,10 @@
 /// oracle: the test assembles each sample's Hamiltonian and collapse
 /// operators from the `BackendConfig` fields alone and integrates the master
 /// equation (paper Eq. 1) over that sample with RK45 and plain-loop
-/// products, one sample after another.  The executor exponentiates dt L per
-/// distinct sample through the Pade engine and multiplies the propagators,
-/// so the two share no kernel.
+/// products, one sample after another.  The executor assembles dt L per
+/// distinct sample from real Hermitian-basis pieces, exponentiates it
+/// through the Pade engine and multiplies the propagators, so the two share
+/// no kernel.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "device/executor.hpp"
 #include "linalg/kron.hpp"
 #include "oracles/integrator.hpp"
+#include "pulse/waveform.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
@@ -72,27 +74,17 @@ std::vector<Mat> initial_states(std::size_t d) {
     return states;
 }
 
-TEST(ExecutorOracle, WaveformSuperop1qMatchesMasterEquation) {
-    BackendConfig cfg = ibmq_montreal();
-    ASSERT_EQ(cfg.levels, 3u);
-    QubitParams& q = cfg.qubits[0];
-    q.detuning = 0.04;
-    q.amp_scale = 0.97;
-    q.drive_amp_noise = 0.0;
-    q.t1 = 900.0;  // short enough that decay and dephasing show in 32 samples
-    q.t2 = 700.0;
+/// The executor's superoperator of a stream on qubit 0 against RK45 on
+/// the master equation: per sample the transmon Hamiltonian with its drive
+/// term H_drive = (Omega/2)(s a^dag + s* a), the decoherence collapses, and
+/// the drive-noise collapse sqrt(drive_amp_noise) H_drive when that rate is
+/// positive.
+void expect_1q_stream_matches_master_equation(const BackendConfig& cfg,
+                                              const Samples& samples) {
     const PulseExecutor exec(cfg);
-
-    // DRAG-like stream: Gaussian in-phase part, derivative quadrature.
-    const std::size_t n = 32;
-    Samples samples(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const double t = (static_cast<double>(k) - 15.5) / 7.0;
-        const double g = 0.6 * std::exp(-0.5 * t * t);
-        samples[k] = {g, -0.3 * t * g};
-    }
     const Mat sup = exec.waveform_superop_1q(samples, 0);
 
+    const QubitParams& q = cfg.qubits[0];
     const std::size_t d = cfg.levels;
     const Mat a = quantum::annihilation(d);
     const Mat num = quantum::number_op(d);
@@ -104,16 +96,68 @@ TEST(ExecutorOracle, WaveformSuperop1qMatchesMasterEquation) {
     std::vector<Mat> collapse;
     add_decoherence(q, a, num, collapse);
     std::vector<Mat> hs;
+    std::vector<std::vector<Mat>> cs;
     for (const auto& s : samples) {
         const cplx amp = 0.5 * q.omega_max * q.amp_scale * s;
-        hs.push_back(h0 + amp * a.adjoint() + std::conj(amp) * a);
+        const Mat h_drive = amp * a.adjoint() + std::conj(amp) * a;
+        hs.push_back(h0 + h_drive);
+        cs.push_back(collapse);
+        if (q.drive_amp_noise > 0.0) {
+            cs.back().push_back(std::sqrt(q.drive_amp_noise) * h_drive);
+        }
     }
-    const std::vector<std::vector<Mat>> cs(n, collapse);
 
     for (const Mat& rho0 : initial_states(d)) {
         const Mat want = evolve_samplewise(hs, cs, cfg.dt, rho0);
         EXPECT_LE((quantum::apply_superop(sup, rho0) - want).max_abs(), 1e-8);
     }
+}
+
+/// Transmon parameters with decay and dephasing strong enough to show in a
+/// few dozen samples.
+BackendConfig short_lived_transmon() {
+    BackendConfig cfg = ibmq_montreal();
+    QubitParams& q = cfg.qubits[0];
+    q.detuning = 0.04;
+    q.amp_scale = 0.97;
+    q.t1 = 900.0;
+    q.t2 = 700.0;
+    return cfg;
+}
+
+TEST(ExecutorOracle, WaveformSuperop1qMatchesMasterEquation) {
+    BackendConfig cfg = short_lived_transmon();
+    ASSERT_EQ(cfg.levels, 3u);
+    cfg.qubits[0].drive_amp_noise = 0.0;
+
+    // DRAG-like stream: Gaussian in-phase part, derivative quadrature.
+    const std::size_t n = 32;
+    Samples samples(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const double t = (static_cast<double>(k) - 15.5) / 7.0;
+        const double g = 0.6 * std::exp(-0.5 * t * t);
+        samples[k] = {g, -0.3 * t * g};
+    }
+    expect_1q_stream_matches_master_equation(cfg, samples);
+}
+
+TEST(ExecutorOracle, WaveformSuperop1qWithDriveNoiseMatchesMasterEquation) {
+    // The drive-noise dissipator is quadratic in the sample; a DRAG pulse
+    // with a nonzero quadrature exercises its Re^2, Im^2 and Re Im parts.
+    const BackendConfig cfg = short_lived_transmon();
+    ASSERT_EQ(cfg.qubits[0].drive_amp_noise, 4e-3);
+    const Samples samples = pulse::drag_waveform(32, {0.6, 0.1}, 0.5).samples();
+    std::size_t mixed = 0;
+    for (const auto& s : samples) mixed += (s.real() != 0.0 && s.imag() != 0.0) ? 1 : 0;
+    ASSERT_GT(mixed, 16u);
+    expect_1q_stream_matches_master_equation(cfg, samples);
+
+    // The noise is visible at this tolerance: dropping it moves the map.
+    BackendConfig quiet = cfg;
+    quiet.qubits[0].drive_amp_noise = 0.0;
+    const Mat noisy = PulseExecutor(cfg).waveform_superop_1q(samples, 0);
+    const Mat clean = PulseExecutor(quiet).waveform_superop_1q(samples, 0);
+    EXPECT_GT((noisy - clean).max_abs(), 1e-5);
 }
 
 TEST(ExecutorOracle, LayerSuperop2qMatchesMasterEquation) {
