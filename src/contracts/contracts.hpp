@@ -3,10 +3,10 @@
 ///
 /// The numerics assume invariants the paper's results depend on: Hamiltonians
 /// entering propagators are Hermitian, gate targets and Clifford elements are
-/// unitary, Lindblad propagation (Eq. 1) is trace preserving and completely
-/// positive, PWC amplitudes respect the hardware box bounds, and optimizer
-/// objectives/gradients stay finite.  This header turns those assumptions
-/// into executable checks with two gates:
+/// unitary, Lindblad propagation (Eq. 1) is trace preserving, PWC amplitudes
+/// respect the hardware box bounds, and optimizer objectives/gradients stay
+/// finite.  This header turns those assumptions into executable checks with
+/// two gates:
 ///
 ///  * **Compile-time**: the `QOC_CONTRACTS` CMake option defines
 ///    `QOC_CONTRACTS_ENABLED`.  Without it (the Release default) every
@@ -137,29 +137,6 @@ inline void check_in_range(double v, double lo, double hi, const char* what, dou
 /// `p` must be a probability in [0, 1] within `tol` -- survival/readout.
 inline void check_probability(double p, const char* what, double tol = 1e-9) {
     check_in_range(p, 0.0, 1.0, what, tol);
-}
-
-/// Every PWC amplitude `amps[k][j]` must respect the box `[lo, hi]` within
-/// `tol` -- the paper's hardware range (+-1 by default, user-configurable).
-inline void check_amplitude_bounds(const std::vector<std::vector<double>>& amps, double lo,
-                                   double hi, const char* what, double tol = 1e-10) {
-#if defined(QOC_CONTRACTS_ENABLED)
-    if (!enabled()) return;
-    for (std::size_t k = 0; k < amps.size(); ++k) {
-        for (std::size_t j = 0; j < amps[k].size(); ++j) {
-            QOC_CONTRACT(amps[k][j] >= lo - tol && amps[k][j] <= hi + tol,
-                         std::string(what) + ": amplitude u[" + std::to_string(k) + "][" +
-                             std::to_string(j) + "] = " + std::to_string(amps[k][j]) +
-                             " outside [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
-        }
-    }
-#else
-    (void)amps;
-    (void)lo;
-    (void)hi;
-    (void)what;
-    (void)tol;
-#endif
 }
 
 }  // namespace qoc::contracts

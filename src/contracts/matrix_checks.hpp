@@ -1,6 +1,6 @@
 /// \file matrix_checks.hpp
-/// \brief Matrix-valued contract checks: Hermiticity, unitarity, CPTP
-///        structure, density-operator sanity.
+/// \brief Matrix-valued contract checks: Hermiticity, unitarity, trace
+///        preservation, density-operator sanity.
 ///
 /// Split from contracts.hpp so the core macro stays dependency-free; this
 /// header pulls in `linalg`.  All helpers follow the contracts.hpp gating
@@ -19,7 +19,6 @@
 #include <string>
 
 #include "contracts/contracts.hpp"
-#include "linalg/eig_hermitian.hpp"
 #include "linalg/kron.hpp"
 #include "linalg/matrix.hpp"
 
@@ -77,26 +76,6 @@ inline double trace_row_residual(const linalg::Mat& s, bool preserving) {
     return worst;
 }
 
-/// Choi matrix of a superoperator under the column-stacking convention
-/// `vec(A X B) = (B^T (x) A) vec(X)`:
-/// `C[(i,r),(j,s)] = S[(r,s),(i,j)] = E(|i><j|)_{rs}` (unnormalized).
-inline linalg::Mat choi_of_superop(const linalg::Mat& s) {
-    const std::size_t n2 = s.rows();
-    std::size_t d = 0;
-    while (d * d < n2) ++d;
-    linalg::Mat choi(n2, n2);
-    for (std::size_t i = 0; i < d; ++i) {
-        for (std::size_t r = 0; r < d; ++r) {
-            for (std::size_t j = 0; j < d; ++j) {
-                for (std::size_t sx = 0; sx < d; ++sx) {
-                    choi(i * d + r, j * d + sx) = s(r + d * sx, i + d * j);
-                }
-            }
-        }
-    }
-    return choi;
-}
-
 }  // namespace detail
 
 /// `m` must be Hermitian within `tol * max(1, |m|_max)` -- Hamiltonians
@@ -152,24 +131,6 @@ inline void check_trace_annihilating(const linalg::Mat& l, const char* what, dou
                      std::to_string(resid) + ")");
 }
 
-/// Superoperator `s` must be completely positive: its Choi matrix is
-/// Hermitian with eigenvalues >= `-tol * max(1, |S|_max)`.  O(d^6): reserve
-/// for channel constructors and test assertions, not propagation loops.
-inline void check_completely_positive(const linalg::Mat& s, const char* what, double tol = 1e-7) {
-    if (!enabled()) return;
-    QOC_CONTRACT(s.is_square(), std::string(what) + ": superoperator is not square");
-    const linalg::Mat choi = detail::choi_of_superop(s);
-    const double herm = detail::hermiticity_residual(choi);
-    QOC_CONTRACT(herm <= detail::scaled_tol(s, tol),
-                 std::string(what) + ": Choi matrix not Hermitian (residual " +
-                     std::to_string(herm) + "); map is not Hermiticity-preserving");
-    const linalg::EigH eig = linalg::eig_hermitian(choi, detail::scaled_tol(s, tol));
-    const double min_eig = eig.eigenvalues.empty() ? 0.0 : eig.eigenvalues.front();
-    QOC_CONTRACT(min_eig >= -detail::scaled_tol(s, tol),
-                 std::string(what) + ": Choi matrix has negative eigenvalue " +
-                     std::to_string(min_eig) + "; map is not completely positive");
-}
-
 /// A vectorized density operator `vec_rho` (d^2 x 1 column) must unvec to a
 /// Hermitian matrix of unit trace within `tol` -- the state propagated by
 /// the RB seed-block engine.
@@ -217,9 +178,6 @@ inline void check_unitary(const linalg::Mat&, const char*, double = 1e-9) {}
 inline void check_normalized_ket(const linalg::Mat&, const char*, double = 1e-9) {}
 inline void check_trace_preserving(const linalg::Mat&, const char*, double = 1e-9) {}
 inline void check_trace_annihilating(const linalg::Mat&, const char*, double = 1e-9) {}
-inline void check_trace_preserving_action(const linalg::Mat&, const char*, double = 1e-9) {}
-inline void check_trace_annihilating_action(const linalg::Mat&, const char*, double = 1e-9) {}
-inline void check_completely_positive(const linalg::Mat&, const char*, double = 1e-7) {}
 inline void check_density_vec(const linalg::Mat&, const char*, double = 1e-6) {}
 inline void check_all_finite(const linalg::Mat&, const char*) {}
 

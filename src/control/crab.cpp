@@ -81,9 +81,4 @@ GrapeResult crab_optimize(const ControlProblem& cp, const optim::SolverOptions& 
     return result;
 }
 
-GrapeResult crab_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts,
-                          const CrabOptions& knobs) {
-    return crab_optimize(ControlProblem(problem), opts, knobs);
-}
-
 }  // namespace qoc::control

@@ -23,16 +23,12 @@ struct CrabOptions {
     double coeff_bound = 1.0;      ///< box on the basis coefficients
 };
 
-/// Runs CRAB on the same problem definition GRAPE uses.  The seed envelopes
-/// are the problem's `initial_amps`; CRAB multiplies them by
+/// Runs CRAB over the shared evaluator GRAPE uses.  The seed envelopes are
+/// the problem's `initial_amps`; CRAB multiplies them by
 /// `1 + sum_n a_n sin(w_n t) + b_n cos(w_n t)` and clips to the amplitude
 /// box (per-control bounds included).  Nelder-Mead budget from `opts`;
 /// unset fields mean 20000 evaluations, 5000 iterations, no target and the
 /// telemetry label "crab".
-GrapeResult crab_optimize(const GrapeProblem& problem, const optim::SolverOptions& opts = {},
-                          const CrabOptions& knobs = {});
-
-/// Same, over an already-constructed shared evaluator.
 GrapeResult crab_optimize(const ControlProblem& cp, const optim::SolverOptions& opts = {},
                           const CrabOptions& knobs = {});
 

@@ -83,15 +83,6 @@ std::vector<double> sine_pulse(std::size_t n) {
     return p;
 }
 
-std::vector<double> sine_pulse_cycles(std::size_t n, double cycles) {
-    require_n(n);
-    std::vector<double> p(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        p[k] = std::sin(2.0 * std::numbers::pi * cycles * frac(k, n));
-    }
-    return p;
-}
-
 std::vector<double> square_pulse(std::size_t n) {
     require_n(n);
     return std::vector<double>(n, 1.0);

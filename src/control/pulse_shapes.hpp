@@ -38,9 +38,6 @@ std::vector<double> gaussian_square_pulse(std::size_t n, double width_fraction =
 /// Half-period sine arch sin(pi t / T) (the paper's "SINE" seed for CX).
 std::vector<double> sine_pulse(std::size_t n);
 
-/// Full sine with `cycles` periods.
-std::vector<double> sine_pulse_cycles(std::size_t n, double cycles);
-
 /// Constant (square) pulse of unit amplitude.
 std::vector<double> square_pulse(std::size_t n);
 

@@ -390,6 +390,10 @@ Counts PulseExecutor::measure_1q(const Mat& rho, std::size_t qubit, int shots,
 }
 
 Counts PulseExecutor::measure_2q(const Mat& rho, int shots, std::uint64_t seed) const {
+    require_pair("measure_2q");
+    if (rho.rows() != 4 || rho.cols() != 4) {
+        throw std::invalid_argument("measure_2q: expected 4 x 4 density matrix");
+    }
     // True populations over |q0 q1>.
     std::array<double, 4> true_p{};
     for (std::size_t k = 0; k < 4; ++k) true_p[k] = rho(k, k).real();
@@ -397,6 +401,7 @@ Counts PulseExecutor::measure_2q(const Mat& rho, int shots, std::uint64_t seed) 
 }
 
 Counts PulseExecutor::measure_2q_vec(const Mat& vec_rho, int shots, std::uint64_t seed) const {
+    require_pair("measure_2q_vec");
     if (vec_rho.cols() != 1 || vec_rho.rows() != 16) {
         throw std::invalid_argument("measure_2q_vec: expected 16 x 1 vector");
     }

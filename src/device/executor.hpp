@@ -96,12 +96,15 @@ public:
     Counts measure_1q(const Mat& rho, std::size_t qubit, int shots, std::uint64_t seed) const;
 
     /// Readout of a 2-qubit density matrix (4x4), bitstring "q0q1".  Throws
-    /// std::domain_error when the populations are not finite.
+    /// std::invalid_argument on a backend without the qubit pair or a rho
+    /// that is not 4x4, std::domain_error when the populations are not
+    /// finite.
     Counts measure_2q(const Mat& rho, int shots, std::uint64_t seed) const;
 
     /// `measure_2q` on a vectorized (16x1, column-stacking) density matrix,
     /// reading the populations straight off the vec diagonal -- the readout
     /// companion of the RB engine's matvec propagation (no unvec round trip).
+    /// Same errors, with a vector that is not 16x1 in place of the 4x4 rule.
     Counts measure_2q_vec(const Mat& vec_rho, int shots, std::uint64_t seed) const;
 
     /// Ideal readout probabilities P(read 1) for a 1-qubit state (confusion

@@ -35,11 +35,6 @@ Mat Mat::identity(std::size_t n) {
     return m;
 }
 
-Mat Mat::col_vector(std::vector<cplx> entries) {
-    const std::size_t n = entries.size();
-    return Mat(n, 1, std::move(entries));
-}
-
 void Mat::resize(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -336,7 +331,6 @@ cplx hs_inner(const Mat& a, const Mat& b) {
 }
 
 Mat commutator(const Mat& a, const Mat& b) { return a * b - b * a; }
-Mat anticommutator(const Mat& a, const Mat& b) { return a * b + b * a; }
 
 std::ostream& operator<<(std::ostream& os, const Mat& m) {
     for (std::size_t i = 0; i < m.rows(); ++i) {

@@ -51,9 +51,6 @@ public:
     /// kept for call-site readability).
     static Mat zeros(std::size_t rows, std::size_t cols) { return Mat(rows, cols); }
 
-    /// Column vector from entries.
-    static Mat col_vector(std::vector<cplx> entries);
-
     /// Reshapes to `rows` x `cols` and zero-fills.  Reuses the existing
     /// allocation whenever the new size fits the current capacity, which is
     /// what makes the `*_into` kernels below allocation-free on reuse.
@@ -196,9 +193,6 @@ cplx hs_inner(const Mat& a, const Mat& b);
 
 /// Commutator `[a, b] = ab - ba`.
 Mat commutator(const Mat& a, const Mat& b);
-
-/// Anticommutator `{a, b} = ab + ba`.
-Mat anticommutator(const Mat& a, const Mat& b);
 
 /// Human-readable rendering (for diagnostics and examples).
 std::ostream& operator<<(std::ostream& os, const Mat& m);

@@ -34,13 +34,6 @@ void Schedule::append(Instruction inst) {
     insert(t0, std::move(inst));
 }
 
-void Schedule::append_schedule(const Schedule& other) {
-    const std::size_t offset = total_duration();
-    for (const auto& [t0, inst] : other.instructions_) {
-        insert(offset + t0, inst);
-    }
-}
-
 std::size_t Schedule::channel_duration(const Channel& ch) const {
     std::size_t end = 0;
     for (const auto& [t0, inst] : instructions_) {

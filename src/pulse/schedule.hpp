@@ -63,10 +63,6 @@ public:
     /// `schedule += inst` behaviour with channel alignment).
     void append(Instruction inst);
 
-    /// Appends `other` so that it starts at this schedule's total duration
-    /// (sequential composition, used to chain gate schedules).
-    void append_schedule(const Schedule& other);
-
     /// All (t0, instruction) pairs sorted by start time.
     const std::vector<std::pair<std::size_t, Instruction>>& instructions() const {
         return instructions_;

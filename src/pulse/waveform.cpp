@@ -32,11 +32,6 @@ Waveform from_envelope(const std::vector<double>& env, std::complex<double> amp,
 }
 }  // namespace
 
-Waveform gaussian_waveform(std::size_t duration, std::complex<double> amp,
-                           double sigma_fraction) {
-    return from_envelope(control::gaussian_pulse(duration, sigma_fraction), amp, "gaussian");
-}
-
 Waveform drag_waveform(std::size_t duration, std::complex<double> amp, double beta,
                        double sigma_fraction) {
     const auto d = control::drag_pulse(duration, sigma_fraction, beta);
@@ -51,14 +46,6 @@ Waveform gaussian_square_waveform(std::size_t duration, std::complex<double> amp
                                   double width_fraction, double sigma_fraction) {
     return from_envelope(control::gaussian_square_pulse(duration, width_fraction, sigma_fraction),
                          amp, "gaussian_square");
-}
-
-Waveform sine_waveform(std::size_t duration, std::complex<double> amp) {
-    return from_envelope(control::sine_pulse(duration), amp, "sine");
-}
-
-Waveform constant_waveform(std::size_t duration, std::complex<double> amp) {
-    return from_envelope(control::square_pulse(duration), amp, "constant");
 }
 
 Waveform iq_waveform(const std::vector<double>& in_phase, const std::vector<double>& quadrature,

@@ -1,7 +1,8 @@
 /// \file waveform.hpp
-/// \brief Sampled complex waveforms and the standard pulse-shape library
-///        (drag, gaussian, gaussian_square, sine, constant), mirroring the
-///        qiskit.pulse library the paper drives through OpenPulse.
+/// \brief Sampled complex waveforms and the pulse shapes the device
+///        calibrations and designs play (drag, gaussian_square, optimizer
+///        I/Q), mirroring the qiskit.pulse library the paper drives through
+///        OpenPulse.
 
 #pragma once
 
@@ -34,10 +35,6 @@ private:
     std::string name_ = "waveform";
 };
 
-/// Gaussian envelope with given amplitude (complex, for phase).
-Waveform gaussian_waveform(std::size_t duration, std::complex<double> amp,
-                           double sigma_fraction = 0.25);
-
 /// DRAG: gaussian I with beta-scaled derivative on Q,
 /// samples = amp * (g(t) + i beta dg(t)).
 Waveform drag_waveform(std::size_t duration, std::complex<double> amp, double beta,
@@ -46,12 +43,6 @@ Waveform drag_waveform(std::size_t duration, std::complex<double> amp, double be
 /// Flat-top gaussian-square (the CR pulse shape of the paper's Fig. 9).
 Waveform gaussian_square_waveform(std::size_t duration, std::complex<double> amp,
                                   double width_fraction = 0.6, double sigma_fraction = 0.1);
-
-/// Half-period sine arch (the paper's Fig. 8 "SINE" shape).
-Waveform sine_waveform(std::size_t duration, std::complex<double> amp);
-
-/// Constant pulse.
-Waveform constant_waveform(std::size_t duration, std::complex<double> amp);
 
 /// Wraps optimizer output: I samples on the real part, Q on the imaginary.
 /// Vectors must be equal length; values are clipped to the unit disc only if

@@ -1,11 +1,12 @@
 /// \file fidelity.hpp
-/// \brief Gate and state fidelity measures.
+/// \brief Average gate fidelities of simulated channels, the measure the
+///        characterization code (tomography, IRB cross-checks, the design
+///        tool) reports.
 ///
-/// The paper's cost function is the gate infidelity
-///   C = 1 - F = 1 - |Tr(U_t^dagger U_f)|^2 / N^2
-/// (the "PSU" normalization: invariant under global phase).  The open-system
-/// optimizer uses the trace-difference measure on superoperators, matching
-/// QuTiP's `TRACEDIFF` fidelity computer.
+/// The optimizer's costs -- QuTiP's PSU and SU trace fidelities and the
+/// TRACEDIFF superoperator distance -- are computed inside
+/// `control::ControlProblem`; the independent references tests compare them
+/// against live in `tests/oracles/`.
 
 #pragma once
 
@@ -16,34 +17,10 @@ namespace qoc::quantum {
 using linalg::cplx;
 using linalg::Mat;
 
-/// |<Tr(U_t^dagger U)>|^2 / d^2 — phase-invariant unitary gate fidelity.
-double fidelity_psu(const Mat& u_target, const Mat& u);
-
-/// Re[Tr(U_t^dagger U)] / d — phase-sensitive variant (QuTiP "SU").
-double fidelity_su(const Mat& u_target, const Mat& u);
-
-/// Fidelity of a unitary on an embedded qubit subspace: the d-level
-/// propagator `u` is projected onto the computational subspace with the
-/// isometry `p` (d x 2) before comparing with the 2x2 target.  Leakage
-/// outside the subspace reduces the projected trace and hence the fidelity.
-double fidelity_psu_subspace(const Mat& u_target2, const Mat& u, const Mat& p);
-
-/// Trace-difference error between two superoperators (QuTiP TRACEDIFF):
-///   err = ||E_t - E||_F^2 / (2 d^2)
-/// where d^2 is the superoperator dimension.  Zero iff the maps agree.
-double tracediff_error(const Mat& e_target, const Mat& e);
-
-/// Average gate fidelity between two unitaries on dimension d (Nielsen):
-///   F_avg = [ |Tr(U_t^dagger U)|^2 + d ] / [ d (d + 1) ].
-double average_gate_fidelity(const Mat& u_target, const Mat& u);
-
 /// Average gate fidelity of a quantum channel (superoperator, column
 /// stacking) against a target unitary:
 ///   F_pro = Tr(S_t^dagger S) / d^2,  F_avg = (d F_pro + 1) / (d + 1).
 double average_gate_fidelity_superop(const Mat& u_target, const Mat& superop);
-
-/// State fidelity <psi| rho |psi> for a pure target.
-double state_fidelity(const Mat& rho, const Mat& ket);
 
 /// Average gate fidelity of a d-level channel restricted to the 2-level
 /// computational subspace: extracts the qubit block of the superoperator

@@ -17,15 +17,12 @@ Mat z() { return Mat{{1.0, 0.0}, {0.0, -1.0}}; }
 Mat h() { return Mat{{kInvSqrt2, kInvSqrt2}, {kInvSqrt2, -kInvSqrt2}}; }
 
 Mat s() { return Mat{{1.0, 0.0}, {0.0, kI}}; }
-Mat sdg() { return Mat{{1.0, 0.0}, {0.0, -kI}}; }
 
 Mat sx() {
     // sqrt(X) = 1/2 [[1+i, 1-i], [1-i, 1+i]]
     const cplx a{0.5, 0.5}, b{0.5, -0.5};
     return Mat{{a, b}, {b, a}};
 }
-
-Mat sxdg() { return sx().adjoint(); }
 
 Mat t() { return Mat{{1.0, 0.0}, {0.0, std::exp(kI * (M_PI / 4.0))}}; }
 
@@ -34,19 +31,8 @@ Mat rx(double theta) {
     return Mat{{cplx{c, 0.0}, -kI * s_}, {-kI * s_, cplx{c, 0.0}}};
 }
 
-Mat ry(double theta) {
-    const double c = std::cos(theta / 2.0), s_ = std::sin(theta / 2.0);
-    return Mat{{cplx{c, 0.0}, cplx{-s_, 0.0}}, {cplx{s_, 0.0}, cplx{c, 0.0}}};
-}
-
 Mat rz(double theta) {
     return Mat{{std::exp(-kI * (theta / 2.0)), 0.0}, {0.0, std::exp(kI * (theta / 2.0))}};
-}
-
-Mat u3(double theta, double phi, double lambda) {
-    const double c = std::cos(theta / 2.0), s_ = std::sin(theta / 2.0);
-    return Mat{{cplx{c, 0.0}, -std::exp(kI * lambda) * s_},
-               {std::exp(kI * phi) * s_, std::exp(kI * (phi + lambda)) * c}};
 }
 
 Mat cx() {
@@ -63,24 +49,10 @@ Mat cx_10() {
                {0.0, 1.0, 0.0, 0.0}};
 }
 
-Mat cz() {
-    return Mat{{1.0, 0.0, 0.0, 0.0},
-               {0.0, 1.0, 0.0, 0.0},
-               {0.0, 0.0, 1.0, 0.0},
-               {0.0, 0.0, 0.0, -1.0}};
-}
-
 Mat swap() {
     return Mat{{1.0, 0.0, 0.0, 0.0},
                {0.0, 0.0, 1.0, 0.0},
                {0.0, 1.0, 0.0, 0.0},
-               {0.0, 0.0, 0.0, 1.0}};
-}
-
-Mat iswap() {
-    return Mat{{1.0, 0.0, 0.0, 0.0},
-               {0.0, 0.0, kI, 0.0},
-               {0.0, kI, 0.0, 0.0},
                {0.0, 0.0, 0.0, 1.0}};
 }
 

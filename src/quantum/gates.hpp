@@ -15,20 +15,14 @@ Mat y();
 Mat z();
 Mat h();        ///< Hadamard
 Mat s();        ///< sqrt(Z)
-Mat sdg();      ///< S^dagger
 Mat sx();       ///< sqrt(X), an IBM basis gate
-Mat sxdg();
 Mat t();
 Mat rx(double theta);
-Mat ry(double theta);
 Mat rz(double theta);  ///< e^{-i theta Z / 2}; virtual on IBM hardware
-Mat u3(double theta, double phi, double lambda);
 
 Mat cx();       ///< CNOT, control = qubit 0 (most significant)
 Mat cx_10();    ///< CNOT with control = qubit 1
-Mat cz();
 Mat swap();
-Mat iswap();
 Mat zx90();     ///< e^{-i pi/4 Z(x)X}, the echoed cross-resonance primitive
 
 }  // namespace qoc::quantum::gates

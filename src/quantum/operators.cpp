@@ -14,7 +14,6 @@ constexpr cplx kI{0.0, 1.0};
 Mat sigma_x() { return Mat{{0.0, 1.0}, {1.0, 0.0}}; }
 Mat sigma_y() { return Mat{{0.0, -kI}, {kI, 0.0}}; }
 Mat sigma_z() { return Mat{{1.0, 0.0}, {0.0, -1.0}}; }
-Mat sigma_plus() { return Mat{{0.0, 0.0}, {1.0, 0.0}}; }
 Mat sigma_minus() { return Mat{{0.0, 1.0}, {0.0, 0.0}}; }
 
 Mat annihilation(std::size_t dim) {
@@ -67,15 +66,6 @@ Mat qubit_isometry(std::size_t dim) {
     p(0, 0) = cplx{1.0, 0.0};
     p(1, 1) = cplx{1.0, 0.0};
     return p;
-}
-
-Mat embed_qubit_op(const Mat& op2, std::size_t dim) {
-    if (op2.rows() != 2 || op2.cols() != 2) {
-        throw std::invalid_argument("embed_qubit_op: operator must be 2x2");
-    }
-    Mat out(dim, dim);
-    out.set_block(0, 0, op2);
-    return out;
 }
 
 }  // namespace qoc::quantum

@@ -15,7 +15,6 @@ using linalg::Mat;
 Mat sigma_x();
 Mat sigma_y();
 Mat sigma_z();
-Mat sigma_plus();   ///< |1><0| raising operator (qubit convention |0>=ground)
 Mat sigma_minus();  ///< |0><1| lowering operator
 
 // --- d-level (transmon / Duffing) operators ----------------------------------
@@ -55,9 +54,5 @@ Mat tensor(const std::vector<Mat>& ops);
 /// Projector onto the two-level computational subspace of a d-level system
 /// (d >= 2), as a d x 2 isometry P with P^dagger P = I_2.
 Mat qubit_isometry(std::size_t dim);
-
-/// Embeds a 2x2 qubit operator into the d-level space (zero outside the
-/// computational subspace).
-Mat embed_qubit_op(const Mat& op2, std::size_t dim);
 
 }  // namespace qoc::quantum

@@ -1,10 +1,8 @@
 #include "quantum/states.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "linalg/eig_hermitian.hpp"
 #include "quantum/operators.hpp"
 
 namespace qoc::quantum {
@@ -29,15 +27,6 @@ Mat basis_ket_bits(const std::vector<int>& bits) {
     }
     return basis_ket(std::size_t{1} << bits.size(), index);
 }
-
-bool is_density_matrix(const Mat& rho, double tol) {
-    if (!rho.is_square() || !rho.is_hermitian(tol)) return false;
-    if (std::abs(rho.trace() - cplx{1.0, 0.0}) > tol) return false;
-    const auto eig = linalg::eig_hermitian(rho);
-    return eig.eigenvalues.front() >= -tol;
-}
-
-double purity(const Mat& rho) { return (rho * rho).trace().real(); }
 
 std::vector<double> populations(const Mat& rho) {
     std::vector<double> p(rho.rows());

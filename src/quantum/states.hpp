@@ -21,13 +21,6 @@ Mat ket_to_dm(const Mat& ket);
 /// Multi-qubit basis ket from bit string, qubit 0 first (|q0 q1 ...>).
 Mat basis_ket_bits(const std::vector<int>& bits);
 
-/// True when `rho` is a valid density matrix: Hermitian, unit trace,
-/// positive semidefinite (eigenvalues >= -tol).
-bool is_density_matrix(const Mat& rho, double tol = 1e-9);
-
-/// Tr(rho^2).
-double purity(const Mat& rho);
-
 /// Diagonal of rho (basis-state populations), clipped to [0, 1].
 std::vector<double> populations(const Mat& rho);
 

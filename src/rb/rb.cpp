@@ -365,7 +365,7 @@ RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbO
                     const Mat* interleave_super, std::size_t interleave_index) {
     const Clifford2Q& group = gates.group();
     const Mat vec_rho0 = linalg::vec(exec.ground_state_2q());
-    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_2q");
+    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_2q_with_reference");
     const Mat interleave_ideal =
         interleave_super ? group.unitary(interleave_index) : Mat::identity(4);
     const auto superop_of = [&gates](std::size_t i) -> const Mat& {
@@ -465,13 +465,6 @@ IrbResult run_irb_2q_with_reference(const PulseExecutor& exec, const GateSet2Q& 
                                  std::pow(res.reference.alpha_err / res.reference.alpha, 2));
     res.gate_error_err = 0.75 * ratio * rel;
     return res;
-}
-
-IrbResult run_irb_2q(const PulseExecutor& exec, const GateSet2Q& gates,
-                     const Mat& interleaved_superop, std::size_t interleaved_clifford,
-                     const RbOptions& options) {
-    return run_irb_2q_with_reference(exec, gates, rb_curve_2q(exec, gates, options, nullptr, 0),
-                                     interleaved_superop, interleaved_clifford, options);
 }
 
 }  // namespace qoc::rb

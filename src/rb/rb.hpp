@@ -156,11 +156,8 @@ private:
 
 RbCurve run_rb_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbOptions& options);
 
-IrbResult run_irb_2q(const PulseExecutor& exec, const GateSet2Q& gates,
-                     const Mat& interleaved_superop, std::size_t interleaved_clifford,
-                     const RbOptions& options);
-
-/// 2Q analogue of `run_irb_1q_with_reference`.
+/// 2Q analogue of `run_irb_1q_with_reference`; `reference` is a `run_rb_2q`
+/// curve measured with the same options.
 IrbResult run_irb_2q_with_reference(const PulseExecutor& exec, const GateSet2Q& gates,
                                     const RbCurve& reference, const Mat& interleaved_superop,
                                     std::size_t interleaved_clifford,

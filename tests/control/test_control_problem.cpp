@@ -5,7 +5,9 @@
 ///   Liouvillian generators), on random Lindblad problems across every
 ///   Pade order;
 /// - the open problems the real basis must reject;
-/// - size validation of every public entry point that indexes amplitudes.
+/// - size validation of every public entry point that indexes amplitudes;
+/// - the optimizer's cost (PSU, SU, subspace PSU, state transfer and
+///   TRACEDIFF) against the textbook fidelity formulas of `tests/oracles`.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,9 @@
 #include "control/control_problem.hpp"
 #include "linalg/expm.hpp"
 #include "oracles/propagators.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/operators.hpp"
+#include "quantum/states.hpp"
 #include "quantum/superop.hpp"
 
 namespace qoc::control {
@@ -259,6 +263,81 @@ TEST(ControlProblemInput, EvolutionAndFidErrRejectWrongShape) {
         EXPECT_THROW(cp.fid_err(ragged), std::invalid_argument);
         EXPECT_THROW(cp.slot_exponent(std::vector<double>(cp.n_ctrl() + 1)),
                      std::invalid_argument);
+    }
+}
+
+/// Random closed problem on dimension `d`: random Hermitian drift and
+/// `n_ctrl` controls, a random unitary target of dimension `d_target`.
+GrapeProblem random_closed(std::size_t d, std::size_t d_target, std::size_t n_ctrl,
+                           FidelityType fidelity, std::mt19937_64& rng) {
+    GrapeProblem p;
+    p.system.drift = random_hermitian(d, rng);
+    for (std::size_t j = 0; j < n_ctrl; ++j) p.system.ctrls.push_back(random_hermitian(d, rng));
+    p.target = oracle::expm_hermitian(random_hermitian(d_target, rng), 1.0);
+    p.fidelity = fidelity;
+    p.n_timeslots = 5;
+    p.evo_time = 2.0;
+    p.initial_amps.assign(5, std::vector<double>(n_ctrl, 0.0));
+    return p;
+}
+
+/// Random amplitudes inside the problem's +-1 box.
+ControlAmplitudes random_amps(const GrapeProblem& p, std::mt19937_64& rng) {
+    std::uniform_real_distribution<double> amp(p.amp_lower, p.amp_upper);
+    ControlAmplitudes amps(p.n_timeslots, std::vector<double>(p.system.ctrls.size()));
+    for (auto& slot : amps) {
+        for (double& v : slot) v = amp(rng);
+    }
+    return amps;
+}
+
+TEST(ControlProblemOracle, FidErrMatchesIndependentFidelities) {
+    // `fid_err` and `fid_err_of` must equal the textbook formula of the cost
+    // the problem names, evaluated by the oracle on `evolution`.
+    const auto expect_cost = [](const GrapeProblem& p, const ControlAmplitudes& amps,
+                                const auto& oracle_err, const char* what) {
+        SCOPED_TRACE(what);
+        const ControlProblem cp(p);
+        const Mat evo = cp.evolution(amps);
+        const double want = oracle_err(evo);
+        EXPECT_GT(want, 1e-3);  // a random point is far from the target
+        EXPECT_LE(std::abs(cp.fid_err(amps) - want), 1e-12 * want);
+        EXPECT_LE(std::abs(cp.fid_err_of(evo) - want), 1e-12 * want);
+    };
+    std::mt19937_64 rng(2202);
+    for (int rep = 0; rep < 3; ++rep) {
+        GrapeProblem p = random_closed(3, 3, 2, FidelityType::kPsu, rng);
+        expect_cost(p, random_amps(p, rng),
+                    [&](const Mat& u) { return 1.0 - oracle::fidelity_psu(p.target, u); },
+                    "PSU");
+
+        p = random_closed(3, 3, 2, FidelityType::kSu, rng);
+        expect_cost(p, random_amps(p, rng),
+                    [&](const Mat& u) { return 1.0 - oracle::fidelity_su(p.target, u); }, "SU");
+
+        p = random_closed(3, 2, 2, FidelityType::kPsu, rng);
+        p.subspace_isometry = quantum::qubit_isometry(3);
+        expect_cost(p, random_amps(p, rng),
+                    [&](const Mat& u) {
+                        return 1.0 -
+                               oracle::fidelity_psu_subspace(p.target, u, *p.subspace_isometry);
+                    },
+                    "PSU on the qubit subspace");
+
+        p = random_closed(3, 3, 2, FidelityType::kPsu, rng);
+        const Mat psi0 = quantum::basis_ket(3, 0);
+        const Mat psit = p.target * quantum::basis_ket(3, 1);
+        p.state_transfer = GrapeProblem::StateTransfer{psi0, psit};
+        expect_cost(p, random_amps(p, rng),
+                    [&](const Mat& u) {
+                        return 1.0 - oracle::state_fidelity(quantum::ket_to_dm(u * psi0), psit);
+                    },
+                    "state transfer");
+
+        const RandomCase c = random_lindblad(3, 2, 5, 1.0, 31 + static_cast<unsigned>(rep));
+        expect_cost(c.p, random_amps(c.p, rng),
+                    [&](const Mat& e) { return oracle::tracediff_error(c.p.target, e); },
+                    "TRACEDIFF");
     }
 }
 

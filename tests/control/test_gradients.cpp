@@ -13,7 +13,7 @@
 #include "control/grape.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/kron.hpp"
-#include "optim/gradient_check.hpp"
+#include "oracles/gradient_check.hpp"
 #include "oracles/propagators.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -160,7 +160,7 @@ TEST(GradientCheck, ClosedPsu) {
     p.n_timeslots = 8;
     p.evo_time = 4.0;
     p.initial_amps.assign(8, {0.0, 0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(16));
+    const auto res = oracle::check_gradient(wrap(p), test_point(16));
     EXPECT_LT(res.max_rel_error, 1e-6);
 }
 
@@ -173,7 +173,7 @@ TEST(GradientCheck, ClosedSu) {
     p.n_timeslots = 6;
     p.evo_time = 3.0;
     p.initial_amps.assign(6, {0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(6));
+    const auto res = oracle::check_gradient(wrap(p), test_point(6));
     EXPECT_LT(res.max_rel_error, 1e-6);
 }
 
@@ -186,7 +186,7 @@ TEST(GradientCheck, ClosedSubspaceThreeLevel) {
     p.n_timeslots = 6;
     p.evo_time = 6.0;
     p.initial_amps.assign(6, {0.0, 0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(12));
+    const auto res = oracle::check_gradient(wrap(p), test_point(12));
     EXPECT_LT(res.max_rel_error, 1e-5);
 }
 
@@ -201,7 +201,7 @@ TEST(GradientCheck, OpenTraceDiff) {
     p.n_timeslots = 6;
     p.evo_time = 4.0;
     p.initial_amps.assign(6, {0.0, 0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(12));
+    const auto res = oracle::check_gradient(wrap(p), test_point(12));
     EXPECT_LT(res.max_rel_error, 1e-5);
 }
 
@@ -215,7 +215,7 @@ TEST(GradientCheck, StateTransfer) {
     p.n_timeslots = 8;
     p.evo_time = 4.0;
     p.initial_amps.assign(8, {0.0, 0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(16));
+    const auto res = oracle::check_gradient(wrap(p), test_point(16));
     EXPECT_LT(res.max_rel_error, 1e-6);
 }
 
@@ -228,13 +228,13 @@ TEST(GradientCheck, EnergyPenaltyTerm) {
     p.n_timeslots = 6;
     p.evo_time = 3.0;
     p.initial_amps.assign(6, {0.0});
-    const auto res = optim::check_gradient(wrap(p), test_point(6));
+    const auto res = oracle::check_gradient(wrap(p), test_point(6));
     EXPECT_LT(res.max_rel_error, 1e-6);
 }
 
 TEST(GradientCheck, CxShapedFourControls) {
     const GrapeProblem p = cx_shaped_problem();
-    const auto res = optim::check_gradient(wrap(p), test_point(24));
+    const auto res = oracle::check_gradient(wrap(p), test_point(24));
     EXPECT_LT(res.max_rel_error, 1e-6);
 }
 
@@ -247,7 +247,7 @@ TEST(GradientCheck, OpenThreeLevelPade13Squarings) {
         const std::vector<double> amps(x.begin() + 2 * k, x.begin() + 2 * k + 2);
         EXPECT_GT(cp.slot_exponent(amps).norm_1(), 2.0 * 5.371920351148152) << "slot " << k;
     }
-    const auto res = optim::check_gradient(wrap(p), x);
+    const auto res = oracle::check_gradient(wrap(p), x);
     EXPECT_LT(res.max_rel_error, 1e-5);
 }
 

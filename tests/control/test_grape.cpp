@@ -6,8 +6,8 @@
 
 #include "control/control_problem.hpp"
 #include "control/pulse_shapes.hpp"
-#include "optim/gradient_check.hpp"
-#include "quantum/fidelity.hpp"
+#include "optim/problem.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/superop.hpp"
@@ -52,7 +52,7 @@ TEST(GrapeClosed, OptimizesXGateToHighFidelity) {
     const auto res = grape_lbfgsb(x_gate_problem(), {.max_iterations = 200});
     EXPECT_LT(res.final_fid_err, 1e-8);
     EXPECT_LT(res.final_fid_err, res.initial_fid_err);
-    EXPECT_NEAR(quantum::fidelity_psu(quantum::gates::x(), res.final_evolution), 1.0, 1e-7);
+    EXPECT_NEAR(oracle::fidelity_psu(quantum::gates::x(), res.final_evolution), 1.0, 1e-7);
 }
 
 TEST(GrapeClosed, OptimizesHadamard) {
@@ -146,7 +146,7 @@ TEST(GrapeClosed, SubspaceFidelityThreeLevelX) {
     p.initial_amps.assign(20, {0.25, 0.0});
     const auto res = grape_lbfgsb(p, {.max_iterations = 500});
     EXPECT_LT(res.final_fid_err, 1e-6);
-    EXPECT_NEAR(quantum::fidelity_psu_subspace(quantum::gates::x(), res.final_evolution,
+    EXPECT_NEAR(oracle::fidelity_psu_subspace(quantum::gates::x(), res.final_evolution,
                                                qubit_isometry(d)),
                 1.0, 1e-5);
 }

@@ -4,7 +4,7 @@
 
 #include "control/control_problem.hpp"
 #include "control/grape.hpp"
-#include "quantum/fidelity.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -46,7 +46,7 @@ TEST(StateTransfer, ZeroToPlus) {
     const auto res = grape_lbfgsb(p, {.max_iterations = 200});
     EXPECT_LT(res.final_fid_err, 1e-9);
     const auto out = res.final_evolution * basis_ket(2, 0);
-    EXPECT_NEAR(quantum::state_fidelity(quantum::ket_to_dm(out), plus), 1.0, 1e-8);
+    EXPECT_NEAR(oracle::state_fidelity(quantum::ket_to_dm(out), plus), 1.0, 1e-8);
 }
 
 TEST(StateTransfer, EasierThanFullGate) {

@@ -4,7 +4,7 @@
 
 #include <numbers>
 
-#include "quantum/fidelity.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 
@@ -29,7 +29,7 @@ GrapeProblem x_problem(std::size_t n_ts = 16) {
 TEST(Krotov, ConvergesToXGate) {
     const auto res = krotov_unitary(x_problem(), {.max_iterations = 400}, {.lambda = 0.5});
     EXPECT_LT(res.final_fid_err, 1e-6);
-    EXPECT_NEAR(quantum::fidelity_psu(g::x(), res.final_evolution), 1.0, 1e-5);
+    EXPECT_NEAR(oracle::fidelity_psu(g::x(), res.final_evolution), 1.0, 1e-5);
 }
 
 TEST(Krotov, MonotonicConvergence) {

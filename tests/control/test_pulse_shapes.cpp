@@ -55,11 +55,6 @@ TEST(PulseShapes, SineArchPositiveWithPeakCenter) {
     EXPECT_NEAR(*std::max_element(p.begin(), p.end()), 1.0, 1e-3);
 }
 
-TEST(PulseShapes, SineCyclesZeroMean) {
-    const auto p = sine_pulse_cycles(200, 3.0);
-    EXPECT_NEAR(pulse_area(p, 1.0 / 200.0), 0.0, 1e-3);
-}
-
 TEST(PulseShapes, SquareAndZero) {
     const auto sq = square_pulse(8);
     for (double v : sq) EXPECT_DOUBLE_EQ(v, 1.0);

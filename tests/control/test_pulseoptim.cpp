@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "control/control_problem.hpp"
 #include "control/crab.hpp"
 #include "linalg/kron.hpp"
 #include "quantum/fidelity.hpp"
@@ -169,7 +170,7 @@ TEST(Crab, DirectCallOnGrapeProblem) {
     p.n_timeslots = 16;
     p.evo_time = 3.0;
     p.initial_amps.assign(16, {0.4});
-    const auto res = crab_optimize(p, {.max_evaluations = 3000});
+    const auto res = crab_optimize(ControlProblem(p), {.max_evaluations = 3000});
     EXPECT_LE(res.final_fid_err, res.initial_fid_err);
     EXPECT_EQ(res.final_amps.size(), 16u);
 }

@@ -41,6 +41,20 @@ BackendConfig clean_device() {
     return b;
 }
 
+/// Expects `call` to throw `std::invalid_argument` whose message contains
+/// `needle`.
+template <class F>
+void expect_invalid_argument(F&& call, const std::string& needle) {
+    try {
+        call();
+        ADD_FAILURE() << "accepted bad input; expected an error naming " << needle;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "expected an error naming " << needle << ", got: " << e.what();
+    }
+}
+
 TEST(Executor, IdleGroundStateStaysPut) {
     PulseExecutor exec(ibmq_montreal());
     const Mat sup = exec.idle_superop_1q(1000, 0);
@@ -184,24 +198,35 @@ TEST(Executor, TwoQubitCallsRejectOneQubitBackend) {
     const std::vector<std::complex<double>> zeros(2);
     pulse::Schedule cr("cr");
     cr.insert(0, Play{drag_waveform(16, {0.3, 0.0}, 0.0), pulse::control_channel(0)});
-    const auto expect_named_rejection = [](auto&& call, const std::string& name) {
-        try {
-            call();
-            ADD_FAILURE() << name << " accepted a 1-qubit backend";
-        } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
-        } catch (const std::exception& e) {
-            ADD_FAILURE() << name << " threw the wrong type: " << e.what();
-        }
-    };
-    expect_named_rejection([&] { exec.layer_superop_2q(drive, zeros, zeros); },
-                           "layer_superop_2q");
-    expect_named_rejection([&] { exec.layer_superop_2q(zeros, zeros, zeros); },
-                           "layer_superop_2q");
-    expect_named_rejection([&] { exec.idle_superop_2q(10); }, "idle_superop_2q");
-    expect_named_rejection([&] { exec.schedule_superop_2q(cr); }, "schedule_superop_2q");
+    expect_invalid_argument([&] { exec.layer_superop_2q(drive, zeros, zeros); },
+                            "layer_superop_2q");
+    expect_invalid_argument([&] { exec.layer_superop_2q(zeros, zeros, zeros); },
+                            "layer_superop_2q");
+    expect_invalid_argument([&] { exec.idle_superop_2q(10); }, "idle_superop_2q");
+    expect_invalid_argument([&] { exec.schedule_superop_2q(cr); }, "schedule_superop_2q");
     // The single-qubit calls still work on that backend.
     EXPECT_TRUE(quantum::is_trace_preserving(exec.waveform_superop_1q(drive, 0)));
+}
+
+TEST(Executor, TwoQubitMeasureRejectsBadInput) {
+    BackendConfig one = ibmq_montreal();
+    one.qubits.resize(1);
+    const PulseExecutor single(one);
+    const Mat rho00 = single.ground_state_2q();
+    expect_invalid_argument([&] { single.measure_2q(rho00, 64, 1); }, "measure_2q");
+    expect_invalid_argument([&] { single.measure_2q_vec(linalg::vec(rho00), 64, 1); },
+                            "measure_2q_vec");
+
+    // On a pair backend a density matrix of any other shape is refused
+    // before a single entry is read.
+    const PulseExecutor pair(ibmq_montreal());
+    for (std::size_t d : {2u, 3u, 9u}) {
+        const Mat mixed = (1.0 / static_cast<double>(d)) * Mat::identity(d);
+        expect_invalid_argument([&] { pair.measure_2q(mixed, 64, 1); }, "4 x 4");
+    }
+    expect_invalid_argument([&] { pair.measure_2q(Mat(4, 1), 64, 1); }, "4 x 4");
+    const Counts ok = pair.measure_2q(pair.ground_state_2q(), 64, 1);
+    EXPECT_EQ(ok.shots, 64);
 }
 
 TEST(Executor, CrPulseEntanglesConditionally) {

@@ -6,7 +6,7 @@
 #include <numbers>
 
 #include "device/calibration.hpp"
-#include "quantum/fidelity.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
@@ -75,7 +75,7 @@ TEST_F(ExecutorProperty, GateSuperopsMapStatesToStates) {
     Mat rho = exec().ground_state_1q();
     for (int reps = 0; reps < 8; ++reps) {
         rho = quantum::apply_superop(sup, rho);
-        ASSERT_TRUE(quantum::is_density_matrix(rho, 1e-8)) << "rep " << reps;
+        ASSERT_TRUE(oracle::is_density_matrix(rho, 1e-8)) << "rep " << reps;
     }
 }
 

@@ -13,7 +13,7 @@
 #include "experiments/gate_designer.hpp"
 #include "experiments/irb_experiment.hpp"
 #include "io/io.hpp"
-#include "quantum/fidelity.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/states.hpp"
 #include "quantum/superop.hpp"
@@ -92,7 +92,7 @@ TEST(Pipeline, TwoQubitCircuitVsScheduleEquivalence) {
     // that physical precision, not to machine precision.
     EXPECT_TRUE(via_gates.approx_equal(via_schedule, 2e-2));
     // And both must be valid states close to each other in fidelity terms.
-    EXPECT_TRUE(quantum::is_density_matrix(via_schedule, 1e-7));
+    EXPECT_TRUE(oracle::is_density_matrix(via_schedule, 1e-7));
 }
 
 TEST(Pipeline, DriftDayReplayIsDeterministic) {

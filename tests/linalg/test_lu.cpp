@@ -22,7 +22,7 @@ Mat random_matrix(std::size_t n, unsigned seed) {
 
 TEST(Lu, SolveHandComputed) {
     Mat a{{2.0, 1.0}, {1.0, 3.0}};
-    Mat b = Mat::col_vector({cplx{5.0}, cplx{10.0}});
+    const Mat b{{5.0}, {10.0}};
     const Mat x = solve(a, b);
     EXPECT_NEAR(std::abs(x(0, 0) - cplx{1.0}), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(x(1, 0) - cplx{3.0}), 0.0, 1e-12);
@@ -112,7 +112,7 @@ TEST(Lu, RhsShapeMismatchThrows) {
 
 TEST(Lu, PivotingHandlesZeroLeadingEntry) {
     Mat a{{0.0, 1.0}, {1.0, 0.0}};
-    const Mat x = solve(a, Mat::col_vector({cplx{3.0}, cplx{4.0}}));
+    const Mat x = solve(a, Mat{{3.0}, {4.0}});
     EXPECT_NEAR(std::abs(x(0, 0) - cplx{4.0}), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(x(1, 0) - cplx{3.0}), 0.0, 1e-12);
 }

@@ -56,14 +56,10 @@ TEST(Matrix, Identity) {
     EXPECT_TRUE(ident.is_hermitian());
 }
 
-TEST(Matrix, DiagAndColVector) {
+TEST(Matrix, Diag) {
     const Mat d = Mat::diag({cplx{1.0}, cplx{2.0}});
     EXPECT_EQ(d(1, 1), cplx(2.0, 0.0));
     EXPECT_EQ(d(0, 1), cplx(0.0, 0.0));
-    const Mat v = Mat::col_vector({cplx{1.0}, kI});
-    EXPECT_EQ(v.rows(), 2u);
-    EXPECT_EQ(v.cols(), 1u);
-    EXPECT_EQ(v(1, 0), kI);
 }
 
 TEST(Matrix, AtThrowsOutOfRange) {
@@ -187,14 +183,6 @@ TEST(Matrix, CommutatorOfCommutingIsZero) {
     Mat a = Mat::diag({cplx{1.0}, cplx{2.0}});
     Mat b = Mat::diag({cplx{3.0}, cplx{4.0}});
     EXPECT_NEAR(commutator(a, b).max_abs(), 0.0, 1e-15);
-}
-
-TEST(Matrix, AnticommutatorPauli) {
-    Mat sx{{0.0, 1.0}, {1.0, 0.0}};
-    Mat sy{{0.0, -kI}, {kI, 0.0}};
-    EXPECT_NEAR(anticommutator(sx, sy).max_abs(), 0.0, 1e-15);
-    const Mat sx2 = anticommutator(sx, sx);
-    EXPECT_TRUE(sx2.approx_equal(2.0 * Mat::identity(2), 1e-15));
 }
 
 TEST(Matrix, EqualUpToPhase) {

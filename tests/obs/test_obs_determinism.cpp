@@ -135,7 +135,8 @@ TEST(ObsDeterminism, Irb2qBitIdenticalWithObsOnAndReplayed) {
     opts.shots = 1024;
     const auto run = [&] {
         const rb::GateSet2Q gates(exec, defaults, c2);
-        return rb::run_irb_2q(exec, gates, cx_super, cx_index, opts);
+        return rb::run_irb_2q_with_reference(exec, gates, rb::run_rb_2q(exec, gates, opts),
+                                             cx_super, cx_index, opts);
     };
 
     obs::reset_for_testing();

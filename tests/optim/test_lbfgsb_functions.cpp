@@ -5,11 +5,13 @@
 
 #include <cmath>
 
-#include "optim/gradient_check.hpp"
 #include "optim/lbfgsb.hpp"
+#include "oracles/gradient_check.hpp"
 
 namespace qoc::optim {
 namespace {
+
+using oracle::check_gradient;
 
 Objective booth() {
     return [](const std::vector<double>& x, std::vector<double>& g) {

@@ -24,13 +24,16 @@
 
 #include "contracts/contracts.hpp"
 #include "obs/obs.hpp"
-#include "optim/gradient_check.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgsb.hpp"
 #include "optim/nelder_mead.hpp"
+#include "oracles/gradient_check.hpp"
 
 namespace qoc::optim {
 namespace {
+
+using oracle::check_gradient;
+using oracle::GradientCheckResult;
 
 /// An objective in both flavours; each solver consumes the one it needs.
 struct TestProblem {

@@ -1,11 +1,12 @@
-#include "optim/gradient_check.hpp"
+#include "oracles/gradient_check.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-namespace qoc::optim {
+namespace qoc::oracle {
 
-GradientCheckResult check_gradient(const Objective& objective, const std::vector<double>& x,
-                                   double h) {
+GradientCheckResult check_gradient(const optim::Objective& objective,
+                                   const std::vector<double>& x, double h) {
     const std::size_t n = x.size();
     std::vector<double> grad(n), scratch(n);
     objective(x, grad);
@@ -31,4 +32,4 @@ GradientCheckResult check_gradient(const Objective& objective, const std::vector
     return res;
 }
 
-}  // namespace qoc::optim
+}  // namespace qoc::oracle

@@ -1,12 +1,13 @@
 /// \file gradient_check.hpp
-/// \brief Central finite-difference gradient verification, used by tests to
-///        validate the analytic GRAPE gradients.
+/// \brief Test oracle: central finite-difference gradient verification, the
+///        reference the analytic GRAPE and solver-test gradients are checked
+///        against.
 
 #pragma once
 
 #include "optim/problem.hpp"
 
-namespace qoc::optim {
+namespace qoc::oracle {
 
 struct GradientCheckResult {
     double max_abs_error = 0.0;   ///< worst |analytic - numeric|
@@ -16,7 +17,7 @@ struct GradientCheckResult {
 
 /// Compares the analytic gradient of `objective` at `x` against central
 /// finite differences with step `h`.
-GradientCheckResult check_gradient(const Objective& objective, const std::vector<double>& x,
-                                   double h = 1e-6);
+GradientCheckResult check_gradient(const optim::Objective& objective,
+                                   const std::vector<double>& x, double h = 1e-6);
 
-}  // namespace qoc::optim
+}  // namespace qoc::oracle

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <numbers>
+#include <vector>
 
 #include "pulse/circuit.hpp"
 #include "pulse/instruction_map.hpp"
 
 namespace qoc::pulse {
 namespace {
+
+/// A flat pulse of `duration` samples at real amplitude `amp`.
+Waveform flat(std::size_t duration, double amp) {
+    return Waveform(std::vector<std::complex<double>>(duration, {amp, 0.0}), "flat");
+}
 
 Schedule x_gate_schedule(std::size_t duration = 16, std::size_t qubit = 0) {
     Schedule s("x");
@@ -18,35 +25,26 @@ Schedule x_gate_schedule(std::size_t duration = 16, std::size_t qubit = 0) {
 
 TEST(Schedule, AppendAdvancesChannelClock) {
     Schedule s;
-    s.append(Play{constant_waveform(8, {0.1, 0.0}), drive_channel(0)});
-    s.append(Play{constant_waveform(4, {0.2, 0.0}), drive_channel(0)});
+    s.append(Play{flat(8, 0.1), drive_channel(0)});
+    s.append(Play{flat(4, 0.2), drive_channel(0)});
     EXPECT_EQ(s.channel_duration(drive_channel(0)), 12u);
     // A different channel starts at its own zero.
-    s.append(Play{constant_waveform(2, {0.3, 0.0}), drive_channel(1)});
+    s.append(Play{flat(2, 0.3), drive_channel(1)});
     EXPECT_EQ(s.channel_duration(drive_channel(1)), 2u);
     EXPECT_EQ(s.total_duration(), 12u);
 }
 
-TEST(Schedule, AppendScheduleSequences) {
-    Schedule a = x_gate_schedule(10);
-    Schedule b = x_gate_schedule(6);
-    a.append_schedule(b);
-    EXPECT_EQ(a.total_duration(), 16u);
-    EXPECT_EQ(a.instructions().size(), 2u);
-    EXPECT_EQ(a.instructions()[1].first, 10u);
-}
-
 TEST(Schedule, ChannelsListsDistinct) {
     Schedule s;
-    s.insert(0, Play{constant_waveform(4, {0.1, 0.0}), drive_channel(0)});
-    s.insert(0, Play{constant_waveform(4, {0.1, 0.0}), control_channel(1)});
+    s.insert(0, Play{flat(4, 0.1), drive_channel(0)});
+    s.insert(0, Play{flat(4, 0.1), control_channel(1)});
     s.insert(4, Acquire{8, acquire_channel(0)});
     EXPECT_EQ(s.channels().size(), 3u);
 }
 
 TEST(Schedule, SamplesResolvePlays) {
     Schedule s;
-    s.insert(2, Play{constant_waveform(3, {0.4, 0.0}), drive_channel(0)});
+    s.insert(2, Play{flat(3, 0.4), drive_channel(0)});
     const auto samples = s.channel_samples(drive_channel(0), 8);
     EXPECT_EQ(samples.size(), 8u);
     EXPECT_EQ(samples[0], std::complex<double>(0.0, 0.0));
@@ -57,9 +55,9 @@ TEST(Schedule, SamplesResolvePlays) {
 
 TEST(Schedule, ShiftPhaseRotatesSubsequentPlays) {
     Schedule s;
-    s.append(Play{constant_waveform(2, {0.5, 0.0}), drive_channel(0)});
+    s.append(Play{flat(2, 0.5), drive_channel(0)});
     s.insert(2, ShiftPhase{std::numbers::pi / 2.0, drive_channel(0)});
-    s.insert(2, Play{constant_waveform(2, {0.5, 0.0}), drive_channel(0)});
+    s.insert(2, Play{flat(2, 0.5), drive_channel(0)});
     const auto samples = s.channel_samples(drive_channel(0), 4);
     EXPECT_NEAR(samples[0].real(), 0.5, 1e-15);
     EXPECT_NEAR(samples[0].imag(), 0.0, 1e-15);
@@ -72,15 +70,15 @@ TEST(Schedule, PhaseAccumulates) {
     Schedule s;
     s.insert(0, ShiftPhase{std::numbers::pi / 2.0, drive_channel(0)});
     s.insert(0, ShiftPhase{std::numbers::pi / 2.0, drive_channel(0)});
-    s.insert(0, Play{constant_waveform(1, {1.0, 0.0}), drive_channel(0)});
+    s.insert(0, Play{flat(1, 1.0), drive_channel(0)});
     const auto samples = s.channel_samples(drive_channel(0), 1);
     EXPECT_NEAR(samples[0].real(), -1.0, 1e-12);
 }
 
 TEST(Schedule, OverlappingPlaysThrow) {
     Schedule s;
-    s.insert(0, Play{constant_waveform(4, {0.1, 0.0}), drive_channel(0)});
-    s.insert(2, Play{constant_waveform(4, {0.1, 0.0}), drive_channel(0)});
+    s.insert(0, Play{flat(4, 0.1), drive_channel(0)});
+    s.insert(2, Play{flat(4, 0.1), drive_channel(0)});
     EXPECT_THROW(s.channel_samples(drive_channel(0), 8), std::runtime_error);
 }
 
@@ -118,7 +116,7 @@ TEST(Circuit, CalibrationShadowsDefault) {
     defaults.add("x", {0}, x_gate_schedule(16));
     QuantumCircuit qc(1);
     Schedule custom("x_custom");
-    custom.insert(0, Play{constant_waveform(8, {0.7, 0.0}), drive_channel(0)});
+    custom.insert(0, Play{flat(8, 0.7), drive_channel(0)});
     qc.add_calibration("x", {0}, custom);
     qc.x(0);
     const Schedule sched = circuit_to_schedule(qc, defaults);
@@ -174,7 +172,7 @@ TEST(Circuit, TwoQubitGateAlignsBothQubits) {
     defaults.add("x", {0}, x_gate_schedule(16, 0));
     Schedule cx("cx");
     cx.insert(0, Play{gaussian_square_waveform(32, {0.3, 0.0}), control_channel(0)});
-    cx.insert(0, Play{constant_waveform(32, {0.1, 0.0}), drive_channel(1)});
+    cx.insert(0, Play{flat(32, 0.1), drive_channel(1)});
     defaults.add("cx", {0, 1}, cx);
 
     QuantumCircuit qc(2);

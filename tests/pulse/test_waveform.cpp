@@ -26,13 +26,6 @@ TEST(Waveform, RejectsEmptyAndOverUnit) {
     EXPECT_NO_THROW(Waveform(std::vector<std::complex<double>>{{1.0, 0.0}}));
 }
 
-TEST(Waveform, GaussianShape) {
-    const auto w = gaussian_waveform(64, {0.5, 0.0});
-    EXPECT_EQ(w.duration(), 64u);
-    EXPECT_NEAR(w.max_amp(), 0.5, 1e-3);
-    EXPECT_EQ(w.name(), "gaussian");
-}
-
 TEST(Waveform, DragHasQuadrature) {
     const auto w = drag_waveform(64, {0.4, 0.0}, 0.3);
     double max_q = 0.0;
@@ -45,13 +38,6 @@ TEST(Waveform, GaussianSquarePlateau) {
     const auto w = gaussian_square_waveform(100, {0.8, 0.0}, 0.5, 0.05);
     EXPECT_NEAR(std::abs(w.samples()[50]), 0.8, 1e-12);
     EXPECT_LT(std::abs(w.samples()[0]), 0.1);
-}
-
-TEST(Waveform, SineAndConstant) {
-    const auto s = sine_waveform(10, {1.0, 0.0});
-    EXPECT_GE(s.samples()[5].real(), 0.9);
-    const auto c = constant_waveform(4, {0.25, 0.0});
-    for (const auto& v : c.samples()) EXPECT_NEAR(v.real(), 0.25, 1e-15);
 }
 
 TEST(Waveform, IqWaveformFromOptimizer) {

@@ -8,6 +8,7 @@
 
 #include "linalg/expm.hpp"
 #include "oracles/channels.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
@@ -18,8 +19,11 @@ namespace qoc::quantum {
 namespace {
 
 using oracle::amplitude_damping_superop;
+using oracle::average_gate_fidelity;
 using oracle::depolarizing_superop;
+using oracle::is_density_matrix;
 using oracle::phase_damping_superop;
+using oracle::purity;
 
 namespace g = gates;
 

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "oracles/channels.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -13,7 +14,13 @@
 namespace qoc::quantum {
 namespace {
 
+using oracle::average_gate_fidelity;
 using oracle::depolarizing_superop;
+using oracle::fidelity_psu;
+using oracle::fidelity_psu_subspace;
+using oracle::fidelity_su;
+using oracle::state_fidelity;
+using oracle::tracediff_error;
 
 constexpr cplx kI{0.0, 1.0};
 

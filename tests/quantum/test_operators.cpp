@@ -22,7 +22,7 @@ TEST(Operators, PauliAlgebra) {
 }
 
 TEST(Operators, LadderOperators) {
-    const Mat sp = sigma_plus(), sm = sigma_minus();
+    const Mat sm = sigma_minus(), sp = sm.adjoint();
     // sigma_- |1> = |0>:  sm * (0,1)^T = (1,0)^T.
     EXPECT_EQ(sm(0, 1), cplx(1.0, 0.0));
     EXPECT_TRUE((sp + sm).approx_equal(sigma_x(), 1e-14));
@@ -113,14 +113,6 @@ TEST(Operators, QubitIsometryProjects) {
     const Mat proj = p * p.adjoint();
     EXPECT_NEAR(proj(2, 2).real(), 0.0, 1e-15);
     EXPECT_NEAR(proj(0, 0).real(), 1.0, 1e-15);
-}
-
-TEST(Operators, EmbedQubitOp) {
-    const Mat big = embed_qubit_op(sigma_x(), 3);
-    EXPECT_EQ(big.rows(), 3u);
-    EXPECT_EQ(big(0, 1), cplx(1.0, 0.0));
-    EXPECT_EQ(big(2, 2), cplx(0.0, 0.0));
-    EXPECT_THROW(embed_qubit_op(Mat::identity(3), 4), std::invalid_argument);
 }
 
 }  // namespace

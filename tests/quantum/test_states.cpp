@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "linalg/kron.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 
 namespace qoc::quantum {
 namespace {
+
+using oracle::is_density_matrix;
+using oracle::purity;
 
 TEST(States, BasisKet) {
     const Mat k = basis_ket(3, 1);

@@ -9,6 +9,7 @@
 #include "linalg/kron.hpp"
 #include "oracles/channels.hpp"
 #include "oracles/propagators.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 #include "quantum/states.hpp"
@@ -18,6 +19,7 @@ namespace {
 
 using oracle::amplitude_damping_superop;
 using oracle::depolarizing_superop;
+using oracle::is_density_matrix;
 using oracle::phase_damping_superop;
 
 using linalg::cplx;
@@ -38,7 +40,7 @@ TEST(Superop, DissipatorMatchesDirectForm) {
     const Mat rho = ket_to_dm(basis_ket(2, 1));
     const Mat lhs = apply_superop(d, rho);
     const Mat cdc = c.adjoint() * c;
-    const Mat rhs = c * rho * c.adjoint() - 0.5 * linalg::anticommutator(cdc, rho);
+    const Mat rhs = c * rho * c.adjoint() - 0.5 * (cdc * rho + rho * cdc);
     EXPECT_TRUE(lhs.approx_equal(rhs, 1e-13));
 }
 

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "linalg/kron.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/operators.hpp"
 
@@ -95,9 +96,9 @@ TEST_F(CliffordTest, TwoQubitGroupOrder) {
 
 TEST_F(CliffordTest, TwoQubitContainsNamedGates) {
     EXPECT_NO_THROW(c2().find(g::cx()));
-    EXPECT_NO_THROW(c2().find(g::cz()));
+    EXPECT_NO_THROW(c2().find(oracle::cz()));
     EXPECT_NO_THROW(c2().find(g::swap()));
-    EXPECT_NO_THROW(c2().find(g::iswap()));
+    EXPECT_NO_THROW(c2().find(oracle::iswap()));
     EXPECT_NO_THROW(c2().find(linalg::kron(g::h(), g::s())));
 }
 

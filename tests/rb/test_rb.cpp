@@ -226,7 +226,8 @@ TEST(Rb, IrbStderrMatchesSeedToSeedSpread) {
         opts.seeds_per_length = 12;
         opts.shots = 8192;
         opts.rng_seed = seed;
-        return run_irb_2q(exec, gates2q, cx_super, cx_index, opts);
+        return run_irb_2q_with_reference(exec, gates2q, run_rb_2q(exec, gates2q, opts),
+                                         cx_super, cx_index, opts);
     });
 
     RecordProperty("x_stderr_over_spread", std::to_string(ratio_1q));

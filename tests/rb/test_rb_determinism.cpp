@@ -166,7 +166,10 @@ TEST(RbDeterminism, Irb2qBitIdenticalAcrossThreadCounts) {
     opts.lengths = {1, 4, 8};
     opts.seeds_per_length = 4;
     opts.shots = 1024;
-    auto run = [&] { return run_irb_2q(exec(), gates, cx_super, cx_index, opts); };
+    auto run = [&] {
+        return run_irb_2q_with_reference(exec(), gates, run_rb_2q(exec(), gates, opts), cx_super,
+                                         cx_index, opts);
+    };
     const IrbResult ref = with_threads(1, run);
     for (int threads : {2, 4}) {
         const IrbResult other = with_threads(threads, run);
@@ -187,7 +190,10 @@ TEST(RbDeterminism, Irb2qSeedBlockWidthIsUnobservable) {
     opts.lengths = {1, 4, 8};
     opts.seeds_per_length = 12;
     opts.shots = 1024;
-    auto run = [&] { return run_irb_2q(exec(), gates, cx_super, cx_index, opts); };
+    auto run = [&] {
+        return run_irb_2q_with_reference(exec(), gates, run_rb_2q(exec(), gates, opts), cx_super,
+                                         cx_index, opts);
+    };
     const IrbResult ref = with_threads(1, run);
     for (int threads : {2, 4, 6, 12}) {
         const IrbResult other = with_threads(threads, run);

@@ -4,7 +4,7 @@
 
 #include "device/calibration.hpp"
 #include "oracles/channels.hpp"
-#include "quantum/fidelity.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/superop.hpp"
 
@@ -47,7 +47,7 @@ TEST(PtmMath, PtmIsReal) {
 TEST(PtmMath, FidelityFromPtmMatchesUnitaryFormula) {
     for (const Mat& u : {g::x(), g::h(), g::sx(), g::rx(0.3)}) {
         const double via_ptm = avg_fidelity_from_ptm(ptm_of_unitary(u), g::x());
-        const double direct = quantum::average_gate_fidelity(g::x(), u);
+        const double direct = oracle::average_gate_fidelity(g::x(), u);
         EXPECT_NEAR(via_ptm, direct, 1e-10);
     }
 }

@@ -2,6 +2,7 @@
 
 #include "device/calibration.hpp"
 #include "linalg/kron.hpp"
+#include "oracles/quantum.hpp"
 #include "quantum/fidelity.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/superop.hpp"
@@ -24,9 +25,9 @@ TEST(Ptm2qMath, IdentityAndCx) {
 }
 
 TEST(Ptm2qMath, FidelityMatchesUnitaryFormula) {
-    for (const Mat& u : {g::cx(), g::cz(), linalg::kron(g::h(), g::s()), g::iswap()}) {
+    for (const Mat& u : {g::cx(), oracle::cz(), linalg::kron(g::h(), g::s()), oracle::iswap()}) {
         const double via_ptm = avg_fidelity_from_ptm_2q(ptm_of_unitary_2q(u), g::cx());
-        const double direct = quantum::average_gate_fidelity(g::cx(), u);
+        const double direct = oracle::average_gate_fidelity(g::cx(), u);
         EXPECT_NEAR(via_ptm, direct, 1e-10);
     }
 }
