@@ -5,8 +5,9 @@
 /// the d^2 x d^2 superoperator, no zero-skip, no SIMD), an optional
 /// interleaved superop after every Clifford, then the recovery element.
 /// It draws from the same per-(length, seed) RNG streams as the engine, so
-/// RB, IRB and leakage-RB results must agree with it up to floating-point
-/// association: 1e-12 on the survival / leakage points, 1e-9 on the fits.
+/// 1Q RB/IRB, 2Q IRB and leakage-RB results must agree with it up to
+/// floating-point association: 1e-12 on the survival / leakage points, 1e-9
+/// on the fits.
 
 #pragma once
 
@@ -58,10 +59,51 @@ inline Mat propagate_seed_1q(const PulseExecutor& exec, const GateSet1Q& gates, 
     return next;
 }
 
+/// 2Q analogue of `propagate_seed_1q`: the ideal net unitary (with the
+/// interleaved element's unitary after every Clifford when given) is tracked
+/// by plain products and phase normalization, and the recovery element is
+/// the group element of its adjoint.
+inline Mat propagate_seed_2q(const PulseExecutor& exec, const GateSet2Q& gates, std::size_t m,
+                             std::mt19937_64& rng, const Mat* interleave_super,
+                             std::size_t interleave_index) {
+    const Clifford2Q& group = gates.group();
+    Mat v = linalg::vec(exec.ground_state_2q());
+    Mat next;
+    Mat net = Mat::identity(4);
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t c = group.sample(rng);
+        dense_matvec(gates.clifford_superop(c), v, next);
+        std::swap(v, next);
+        net = phase_normalize(group.unitary(c) * net);
+        if (interleave_super != nullptr) {
+            dense_matvec(*interleave_super, v, next);
+            std::swap(v, next);
+            net = phase_normalize(group.unitary(interleave_index) * net);
+        }
+    }
+    dense_matvec(gates.clifford_superop(group.find(net.adjoint())), v, next);
+    return next;
+}
+
 inline double serial_mean(const std::vector<double>& vals) {
     double s = 0.0;
     for (double v : vals) s += v;
     return s / static_cast<double>(vals.size());
+}
+
+/// One curve point: the serial mean of the per-seed survivals and its
+/// standard error over seeds.
+inline RbPoint point_of(std::size_t m, const std::vector<double>& survivals) {
+    RbPoint pt;
+    pt.length = m;
+    pt.mean_survival = serial_mean(survivals);
+    if (survivals.size() > 1) {
+        double ss = 0.0;
+        for (double v : survivals) ss += (v - pt.mean_survival) * (v - pt.mean_survival);
+        const auto n = static_cast<double>(survivals.size());
+        pt.sem = std::sqrt(ss / (n - 1.0) / n);
+    }
+    return pt;
 }
 
 /// Standard (or, with `interleave_super`, interleaved) 1Q RB curve.
@@ -80,18 +122,31 @@ inline RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, st
             std::binomial_distribution<int> shots(opts.shots, std::clamp(p0, 0.0, 1.0));
             survivals[s] = static_cast<double>(shots(rng)) / static_cast<double>(opts.shots);
         }
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = serial_mean(survivals);
-        if (survivals.size() > 1) {
-            double ss = 0.0;
-            for (double v : survivals) ss += (v - pt.mean_survival) * (v - pt.mean_survival);
-            const auto n = static_cast<double>(survivals.size());
-            pt.sem = std::sqrt(ss / (n - 1.0) / n);
-        }
-        curve.points.push_back(pt);
+        curve.points.push_back(point_of(m, survivals));
     }
     fit_rb_curve(curve, 2.0);
+    return curve;
+}
+
+/// Standard (or, with `interleave_super`, interleaved) 2Q RB curve: the
+/// survival is P("00") of `measure_2q_vec`, seeded from the seed's stream
+/// after its sequence draws.
+inline RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates,
+                           const RbOptions& opts, const Mat* interleave_super = nullptr,
+                           std::size_t interleave_index = 0) {
+    RbCurve curve;
+    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
+        const std::size_t m = opts.lengths[li];
+        std::vector<double> survivals(opts.seeds_per_length);
+        for (std::size_t s = 0; s < opts.seeds_per_length; ++s) {
+            std::mt19937_64 rng(opts.rng_seed + 6271 * (li * 1000 + s));
+            const Mat v =
+                propagate_seed_2q(exec, gates, m, rng, interleave_super, interleave_index);
+            survivals[s] = exec.measure_2q_vec(v, opts.shots, rng()).probability("00");
+        }
+        curve.points.push_back(point_of(m, survivals));
+    }
+    fit_rb_curve(curve, 4.0);
     return curve;
 }
 
@@ -104,6 +159,17 @@ inline IrbResult irb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::
     res.interleaved =
         rb_curve_1q(exec, gates, qubit, opts, &interleaved_superop, interleaved_clifford);
     res.gate_error = 0.5 * (1.0 - res.interleaved.alpha / res.reference.alpha);
+    return res;
+}
+
+/// 2Q IRB from a reference and an interleaved reference curve.
+inline IrbResult irb_2q(const PulseExecutor& exec, const GateSet2Q& gates,
+                        const Mat& interleaved_superop, std::size_t interleaved_clifford,
+                        const RbOptions& opts) {
+    IrbResult res;
+    res.reference = rb_curve_2q(exec, gates, opts);
+    res.interleaved = rb_curve_2q(exec, gates, opts, &interleaved_superop, interleaved_clifford);
+    res.gate_error = 0.75 * (1.0 - res.interleaved.alpha / res.reference.alpha);
     return res;
 }
 

@@ -9,8 +9,8 @@
 ///  2. Thread invariance: 1-vs-N task-pool sizes are bitwise identical even
 ///     though the block width depends on the pool size.
 ///  3. Dense reference: the naive per-seed dense-matvec loop in
-///     dense_rb_reference.hpp reproduces the engine's RB, IRB and leakage
-///     points to 1e-12 and their fits to 1e-9 -- the two differ only in
+///     dense_rb_reference.hpp reproduces the engine's RB, IRB (1Q and 2Q)
+///     and leakage points to 1e-12 and their fits to 1e-9 -- the two differ only in
 ///     floating-point association.  (The `DenseEscapeHatch*` test names
 ///     predate the reference; they keep their ids.)
 
@@ -46,6 +46,11 @@ const Clifford1Q& c1() {
 
 const GateSet1Q& gates1q() {
     static GateSet1Q instance{exec(), defaults(), 0, c1()};
+    return instance;
+}
+
+const Clifford2Q& c2() {
+    static Clifford2Q instance{c1()};
     return instance;
 }
 
@@ -182,6 +187,32 @@ TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithDense1Q) {
     const IrbResult dense = reference::irb_1q(exec(), gates1q(), 0, x_super, x_index, opts);
 
     for (std::size_t i = 0; i < batched.interleaved.points.size(); ++i) {
+        EXPECT_NEAR(batched.interleaved.points[i].mean_survival,
+                    dense.interleaved.points[i].mean_survival, 1e-12)
+            << "i=" << i;
+    }
+    EXPECT_NEAR(batched.gate_error, dense.gate_error, 1e-9);
+}
+
+TEST(RbBatchedDeterminism, InterleavedBatchAgreesWithDense2Q) {
+    // 2Q IRB tracks the ideal net unitary with the interleaved element's
+    // unitary after every Clifford, then looks the recovery up by `find`.
+    const GateSet2Q gates(exec(), defaults(), c2());
+    const Mat cx_super = exec().schedule_superop_2q(defaults().get("cx", {0, 1}));
+    const std::size_t cx_index = c2().find(quantum::gates::cx());
+    RbOptions opts = small_opts();
+    opts.lengths = {1, 6, 12};
+    opts.seeds_per_length = 3;
+
+    const IrbResult batched = run_irb_2q_with_reference(
+        exec(), gates, run_rb_2q(exec(), gates, opts), cx_super, cx_index, opts);
+    const IrbResult dense = reference::irb_2q(exec(), gates, cx_super, cx_index, opts);
+
+    ASSERT_EQ(batched.interleaved.points.size(), dense.interleaved.points.size());
+    for (std::size_t i = 0; i < batched.interleaved.points.size(); ++i) {
+        EXPECT_NEAR(batched.reference.points[i].mean_survival,
+                    dense.reference.points[i].mean_survival, 1e-12)
+            << "i=" << i;
         EXPECT_NEAR(batched.interleaved.points[i].mean_survival,
                     dense.interleaved.points[i].mean_survival, 1e-12)
             << "i=" << i;
