@@ -354,9 +354,13 @@ Mat PulseExecutor::ground_state_2q() const {
 }
 
 double PulseExecutor::p1_after_readout(const Mat& rho, std::size_t qubit) const {
+    const std::size_t d = config_.levels;
+    if (rho.rows() != d || rho.cols() != d) {
+        throw std::invalid_argument("p1_after_readout: expected levels x levels density matrix");
+    }
     const auto& p = config_.qubit(qubit);
     double p1 = 0.0;
-    for (std::size_t k = 1; k < rho.rows(); ++k) p1 += rho(k, k).real();  // leakage reads "1"
+    for (std::size_t k = 1; k < d; ++k) p1 += rho(k, k).real();  // leakage reads "1"
     const double p0 = 1.0 - p1;
     return p1 * (1.0 - p.readout_p01) + p0 * p.readout_p10;
 }

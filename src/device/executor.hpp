@@ -91,7 +91,8 @@ public:
 
     /// Readout of a 1-qubit (levels-dim) density matrix: collapses the
     /// populations to {0, 1} (level >= 2 reads as 1), applies the confusion
-    /// matrix, samples `shots` outcomes.  Throws std::domain_error when the
+    /// matrix, samples `shots` outcomes.  Throws std::invalid_argument
+    /// unless `rho` is levels x levels, std::domain_error when the
     /// populations are not finite.
     Counts measure_1q(const Mat& rho, std::size_t qubit, int shots, std::uint64_t seed) const;
 
@@ -108,10 +109,12 @@ public:
     Counts measure_2q_vec(const Mat& vec_rho, int shots, std::uint64_t seed) const;
 
     /// Ideal readout probabilities P(read 1) for a 1-qubit state (confusion
-    /// applied, no shot noise) -- used by deterministic tests.
+    /// applied, no shot noise) -- used by deterministic tests.  Throws
+    /// std::invalid_argument unless `rho` is levels x levels.
     double p1_after_readout(const Mat& rho, std::size_t qubit) const;
 
-    /// `p1_after_readout` on a vectorized (levels^2 x 1) density matrix.
+    /// `p1_after_readout` on a vectorized (levels^2 x 1) density matrix;
+    /// throws std::invalid_argument on any other shape.
     double p1_after_readout_vec(const Mat& vec_rho, std::size_t qubit) const;
 
     /// Ground state (levels-dim density matrix).

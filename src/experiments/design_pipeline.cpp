@@ -104,38 +104,42 @@ DesignPipeline::CxCtx& DesignPipeline::cx_ctx() const {
     return *ctx;
 }
 
+namespace {
+
+/// Custom-vs-default comparison of one gate's two IRB results.
+GateComparison compare(std::string gate, rb::IrbResult custom, rb::IrbResult standard) {
+    const double def = standard.gate_error;
+    GateComparison cmp{std::move(gate), std::move(custom), std::move(standard), 0.0};
+    if (def > 0.0) cmp.improvement_percent = 100.0 * (def - cmp.custom.gate_error) / def;
+    return cmp;
+}
+
+}  // namespace
+
+rb::IrbResult DesignPipeline::irb_1q(const std::string& gate_name, std::size_t qubit,
+                                     const Mat& superop) const {
+    const QubitCtx& ctx = qubit_ctx(qubit);
+    return rb::run_irb_1q_with_reference(*exec_, *ctx.gates, qubit, ctx.reference, superop,
+                                         group1q_.find(ideal_1q_gate(gate_name)), options_.rb);
+}
+
 GateComparison DesignPipeline::characterize_1q(const std::string& gate_name,
                                                std::size_t qubit,
                                                const pulse::Schedule& custom_schedule) const {
     obs::Span span("pipeline.characterize");
     obs::ScopedHistTimer wall(obs::Hist::kIrbWall);
-    const QubitCtx& ctx = qubit_ctx(qubit);
-    const std::size_t cliff_index = group1q_.find(ideal_1q_gate(gate_name));
-    const Mat custom_super = exec_->schedule_superop_1q(custom_schedule, qubit);
-    const Mat default_super = default_gate_superop_1q(*exec_, *defaults_, gate_name, qubit);
-
-    GateComparison cmp;
-    cmp.gate = gate_name;
-    cmp.custom = rb::run_irb_1q_with_reference(*exec_, *ctx.gates, qubit, ctx.reference,
-                                               custom_super, cliff_index, options_.rb);
-    cmp.standard = rb::run_irb_1q_with_reference(*exec_, *ctx.gates, qubit, ctx.reference,
-                                                 default_super, cliff_index, options_.rb);
-    if (cmp.standard.gate_error > 0.0) {
-        cmp.improvement_percent =
-            100.0 * (cmp.standard.gate_error - cmp.custom.gate_error) / cmp.standard.gate_error;
-    }
-    return cmp;
+    rb::IrbResult custom =
+        irb_1q(gate_name, qubit, exec_->schedule_superop_1q(custom_schedule, qubit));
+    rb::IrbResult standard = irb_1q(
+        gate_name, qubit, default_gate_superop_1q(*exec_, *defaults_, gate_name, qubit));
+    return compare(gate_name, std::move(custom), std::move(standard));
 }
 
 rb::IrbResult DesignPipeline::irb_custom_1q(const std::string& gate_name, std::size_t qubit,
                                             const pulse::Schedule& custom_schedule) const {
     obs::Span span("pipeline.characterize");
     obs::ScopedHistTimer wall(obs::Hist::kIrbWall);
-    const QubitCtx& ctx = qubit_ctx(qubit);
-    const std::size_t cliff_index = group1q_.find(ideal_1q_gate(gate_name));
-    const Mat custom_super = exec_->schedule_superop_1q(custom_schedule, qubit);
-    return rb::run_irb_1q_with_reference(*exec_, *ctx.gates, qubit, ctx.reference,
-                                         custom_super, cliff_index, options_.rb);
+    return irb_1q(gate_name, qubit, exec_->schedule_superop_1q(custom_schedule, qubit));
 }
 
 GateComparison DesignPipeline::characterize_cx(const pulse::Schedule& custom_schedule) const {
@@ -145,18 +149,11 @@ GateComparison DesignPipeline::characterize_cx(const pulse::Schedule& custom_sch
     const std::size_t cliff_index = ctx.group->find(g::cx());
     const Mat custom_super = exec_->schedule_superop_2q(custom_schedule);
     const Mat default_super = exec_->schedule_superop_2q(defaults_->get("cx", {0, 1}));
-
-    GateComparison cmp;
-    cmp.gate = "cx";
-    cmp.custom = rb::run_irb_2q_with_reference(*exec_, *ctx.gates, ctx.reference,
-                                               custom_super, cliff_index, options_.rb);
-    cmp.standard = rb::run_irb_2q_with_reference(*exec_, *ctx.gates, ctx.reference,
-                                                 default_super, cliff_index, options_.rb);
-    if (cmp.standard.gate_error > 0.0) {
-        cmp.improvement_percent =
-            100.0 * (cmp.standard.gate_error - cmp.custom.gate_error) / cmp.standard.gate_error;
-    }
-    return cmp;
+    rb::IrbResult custom = rb::run_irb_2q_with_reference(*exec_, *ctx.gates, ctx.reference,
+                                                         custom_super, cliff_index, options_.rb);
+    rb::IrbResult standard = rb::run_irb_2q_with_reference(
+        *exec_, *ctx.gates, ctx.reference, default_super, cliff_index, options_.rb);
+    return compare("cx", std::move(custom), std::move(standard));
 }
 
 PipelineResult DesignPipeline::run(const std::vector<GateJob1Q>& jobs,

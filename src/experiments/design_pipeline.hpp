@@ -196,6 +196,11 @@ private:
     QubitCtx& qubit_ctx(std::size_t qubit) const;
     CxCtx& cx_ctx() const;
 
+    /// IRB of `superop` as gate `gate_name` against the qubit's shared
+    /// reference (no span: the public callers open it).
+    rb::IrbResult irb_1q(const std::string& gate_name, std::size_t qubit,
+                         const linalg::Mat& superop) const;
+
     DesignPipelineOptions options_;
     device::BackendConfig design_model_;
     std::unique_ptr<device::PulseExecutor> owned_exec_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -17,21 +16,8 @@
 #include "rb/seed_block.hpp"
 #include "runtime/ordered.hpp"
 #include "runtime/task_pool.hpp"
-#include "runtime/workspace_pool.hpp"
 
 namespace qoc::rb {
-
-namespace {
-
-double survival_sem(const std::vector<double>& vals, double mean) {
-    if (vals.size() < 2) return 0.0;
-    double s = 0.0;
-    for (double v : vals) s += (v - mean) * (v - mean);
-    return std::sqrt(s / static_cast<double>(vals.size() - 1) /
-                     static_cast<double>(vals.size()));
-}
-
-}  // namespace
 
 void fit_rb_curve(RbCurve& curve, double dimension) {
     const std::size_t n = curve.points.size();
@@ -95,122 +81,65 @@ GateSet1Q::GateSet1Q(const PulseExecutor& exec, const pulse::InstructionSchedule
 
 namespace {
 
-using detail::apply_block_step;
-using detail::apply_broadcast;
-using detail::fill_block;
-using detail::seed_block_width;
-
-/// Rejects an interleaved superoperator that is not `d2 x d2`, before any
-/// seed block starts.
-void check_interleave_shape(const Mat* interleave_super, std::size_t d2, const char* where) {
-    if (interleave_super != nullptr &&
-        (interleave_super->rows() != d2 || interleave_super->cols() != d2)) {
-        throw std::invalid_argument(std::string(where) +
-                                    ": interleaved superoperator is not d^2 x d^2");
+/// The RB curve of per-seed survivals ([length index][seed]): per length
+/// the ordered mean and its standard error over seeds, then the decay fit.
+RbCurve curve_of(const RbOptions& opts, const std::vector<std::vector<double>>& survivals,
+                 double dimension) {
+    RbCurve curve;
+    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
+        const std::vector<double>& vals = survivals[li];
+        RbPoint pt;
+        pt.length = opts.lengths[li];
+        pt.mean_survival = runtime::ordered_mean(vals);
+        if (vals.size() > 1) {
+            double s = 0.0;
+            for (double v : vals) s += (v - pt.mean_survival) * (v - pt.mean_survival);
+            pt.sem = std::sqrt(s / static_cast<double>(vals.size() - 1) /
+                               static_cast<double>(vals.size()));
+        }
+        curve.points.push_back(pt);
     }
+    fit_rb_curve(curve, dimension);
+    return curve;
 }
 
-/// Per-thread state of the batched (structure-of-arrays) seed engine: a
-/// d^2 x B block whose column j is seed s0+j's vec(rho), the pre-sampled
-/// step-major sequence table, and the per-seed RNG engines parked after
-/// their sequence draws so shot sampling continues the same stream.
-struct BatchWorkspace {
-    Mat x;       ///< d^2 x B seed block
-    Mat x_next;  ///< apply output, swapped into `x`
-    Mat v;       ///< d^2 x 1 per-seed extraction for measurement
-    Mat net, net_next;                  ///< 2Q ideal-unitary tracking (presample)
-    std::vector<std::size_t> seq;       ///< [step * B + seed] Clifford indices
-    std::vector<std::size_t> rec;       ///< recovery index per seed
-    std::vector<std::mt19937_64> rngs;  ///< per-seed stream after sequence draws
-};
-
-/// Copies column `j` of the block into the d^2 x 1 vector `v`.
-void extract_column(const Mat& x, std::size_t j, Mat& v) {
-    v.resize(x.rows(), 1);
-    for (std::size_t r = 0; r < x.rows(); ++r) v(r, 0) = x(r, j);
+/// Interleaved RB's gate error (d-1)/d (1 - alpha_c/alpha) and its 1-sigma,
+/// propagated from both curves' alpha uncertainties.
+IrbResult irb_of(const RbCurve& reference, RbCurve interleaved, double dimension) {
+    IrbResult res;
+    res.reference = reference;
+    res.interleaved = std::move(interleaved);
+    const double scale = (dimension - 1.0) / dimension;
+    const double ratio = res.interleaved.alpha / res.reference.alpha;
+    res.gate_error = scale * (1.0 - ratio);
+    const double rel = std::sqrt(std::pow(res.interleaved.alpha_err / res.interleaved.alpha, 2) +
+                                 std::pow(res.reference.alpha_err / res.reference.alpha, 2));
+    res.gate_error_err = scale * ratio * rel;
+    return res;
 }
 
-/// Batched 1Q RB: sequences are pre-sampled per seed from a per-(length,
-/// seed) RNG stream, then the whole seed block advances one Clifford step
-/// at a time through `apply_block_step`.
+/// 1Q RB (IRB when `interleave_super` is set): the shared 1Q draw on stream
+/// 7919, read out as a binomial shot sample of the readout-confused P(0).
 RbCurve rb_curve_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
                     const RbOptions& opts, const Mat* interleave_super,
                     std::size_t interleave_index) {
-    const Clifford1Q& group = gates.group();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_1q());
-    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_1q");
-    const auto superop_of = [&gates](std::size_t i) -> const Mat& {
-        return gates.clifford_superop(i);
+    const char* label = interleave_super ? "irb1q" : "rb1q";
+    const auto read = [&](const Mat& v, std::mt19937_64& rng, std::size_t m, std::size_t seed) {
+        contracts::check_density_vec(v, "RB 1Q: state after recovery", 1e-6);
+        const double p0 = 1.0 - exec.p1_after_readout_vec(v, qubit);
+        contracts::check_probability(p0, "RB 1Q: survival probability", 1e-6);
+        std::binomial_distribution<int> shots_dist(opts.shots, std::clamp(p0, 0.0, 1.0));
+        const double survival =
+            static_cast<double>(shots_dist(rng)) / static_cast<double>(opts.shots);
+        obs::emit_rb_seed(label, m, static_cast<std::int64_t>(seed), survival);
+        return survival;
     };
-
-    runtime::WorkspacePool<BatchWorkspace> workspaces;
-    const std::size_t bw_max = seed_block_width(opts.seeds_per_length);
-    const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
-
-    RbCurve curve;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        std::vector<double> survivals(opts.seeds_per_length);
-
-        runtime::TaskPool::global().parallel_for(0, n_blocks, [&](std::size_t blk) {
-            obs::Span span("rb.seq_block_1q");
-            const std::size_t s0 = blk * bw_max;
-            const std::size_t bw = std::min(bw_max, opts.seeds_per_length - s0);
-            auto lease = workspaces.acquire();
-            BatchWorkspace& w = *lease;
-
-            // Pre-sample the block's sequences.  Per seed the engine draws
-            // the sequence indices first and the shot sample afterwards, so
-            // an interleaved run reuses the reference run's sequences and
-            // shot noise (standard IRB practice: paired sequences cancel
-            // most sampling noise in the alpha ratio).
-            w.seq.resize(m * bw);
-            w.rec.resize(bw);
-            w.rngs.clear();
-            std::uniform_int_distribution<std::size_t> dist(0, Clifford1Q::kSize - 1);
-            for (std::size_t j = 0; j < bw; ++j) {
-                std::mt19937_64 rng(opts.rng_seed + 7919 * (li * 1000 + (s0 + j)));
-                std::size_t net = group.identity_index();
-                for (std::size_t k = 0; k < m; ++k) {
-                    const std::size_t c = dist(rng);
-                    w.seq[k * bw + j] = c;
-                    net = group.multiply(c, net);
-                    if (interleave_super != nullptr) net = group.multiply(interleave_index, net);
-                }
-                w.rec[j] = group.inverse(net);
-                w.rngs.push_back(rng);
-            }
-
-            fill_block(vec_rho0, bw, w.x);
-            for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(superop_of, &w.seq[k * bw], bw, w.x, w.x_next);
-                if (interleave_super != nullptr) {
-                    apply_broadcast(*interleave_super, w.x, w.x_next);
-                    std::swap(w.x, w.x_next);
-                }
-            }
-            apply_block_step(superop_of, w.rec.data(), bw, w.x, w.x_next);
-
-            for (std::size_t j = 0; j < bw; ++j) {
-                extract_column(w.x, j, w.v);
-                contracts::check_density_vec(w.v, "RB 1Q: state after recovery", 1e-6);
-                const double p0 = 1.0 - exec.p1_after_readout_vec(w.v, qubit);
-                contracts::check_probability(p0, "RB 1Q: survival probability", 1e-6);
-                std::binomial_distribution<int> shots_dist(opts.shots, std::clamp(p0, 0.0, 1.0));
-                survivals[s0 + j] = static_cast<double>(shots_dist(w.rngs[j])) /
-                                    static_cast<double>(opts.shots);
-                obs::emit_rb_seed(interleave_super ? "irb1q" : "rb1q", m,
-                                  static_cast<std::int64_t>(s0 + j), survivals[s0 + j]);
-            }
-        });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
-    }
-    fit_rb_curve(curve, 2.0);
-    return curve;
+    const detail::Draw1Q draw{gates.group(), interleave_super ? &interleave_index : nullptr};
+    return curve_of(opts,
+                    detail::run_seed_blocks(gates, opts, 7919, "rb.seq_block_1q",
+                                            linalg::vec(exec.ground_state_1q()),
+                                            interleave_super, draw, read),
+                    2.0);
 }
 
 }  // namespace
@@ -225,17 +154,10 @@ IrbResult run_irb_1q_with_reference(const PulseExecutor& exec, const GateSet1Q& 
                                     const Mat& interleaved_superop,
                                     std::size_t interleaved_clifford,
                                     const RbOptions& options) {
-    IrbResult res;
-    res.reference = reference;
-    res.interleaved =
-        rb_curve_1q(exec, gates, qubit, options, &interleaved_superop, interleaved_clifford);
-    const double ratio = res.interleaved.alpha / res.reference.alpha;
-    res.gate_error = 0.5 * (1.0 - ratio);
-    // Propagate both alpha uncertainties.
-    const double rel = std::sqrt(std::pow(res.interleaved.alpha_err / res.interleaved.alpha, 2) +
-                                 std::pow(res.reference.alpha_err / res.reference.alpha, 2));
-    res.gate_error_err = 0.5 * ratio * rel;
-    return res;
+    return irb_of(reference,
+                  rb_curve_1q(exec, gates, qubit, options, &interleaved_superop,
+                              interleaved_clifford),
+                  2.0);
 }
 
 IrbResult run_irb_1q(const PulseExecutor& exec, const GateSet1Q& gates, std::size_t qubit,
@@ -350,99 +272,62 @@ const Mat& GateSet2Q::clifford_superop(std::size_t i) const {
     return cliff_cache_[i];
 }
 
-void GateSet2Q::precompute_all() const {
-    runtime::TaskPool::global().parallel_for(
-        0, Clifford2Q::kSize, [&](std::size_t i) { clifford_superop(i); });
-}
-
 namespace {
 
-/// Batched 2Q RB; mirrors rb_curve_1q's block engine.  The ideal-unitary
-/// net tracking (and the `group.find` recovery lookup) happens per seed
-/// during pre-sampling, so recovery indices do not depend on the block
-/// partition.
+/// 2Q RB (IRB when `interleave_super` is set) on stream 6271.  The draw
+/// tracks the ideal net unitary (the interleaved element's unitary after
+/// every Clifford) in the workspace and looks the recovery up with
+/// `group.find`, per seed, so recovery indices do not depend on the block
+/// partition.  The read is P("00") of one `measure_2q_vec` sample.
 RbCurve rb_curve_2q(const PulseExecutor& exec, const GateSet2Q& gates, const RbOptions& opts,
                     const Mat* interleave_super, std::size_t interleave_index) {
     const Clifford2Q& group = gates.group();
-    const Mat vec_rho0 = linalg::vec(exec.ground_state_2q());
-    check_interleave_shape(interleave_super, vec_rho0.rows(), "run_irb_2q_with_reference");
-    const Mat interleave_ideal =
-        interleave_super ? group.unitary(interleave_index) : Mat::identity(4);
-    const auto superop_of = [&gates](std::size_t i) -> const Mat& {
-        return gates.clifford_superop(i);
-    };
+    const Mat* interleave_ideal = interleave_super ? &group.unitary(interleave_index) : nullptr;
 
     // Long runs revisit most of the 11520-element group; filling the superop
     // cache eagerly (in parallel) beats lazy misses inside the sequence loop.
     std::size_t total_steps = 0;
     for (std::size_t m : opts.lengths) total_steps += m * opts.seeds_per_length;
-    if (total_steps >= 2 * Clifford2Q::kSize) gates.precompute_all();
-
-    runtime::WorkspacePool<BatchWorkspace> workspaces;
-    const std::size_t bw_max = seed_block_width(opts.seeds_per_length);
-    const std::size_t n_blocks = (opts.seeds_per_length + bw_max - 1) / bw_max;
-
-    RbCurve curve;
-    for (std::size_t li = 0; li < opts.lengths.size(); ++li) {
-        const std::size_t m = opts.lengths[li];
-        std::vector<double> survivals(opts.seeds_per_length);
-
-        runtime::TaskPool::global().parallel_for(0, n_blocks, [&](std::size_t blk) {
-            obs::Span span("rb.seq_block_2q");
-            const std::size_t s0 = blk * bw_max;
-            const std::size_t bw = std::min(bw_max, opts.seeds_per_length - s0);
-            auto lease = workspaces.acquire();
-            BatchWorkspace& w = *lease;
-
-            w.seq.resize(m * bw);
-            w.rec.resize(bw);
-            w.rngs.clear();
-            for (std::size_t j = 0; j < bw; ++j) {
-                std::mt19937_64 rng(opts.rng_seed + 6271 * (li * 1000 + (s0 + j)));
-                w.net = Mat::identity(4);
-                for (std::size_t k = 0; k < m; ++k) {
-                    const std::size_t c = group.sample(rng);
-                    w.seq[k * bw + j] = c;
-                    linalg::gemm_into(group.unitary(c), w.net, w.net_next);
-                    phase_normalize_inplace(w.net_next);
-                    std::swap(w.net, w.net_next);
-                    if (interleave_super != nullptr) {
-                        linalg::gemm_into(interleave_ideal, w.net, w.net_next);
-                        phase_normalize_inplace(w.net_next);
-                        std::swap(w.net, w.net_next);
-                    }
-                }
-                w.rec[j] = group.find(w.net.adjoint());
-                w.rngs.push_back(rng);
-            }
-
-            fill_block(vec_rho0, bw, w.x);
-            for (std::size_t k = 0; k < m; ++k) {
-                apply_block_step(superop_of, &w.seq[k * bw], bw, w.x, w.x_next);
-                if (interleave_super != nullptr) {
-                    apply_broadcast(*interleave_super, w.x, w.x_next);
-                    std::swap(w.x, w.x_next);
-                }
-            }
-            apply_block_step(superop_of, w.rec.data(), bw, w.x, w.x_next);
-
-            for (std::size_t j = 0; j < bw; ++j) {
-                extract_column(w.x, j, w.v);
-                contracts::check_density_vec(w.v, "RB 2Q: state after recovery", 1e-6);
-                const device::Counts counts = exec.measure_2q_vec(w.v, opts.shots, w.rngs[j]());
-                survivals[s0 + j] = counts.probability("00");
-                obs::emit_rb_seed(interleave_super ? "irb2q" : "rb2q", m,
-                                  static_cast<std::int64_t>(s0 + j), survivals[s0 + j]);
-            }
-        });
-        RbPoint pt;
-        pt.length = m;
-        pt.mean_survival = runtime::ordered_mean(survivals);
-        pt.sem = survival_sem(survivals, pt.mean_survival);
-        curve.points.push_back(pt);
+    if (total_steps >= 2 * Clifford2Q::kSize) {
+        runtime::TaskPool::global().parallel_for(
+            0, Clifford2Q::kSize, [&](std::size_t i) { gates.clifford_superop(i); });
     }
-    fit_rb_curve(curve, 4.0);
-    return curve;
+
+    const auto draw = [&](std::mt19937_64& rng, std::size_t m, std::size_t* seq,
+                          std::size_t stride, detail::SeedBlockWorkspace& w) {
+        w.net.resize(4, 4);
+        for (std::size_t i = 0; i < 4; ++i) w.net(i, i) = 1.0;
+        for (std::size_t k = 0; k < m; ++k) {
+            const std::size_t c = group.sample(rng);
+            seq[k * stride] = c;
+            linalg::gemm_into(group.unitary(c), w.net, w.net_next);
+            phase_normalize_inplace(w.net_next);
+            std::swap(w.net, w.net_next);
+            if (interleave_ideal != nullptr) {
+                linalg::gemm_into(*interleave_ideal, w.net, w.net_next);
+                phase_normalize_inplace(w.net_next);
+                std::swap(w.net, w.net_next);
+            }
+        }
+        // The recovery is the element of net^dagger, formed in place.
+        w.net_next.resize(4, 4);
+        for (std::size_t i = 0; i < 4; ++i) {
+            for (std::size_t j = 0; j < 4; ++j) w.net_next(i, j) = std::conj(w.net(j, i));
+        }
+        return group.find(w.net_next);
+    };
+    const char* label = interleave_super ? "irb2q" : "rb2q";
+    const auto read = [&](const Mat& v, std::mt19937_64& rng, std::size_t m, std::size_t seed) {
+        contracts::check_density_vec(v, "RB 2Q: state after recovery", 1e-6);
+        const double survival = exec.measure_2q_vec(v, opts.shots, rng()).probability("00");
+        obs::emit_rb_seed(label, m, static_cast<std::int64_t>(seed), survival);
+        return survival;
+    };
+    return curve_of(opts,
+                    detail::run_seed_blocks(gates, opts, 6271, "rb.seq_block_2q",
+                                            linalg::vec(exec.ground_state_2q()),
+                                            interleave_super, draw, read),
+                    4.0);
 }
 
 }  // namespace
@@ -455,16 +340,9 @@ IrbResult run_irb_2q_with_reference(const PulseExecutor& exec, const GateSet2Q& 
                                     const RbCurve& reference, const Mat& interleaved_superop,
                                     std::size_t interleaved_clifford,
                                     const RbOptions& options) {
-    IrbResult res;
-    res.reference = reference;
-    res.interleaved =
-        rb_curve_2q(exec, gates, options, &interleaved_superop, interleaved_clifford);
-    const double ratio = res.interleaved.alpha / res.reference.alpha;
-    res.gate_error = 0.75 * (1.0 - ratio);
-    const double rel = std::sqrt(std::pow(res.interleaved.alpha_err / res.interleaved.alpha, 2) +
-                                 std::pow(res.reference.alpha_err / res.reference.alpha, 2));
-    res.gate_error_err = 0.75 * ratio * rel;
-    return res;
+    return irb_of(reference,
+                  rb_curve_2q(exec, gates, options, &interleaved_superop, interleaved_clifford),
+                  4.0);
 }
 
 }  // namespace qoc::rb

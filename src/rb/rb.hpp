@@ -120,12 +120,6 @@ public:
     /// miss per call.
     const Mat& clifford_superop(std::size_t i) const;
 
-    /// Eagerly fills the whole cache (parallel on the runtime task pool).
-    /// Worth calling ahead
-    /// of runs whose sequences will touch most of the group; lazy filling is
-    /// cheaper for short smoke runs.
-    void precompute_all() const;
-
     const Clifford2Q& group() const { return group_; }
 
 private:

@@ -229,6 +229,28 @@ TEST(Executor, TwoQubitMeasureRejectsBadInput) {
     EXPECT_EQ(ok.shots, 64);
 }
 
+TEST(Executor, OneQubitReadoutRejectsBadInput) {
+    // p1_after_readout (and measure_1q, which reads through it) takes a
+    // levels x levels density matrix only: a ket, a non-square matrix and a
+    // square matrix of another level count are refused before a single
+    // entry is read.
+    const PulseExecutor exec(ibmq_montreal());
+    const std::size_t d = exec.config().levels;
+    ASSERT_EQ(d, 3u);
+    Mat ket(d * d, 1);  // the 9x1 shape of a vectorized rho, read as a ket
+    ket(0, 0) = 1.0;
+    const std::vector<Mat> bad = {ket, quantum::basis_ket(d, 1), Mat(d * d, 2), Mat(d, d + 1),
+                                  Mat::identity(2), 0.25 * Mat::identity(4)};
+    for (const Mat& rho : bad) {
+        SCOPED_TRACE(std::to_string(rho.rows()) + "x" + std::to_string(rho.cols()));
+        expect_invalid_argument([&] { exec.p1_after_readout(rho, 0); }, "levels x levels");
+        expect_invalid_argument([&] { exec.measure_1q(rho, 0, 64, 1); }, "levels x levels");
+    }
+    EXPECT_NEAR(exec.p1_after_readout(exec.ground_state_1q(), 0),
+                exec.config().qubit(0).readout_p10, 1e-15);
+    EXPECT_EQ(exec.measure_1q(exec.ground_state_1q(), 0, 64, 1).shots, 64);
+}
+
 TEST(Executor, CrPulseEntanglesConditionally) {
     // A ZX90-calibrated CR pulse rotates the target in opposite directions
     // for the two control states.

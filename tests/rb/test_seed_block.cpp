@@ -112,7 +112,7 @@ TEST(Superop, BatchApplyMatchesApplySuperop) {
     EXPECT_TRUE(linalg::unvec(v2, d).approx_equal(ref3, 1e-12));
 }
 
-TEST(StructuredSuperop, BatchColumnAndSingleApplyAgreeBitwise) {
+TEST(SeedBlock, BatchColumnAndSingleApplyAgreeBitwise) {
     // The partition-invariance contract the RB seed engine relies on: one
     // broadcast sweep, the mixed step, and single-column applies all commit
     // identical bits.
@@ -135,7 +135,7 @@ TEST(StructuredSuperop, BatchColumnAndSingleApplyAgreeBitwise) {
     }
 }
 
-TEST(StructuredSuperop, ScalarAndVectorKernelsAgreeBitwise) {
+TEST(SeedBlock, ScalarAndVectorKernelsAgreeBitwise) {
     if (!linalg::simd::avx2_available()) GTEST_SKIP() << "no AVX2 on this host";
     for (const Mat& s : {sparse_op(), dense_op()}) {
         const Mat x = random_batch(s.rows(), 7, 30);
